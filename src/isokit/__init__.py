@@ -102,6 +102,7 @@ from .lattice import (
     WidthResult,
     density,
     is_nonseparable_unit_lattice,
+    is_nonseparable_width,
     lattice_width,
     verify_width_volume_corollary,
     width_in_direction,

@@ -35,7 +35,7 @@ from .certifier import CEILING, certify_random
 from .errors import DegenerateInput, IsokitError, PreconditionError
 from .geom import polytope_from_json
 from .john import IDQ_LOWER_BOUND, normalize
-from .lattice import is_nonseparable_unit_lattice, verify_width_volume_corollary
+from .lattice import is_nonseparable_width, verify_width_volume_corollary
 
 NINE_SIXTEENTHS = 9.0 / 16.0
 
@@ -187,7 +187,7 @@ def cmd_width(args, cfg: Config):
         "slack": rep["slack"],
         "exact": rep["exact"],
         "holds": rep["holds"],
-        "nonseparable": is_nonseparable_unit_lattice(P),
+        "nonseparable": is_nonseparable_width(rep["width"], P.mode),
     }
     if not rep["holds"]:
         print("alarm: width-volume inequality violated", file=sys.stderr)

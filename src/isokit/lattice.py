@@ -2,10 +2,13 @@
 
 The lattice width of a body K is min over nonzero integer directions u
 of max⟨v,u⟩ − min⟨v,u⟩, v in K.  Finding the minimum needs only finitely
-many candidates: the central ellipsoid of the difference body contains
-K − K after sqrt(3) shrinking, so any direction beating a known width W
-satisfies ||M^(-1/2) u|| <= sqrt(3) W, an ellipsoid containing finitely
-many lattice points.
+many candidates: any simplex S spanned by vertices of K lies in K, so a
+direction u of width at most a known W satisfies |⟨d,u⟩| ≤ W for every
+edge d of S.  Three of those edges are independent, so the slabs bound
+a region holding finitely many lattice points; the search enumerates
+them in exact integer arithmetic, shrinking W as narrower directions
+appear.  No floating-point step decides which direction is pruned or
+returned.
 
 For polytopes built in rational mode every width here is an exact
 Fraction, which makes the inequality vol(K) >= width^3 / 12 checkable
@@ -19,11 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError, SingularLattice
-from .geom import Polytope, difference_body, volume
-from .mvee import mvee_centered
+from .geom import Polytope, _initial_simplex, _sub, volume
 
 __all__ = [
     "LatticeDirection",
@@ -32,6 +32,7 @@ __all__ = [
     "width_in_direction",
     "lattice_width",
     "is_nonseparable_unit_lattice",
+    "is_nonseparable_width",
     "density",
     "verify_width_volume_corollary",
 ]
@@ -98,80 +99,120 @@ def width_in_direction(P: Polytope, u) -> object:
     return max(dots) - min(dots)
 
 
-def lattice_width(P: Polytope, safety: float = 1e-6) -> WidthResult:
-    """Exact minimal lattice width by ellipsoid-pruned enumeration.
+def _integer_vertices(P: Polytope) -> list:
+    """P's vertices times the lcm of their denominators, as integer triples.
 
-    The candidate box comes from the axis widths; candidates are scanned
-    in order of ellipsoid norm so the cutoff tightens as soon as a better
-    direction appears.  Ties prefer the lexicographically greatest
-    canonical direction.
+    Scaling by a positive constant scales every width by it, so the search
+    compares plain integers.  Float coordinates enter at their exact binary
+    value, Fraction(x).
     """
-    axis_widths = [width_in_direction(P, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    w0 = min(axis_widths)
-    if w0 <= 0:
-        raise PreconditionError("polytope must be full-dimensional")
+    verts = [tuple(Fraction(c) for c in v) for v in P.vertices]
+    scale = math.lcm(*(c.denominator for v in verts for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in verts]
 
-    D = difference_body(P)
-    M = mvee_centered(np.asarray(D.as_array(), float)).M
-    radius = math.sqrt(3.0) * float(w0) * (1.0 + safety)
-    box = [int(math.floor(radius * math.sqrt(M[i, i]) + 1e-9)) for i in range(3)]
 
-    cand = []
-    for a in range(0, box[0] + 1):
-        for b in range(-box[1], box[1] + 1):
-            for c in range(-box[2], box[2] + 1):
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                if (a, b, c) != _canonical_primitive_or_none(a, b, c):
-                    continue
-                cand.append((a, b, c))
-    arr = np.array(cand, dtype=float)
-    Mhalf_inv = np.linalg.cholesky(np.linalg.inv(M))
-    norms = np.linalg.norm(arr @ Mhalf_inv, axis=1)
-    order = np.argsort(norms, kind="stable")
+def _reduced(coef, g):
+    m = math.gcd(*coef, g)
+    return tuple(x // m for x in coef), g // m
 
-    best = None
+
+def _eliminate(planes, k) -> set:
+    """Fourier-Motzkin: the exact shadow of ``planes`` along variable k.
+
+    A plane (coef, g) stands for coef·u <= g W with g > 0, so one set of
+    planes serves every W.
+    """
+    shadow = {p for p in planes if p[0][k] == 0}
+    for cu, gu in planes:
+        if cu[k] <= 0:
+            continue
+        for cd, gd in planes:
+            if cd[k] < 0:
+                s, t = -cd[k], cu[k]
+                coef = tuple(s * x + t * y for x, y in zip(cu, cd))
+                if any(coef):
+                    shadow.add(_reduced(coef, s * gu + t * gd))
+    return shadow
+
+
+def _interval(planes, prefix, W) -> range:
+    """Integers x with coef·(prefix, x, 0...) <= g W on every plane (coef, g)."""
+    k = len(prefix)
+    lo = hi = None
+    for coef, g in planes:
+        r = g * W - sum(c * x for c, x in zip(coef, prefix))
+        if coef[k] > 0:
+            q = r // coef[k]
+            hi = q if hi is None else min(hi, q)
+        elif coef[k] < 0:
+            q = -(r // -coef[k])
+            lo = q if lo is None else max(lo, q)
+        elif r < 0:
+            return range(0)
+    return range(lo, hi + 1)
+
+
+def lattice_width(P: Polytope) -> WidthResult:
+    """Exact minimal lattice width by simplex-slab enumeration.
+
+    Four affinely independent vertices v0..v3 of K span a simplex S inside
+    K, so width_u(S) <= width_u(K): a direction u of width at most W obeys
+    |⟨vi − vj, u⟩| ≤ W on all six edges of S.  Those slabs cut a bounded
+    region; Fourier-Motzkin elimination gives its exact shadows on (a, b)
+    and on a, so the search walks a, then b, then c over exact integer
+    intervals.  W is the best width found so far, so the region shrinks as
+    the search proceeds.  Candidates are visited in increasing
+    lexicographic order and a tie replaces the best, which keeps the
+    lexicographically greatest canonical direction among the narrowest.
+    Every comparison is exact, in both modes.
+    """
+    V = _integer_vertices(P)
+    S = [V[i] for i in _initial_simplex(V)]
+    edges = [_sub(S[i], S[j]) for i in range(4) for j in range(i)]
+    planes_abc = {(d, 1) for d in edges} | {(tuple(-x for x in d), 1) for d in edges}
+    planes_ab = _eliminate(planes_abc, 2)
+    # the shadow on a is [-W a_reach, W a_reach]; keep only its tightest plane
+    a_reach = min(Fraction(g, coef[0]) for coef, g in _eliminate(planes_ab, 1) if coef[0] > 0)
+
+    def width(u):
+        dots = [x * u[0] + y * u[1] + z * u[2] for x, y, z in V]
+        return max(dots) - min(dots)
+
+    W = min(width(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     best_u = None
     checked = 0
-    cutoff = math.sqrt(3.0) * float(w0) * (1.0 + safety)
-    for idx in order:
-        if norms[idx] > cutoff:
-            break
-        u = cand[int(idx)]
-        w = width_in_direction(P, u)
-        checked += 1
-        if best is None or w < best or (w == best and u > best_u):
-            if best is None or w < best:
-                cutoff = math.sqrt(3.0) * float(w) * (1.0 + safety)
-            best, best_u = w, u
-    return WidthResult(value=best, direction=best_u, checked=checked)
+    a = 0  # canonical directions have a >= 0
+    while a <= W * a_reach:
+        for b in _interval(planes_ab, (a,), W):
+            if a == 0 and b < 0:
+                continue
+            for c in _interval(planes_abc, (a, b), W):
+                if (a == b == 0 and c <= 0) or math.gcd(a, b, c) != 1:
+                    continue
+                w = width((a, b, c))
+                checked += 1
+                if w <= W:
+                    W, best_u = w, (a, b, c)
+        a += 1
+    return WidthResult(value=width_in_direction(P, best_u), direction=best_u, checked=checked)
 
 
-def _canonical_primitive_or_none(a, b, c):
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    if g == 0:
-        return None
-    t = (a // g, b // g, c // g)
-    for x in t:
-        if x != 0:
-            if x < 0:
-                t = (-t[0], -t[1], -t[2])
-            break
-    return t
+def is_nonseparable_width(w, mode: str) -> bool:
+    """Whether a lattice width w (of a body in ``mode``) is at least 1.
 
-
-def is_nonseparable_unit_lattice(P: Polytope) -> bool:
-    """Whether the lattice width is at least 1.
-
-    Exact for rational-mode polytopes.  In float mode a width within
-    1e-9 of the threshold is refused rather than guessed.
+    Exact in rational mode.  In float mode a width within 1e-9 of the
+    threshold is refused rather than guessed.
     """
-    w = lattice_width(P).value
-    if P.mode == "rational":
+    if mode == "rational":
         return w >= 1
     if abs(float(w) - 1.0) < 1e-9:
         raise PreconditionError("width too close to 1 to decide in float mode")
     return float(w) > 1.0
+
+
+def is_nonseparable_unit_lattice(P: Polytope) -> bool:
+    """Whether the lattice width is at least 1 (see is_nonseparable_width)."""
+    return is_nonseparable_width(lattice_width(P).value, P.mode)
 
 
 def density(P: Polytope):

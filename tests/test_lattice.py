@@ -1,5 +1,6 @@
 """Exact lattice widths and the width-volume inequality."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -133,3 +134,68 @@ def test_lattice_basis():
         LatticeBasis([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     with pytest.raises(PreconditionError):
         LatticeBasis([[1, 0], [0, 1]])
+
+def _brute_force_width(vertices, W0):
+    """Minimum width over every canonical primitive direction in [-W0, W0]^3,
+    with the lexicographically greatest direction attaining it."""
+    best, best_u = None, None
+    r = range(-W0, W0 + 1)
+    for u in ((a, b, c) for a in r for b in r for c in r):
+        if u == (0, 0, 0) or math.gcd(*u) != 1 or LatticeDirection(u).u != u:
+            continue
+        dots = [x * u[0] + y * u[1] + z * u[2] for x, y, z in vertices]
+        w = max(dots) - min(dots)
+        if best is None or w < best or (w == best and u > best_u):
+            best, best_u = w, u
+    return best, best_u
+
+
+def _unimodular(rng):
+    """Product of random integer shears and a coordinate swap: det ±1."""
+    M = np.eye(3, dtype=int)
+    for _ in range(3):
+        i, j = rng.choice(3, size=2, replace=False)
+        E = np.eye(3, dtype=int)
+        E[i, j] = int(rng.integers(-2, 3))
+        M = E @ M
+    return M[rng.permutation(3)]
+
+
+def test_lattice_width_matches_brute_force(rng):
+    # Each body holds a translate of conv{0, e1, e2, e3}, whose width along
+    # u is max|u_i|; so every direction of width <= W0 lies in [-W0, W0]^3
+    # and the scan below is complete.
+    for _ in range(30):
+        p = rng.integers(0, 3, size=3)
+        extra = rng.integers(0, int(rng.integers(2, 5)) + 1, size=(int(rng.integers(0, 6)), 3))
+        pts = [tuple(int(x) for x in p + e) for e in np.vstack([np.zeros((1, 3), int), np.eye(3, dtype=int)])]
+        pts += [tuple(int(x) for x in q) for q in extra]
+        P = Polytope(pts, mode="rational")
+        W0 = int(min(width_in_direction(P, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        res = lattice_width(P)
+        assert (res.value, res.direction) == _brute_force_width(P.vertices, W0)
+        M = _unimodular(rng)
+        img = Polytope([tuple(int(x) for x in M @ np.array(v, dtype=object)) for v in P.vertices], mode="rational")
+        assert lattice_width(img).value == res.value
+
+
+def test_lattice_width_builds_no_hull(rng, monkeypatch):
+    import isokit.geom as geom
+
+    P = random_lattice_polytope(rng)
+    Pf = Polytope([tuple(float(c) for c in v) for v in P.vertices])
+    box = Polytope([(7 * x, 3 * y, 3 * z) for x, y, z in CUBE], mode="rational")
+    # columns of B span 13Z x Z x Z, sheared by a unimodular map: width 7/13
+    img = LatticeBasis([[13, 26, 0], [0, 1, 0], [1, 1, 1]]).transform(box)
+    expected = lattice_width(P)
+
+    def no_hull(*args, **kwargs):
+        raise AssertionError("lattice_width must not build a hull")
+
+    monkeypatch.setattr(geom, "_hull_exact", no_hull)
+    monkeypatch.setattr(geom, "_hull_float", no_hull)
+    assert lattice_width(P) == expected
+    res = lattice_width(Pf)
+    assert isinstance(res.value, float)
+    assert (res.value, res.direction) == (float(expected.value), expected.direction)
+    assert lattice_width(img).value == Fraction(7, 13)
