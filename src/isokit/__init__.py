@@ -58,6 +58,7 @@ from .john import (
     witness_triple,
 )
 from .admissible import (
+    NINE_SIXTEENTHS,
     PAIRS,
     AdmissibleSet,
     LambdaVector,
@@ -69,9 +70,14 @@ from .admissible import (
     lambda_pair_products,
     objective,
     omega_contains,
+    pair_pos,
     parseval_sum,
+    peculiar_forced,
     peculiar_from,
+    peculiar_sweep,
     relation_residuals,
+    sample_lambda,
+    sample_omega,
 )
 from .bounds import (
     HEAVY_PAIRS,

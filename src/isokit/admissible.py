@@ -13,8 +13,13 @@ set*; the weighted square sum sum lam_i lam_j a_ij^2 equals 1 for any
 decomposition reproducing the identity, and its maximum over admissible
 sets (the subject of the certifier module) is 2.
 
-The module also carries the peculiar boundary family and the planar
-region Omega with its self-map g, used to bound the maximizers.
+This module is the one home of that algebra: the pair index (``PAIRS``,
+``pair_pos``), the relation table behind ``relation_residuals``, the
+weight sampler, the peculiar boundary family (its magnitude-one pairs
+``HEAVY_PAIRS`` and the forced magnitudes ``peculiar_forced``), the
+planar region Omega with its sampler and self-map g, and
+``peculiar_sweep``, which checks the ceiling over the family and the
+region bounds over Omega.
 """
 
 from __future__ import annotations
@@ -35,16 +40,24 @@ from .geom import det3
 
 __all__ = [
     "PAIRS",
+    "HEAVY_PAIRS",
+    "CEILING",
+    "NINE_SIXTEENTHS",
     "AdmissibleSet",
     "LambdaVector",
+    "pair_pos",
     "lambda_pair_products",
+    "sample_lambda",
     "from_contact_vectors",
     "check_relations",
     "relation_residuals",
     "parseval_sum",
     "objective",
+    "peculiar_forced",
     "peculiar_from",
+    "peculiar_sweep",
     "omega_contains",
+    "sample_omega",
     "g_map",
     "five_square_max",
     "f_eval",
@@ -55,21 +68,39 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
 
 _PAIR_POS = {p: k for k, p in enumerate(PAIRS)}
 
+#: maximum of the weighted square sum over admissible sets
+CEILING = 2.0
+
+#: bound on the five squares over the region Omega
+NINE_SIXTEENTHS = 9.0 / 16.0
+
 # each relation: (i, j, k, l, m, n) meaning a_i a_j - a_k a_l = a_m a_n
 # with letters indexing into the storage order above
-_RELATIONS = (
-    (1, 5, 2, 4, 0, 7),
-    (1, 6, 3, 4, 0, 8),
-    (2, 6, 3, 5, 0, 9),
-    (2, 8, 3, 7, 1, 9),
-    (5, 8, 6, 7, 4, 9),
+_RELATIONS = np.array(
+    [
+        (1, 5, 2, 4, 0, 7),
+        (1, 6, 3, 4, 0, 8),
+        (2, 6, 3, 5, 0, 9),
+        (2, 8, 3, 7, 1, 9),
+        (5, 8, 6, 7, 4, 9),
+    ]
 )
 
 
+def pair_pos(i: int, j: int) -> tuple[int, int]:
+    """Position k in ``PAIRS`` and sign s with a_ij = s * a[k]; a_ji = -a_ij."""
+    if i == j or not (1 <= i <= 5 and 1 <= j <= 5):
+        raise IndexError("indices must be distinct and in 1..5")
+    return (_PAIR_POS[(i, j)], 1) if i < j else (_PAIR_POS[(j, i)], -1)
+
+
 def relation_residuals(values) -> np.ndarray:
-    """The five relation defects a_i a_j - a_k a_l - a_m a_n."""
-    a = _as_ten(values)
-    return np.array([a[i] * a[j] - a[k] * a[l] - a[m] * a[n] for i, j, k, l, m, n in _RELATIONS])
+    """The five relation defects a_i a_j - a_k a_l - a_m a_n; (..., 10) -> (..., 5)."""
+    a = values.a if isinstance(values, AdmissibleSet) else np.asarray(values, dtype=float)
+    if a.shape[-1:] != (10,):
+        raise PreconditionError("expected 10 entries in PAIRS order")
+    g = a[..., _RELATIONS]  # (..., 5, 6): the six letters of each relation
+    return g[..., 0] * g[..., 1] - g[..., 2] * g[..., 3] - g[..., 4] * g[..., 5]
 
 
 def check_relations(values, tol: float = 1e-9) -> bool:
@@ -104,9 +135,8 @@ class AdmissibleSet:
 
     def get(self, i: int, j: int) -> float:
         """Entry a_ij for distinct 1-based indices, antisymmetric in (i, j)."""
-        if i == j or not (1 <= i <= 5 and 1 <= j <= 5):
-            raise IndexError("indices must be distinct and in 1..5")
-        return float(self.a[_PAIR_POS[(i, j)]]) if i < j else -float(self.a[_PAIR_POS[(j, i)]])
+        k, sign = pair_pos(i, j)
+        return sign * float(self.a[k])
 
     def as_array(self) -> np.ndarray:
         return self.a.copy()
@@ -125,28 +155,44 @@ class LambdaVector:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (6,):
             raise InvariantError("need six weights")
-        if np.any(v < -1e-12):
-            raise InvariantError("weights must be nonnegative")
-        if abs(float(v.sum()) - 3.0) > 1e-9:
-            raise InvariantError("weights must sum to 3")
-        if v[5] < v.max() - 1e-12:
-            raise InvariantError("the sixth weight must be the maximum")
-        object.__setattr__(self, "values", np.clip(v, 0.0, None))
+        object.__setattr__(self, "values", _as_lambda(v))
 
     def __getitem__(self, k):
         return float(self.values[k])
 
 
 def _as_lambda(L) -> np.ndarray:
+    """Checked weights over a trailing axis of 6, clipped at zero."""
     if isinstance(L, LambdaVector):
         return L.values
-    return LambdaVector(np.asarray(L, dtype=float)).values
+    v = np.asarray(L, dtype=float)
+    if v.shape[-1:] != (6,):
+        raise InvariantError("need six weights")
+    if (v < -1e-12).any():
+        raise InvariantError("weights must be nonnegative")
+    if (abs(v.sum(axis=-1) - 3.0) > 1e-9).any():
+        raise InvariantError("weights must sum to 3")
+    if (v[..., 5:] < v - 1e-12).any():
+        raise InvariantError("the sixth weight must be the maximum")
+    return np.clip(v, 0.0, None)
 
 
 def lambda_pair_products(L) -> np.ndarray:
-    """The ten products lam_i lam_j in ``PAIRS`` order (indices 1..5 only)."""
+    """The ten products lam_i lam_j in ``PAIRS`` order (indices 1..5); (..., 6) -> (..., 10)."""
     lam = _as_lambda(L)
-    return np.array([lam[i - 1] * lam[j - 1] for i, j in PAIRS])
+    return np.stack([lam[..., i - 1] * lam[..., j - 1] for i, j in PAIRS], axis=-1)
+
+
+def sample_lambda(rng, first_weight_zero: bool = False) -> np.ndarray:
+    """Uniform weight vector: spacings of sorted cuts, scaled to sum 3.
+
+    ``first_weight_zero`` pins the smallest weight to zero.
+    """
+    if first_weight_zero:
+        cuts = np.sort(rng.uniform(0.0, 1.0, size=4))
+        return np.concatenate([[0.0], np.sort(np.diff(np.concatenate([[0.0], cuts, [1.0]]))) * 3.0])
+    cuts = np.sort(rng.uniform(0.0, 1.0, size=5))
+    return np.sort(np.diff(np.concatenate([[0.0], cuts, [1.0]]))) * 3.0
 
 
 def from_contact_vectors(u) -> AdmissibleSet:
@@ -189,24 +235,30 @@ def parseval_sum(values, L) -> float:
 # peculiar boundary family
 # ---------------------------------------------------------------------------
 
-_FREE_SLOTS = [_PAIR_POS[p] for p in ((1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))]
+#: the peculiar family's magnitude-one pairs; they form a 5-cycle on 1..5
+HEAVY_PAIRS = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
 
+
+def peculiar_forced(x: float, y: float) -> dict:
+    """The magnitudes forced by |a14| = x and |a15| = y, keyed by pair.
+
+        |a23| = (x + y - 1) / (x y)
+        |a25| = (1 - y) / x
+        |a34| = (1 - x) / y
+    """
+    return {(2, 3): (x + y - 1.0) / (x * y), (2, 5): (1.0 - y) / x, (3, 4): (1.0 - x) / y}
+
+
+# sign candidates: a12 = a13 = +1, every sign pattern on the other eight
 _SIGNS = np.ones((256, 10))
-for _k, _combo in enumerate(product((1.0, -1.0), repeat=8)):
-    for _slot, _s in zip(_FREE_SLOTS, _combo):
-        _SIGNS[_k, _slot] = _s
+_SIGNS[:, 2:] = list(product((1.0, -1.0), repeat=8))
 
 
 def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleSet:
     """Member of the boundary family with prescribed |a14|, |a15|.
 
-    Five entries have magnitude one (a12, a13, a24, a35, a45) and the
-    remaining magnitudes are forced:
-
-        |a23| = (|a14| + |a15| - 1) / |a14 a15|
-        |a25| = (1 - |a15|) / |a14|
-        |a34| = (1 - |a14|) / |a15|
-
+    The entries on ``HEAVY_PAIRS`` (a12, a13, a24, a35, a45) have
+    magnitude one and ``peculiar_forced`` gives |a23|, |a25| and |a34|,
     which requires |a14| + |a15| >= 1 (InfeasibleMagnitudes otherwise).
     Signs are found by exhaustive search with a12 = a13 = +1 fixed (a
     global sign symmetry); pass ``sign_seed`` to rotate the search order
@@ -218,23 +270,15 @@ def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleS
     if x + y < 1.0:
         raise InfeasibleMagnitudes("|a14| + |a15| must be at least 1")
     mag = np.empty(10)
-    mag[_PAIR_POS[(1, 2)]] = 1.0
-    mag[_PAIR_POS[(1, 3)]] = 1.0
-    mag[_PAIR_POS[(2, 4)]] = 1.0
-    mag[_PAIR_POS[(3, 5)]] = 1.0
-    mag[_PAIR_POS[(4, 5)]] = 1.0
+    for p in HEAVY_PAIRS:
+        mag[_PAIR_POS[p]] = 1.0
     mag[_PAIR_POS[(1, 4)]] = x
     mag[_PAIR_POS[(1, 5)]] = y
-    mag[_PAIR_POS[(2, 3)]] = (x + y - 1.0) / (x * y)
-    mag[_PAIR_POS[(2, 5)]] = (1.0 - y) / x
-    mag[_PAIR_POS[(3, 4)]] = (1.0 - x) / y
+    for p, m in peculiar_forced(x, y).items():
+        mag[_PAIR_POS[p]] = m
 
     cand = _SIGNS * mag
-    res = np.stack(
-        [cand[:, i] * cand[:, j] - cand[:, k] * cand[:, l] - cand[:, m] * cand[:, n] for i, j, k, l, m, n in _RELATIONS],
-        axis=1,
-    )
-    ok = np.flatnonzero(np.max(np.abs(res), axis=1) <= 1e-9)
+    ok = np.flatnonzero(np.max(np.abs(relation_residuals(cand)), axis=1) <= 1e-9)
     if len(ok) == 0:
         raise NoSignAssignment(f"no sign pattern satisfies the relations for ({x}, {y})")
     pick = ok[0]
@@ -243,16 +287,92 @@ def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleS
     return AdmissibleSet(cand[pick])
 
 
+def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
+    """Ceiling checks over the peculiar family and over the region Omega.
+
+    Scores ``peculiar_from(x, y)`` at ``n`` random feasible magnitude
+    pairs against ``n_lambda`` random weight vectors.  Then, at ``n``
+    random points of Omega, checks the five-square bound 9/16 and the
+    total f_eval + (products on ``HEAVY_PAIRS``) against the ceiling,
+    pairing point k with weight vector k mod ``n_lambda``.  Every value
+    above its bound by more than ``tol`` is listed as a violation.
+    """
+    if n < 1 or n_lambda < 1:
+        raise PreconditionError("need at least one sample and one weight vector")
+    violations = []
+
+    # feasible magnitude pairs: x, y in (0, 1], x + y >= 1
+    rng = np.random.default_rng([seed, 101])
+    pairs = np.empty((0, 2))
+    while pairs.shape[0] < n:
+        cand = rng.uniform(0.0, 1.0, size=(2 * n, 2))
+        cand = cand[(cand.sum(axis=1) >= 1.0) & (cand > 0.0).all(axis=1)]
+        pairs = np.vstack([pairs, cand])
+    pairs = pairs[:n]
+
+    lam = np.array([sample_lambda(np.random.default_rng([seed, 102, k])) for k in range(n_lambda)])
+    products = lambda_pair_products(lam)
+
+    obj_max, obj_arg = -np.inf, None
+    for x, y in pairs:
+        worst = float((products @ peculiar_from(float(x), float(y)).a ** 2).max())
+        if worst > obj_max:
+            obj_max, obj_arg = worst, [float(x), float(y)]
+        if worst > CEILING + tol:
+            violations.append({"kind": "objective", "pair": [float(x), float(y)], "value": worst})
+
+    # region sweep: five squared coordinates stay below 9/16 and the
+    # two-variable bound keeps every weighted total below the ceiling
+    omega_pts = sample_omega(np.random.default_rng([seed, 103]), n)
+    fsq_max = max(five_square_max(float(x), float(y)) for x, y in omega_pts)
+    if fsq_max > NINE_SIXTEENTHS + tol:
+        violations.append({"kind": "five_square", "value": fsq_max})
+
+    heavy = sum(products[:, _PAIR_POS[p]] for p in HEAVY_PAIRS)
+    total_max = max(
+        f_eval(lam[k % n_lambda], float(x), float(y)) + float(heavy[k % n_lambda])
+        for k, (x, y) in enumerate(omega_pts)
+    )
+    if total_max > CEILING + tol:
+        violations.append({"kind": "region_total", "value": float(total_max)})
+
+    return {
+        "n_pairs": n,
+        "n_lambda": n_lambda,
+        "seed": seed,
+        "objective_bound": CEILING,
+        "objective_max": float(obj_max),
+        "argmax_pair": obj_arg,
+        "region_points": int(omega_pts.shape[0]),
+        "five_square_max": float(fsq_max),
+        "five_square_bound": NINE_SIXTEENTHS,
+        "region_total_max": float(total_max),
+        "region_total_bound": CEILING,
+        "violations": violations,
+    }
+
+
 # ---------------------------------------------------------------------------
 # planar region calculus
 # ---------------------------------------------------------------------------
 
 
 def omega_contains(x: float, y: float) -> bool:
-    """Closed region: x, y >= 1/2, xy <= 1/2, 2y - xy <= 1, 2x - xy <= 1."""
-    return bool(
-        x >= 0.5 and y >= 0.5 and x * y <= 0.5 and 2.0 * y - x * y <= 1.0 and 2.0 * x - x * y <= 1.0
-    )
+    """Closed region: x, y >= 1/2, xy <= 1/2, 2y - xy <= 1, 2x - xy <= 1.
+
+    Elementwise (a boolean array) when x and y are arrays.
+    """
+    inside = (x >= 0.5) & (y >= 0.5) & (x * y <= 0.5) & (2.0 * y - x * y <= 1.0) & (2.0 * x - x * y <= 1.0)
+    return inside if np.ndim(inside) else bool(inside)
+
+
+def sample_omega(rng, n: int) -> np.ndarray:
+    """n uniform points of Omega, shape (n, 2), by rejection from [1/2, 1)^2."""
+    pts = np.empty((0, 2))
+    while pts.shape[0] < n:
+        cand = rng.uniform(0.5, 1.0, size=(4 * n, 2))
+        pts = np.vstack([pts, cand[omega_contains(cand[:, 0], cand[:, 1])]])
+    return pts[:n]
 
 
 def g_map(x: float, y: float):

@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .admissible import PAIRS, LambdaVector, lambda_pair_products
+from .admissible import HEAVY_PAIRS, PAIRS, _as_lambda, lambda_pair_products, pair_pos
 from .errors import PreconditionError
 
 __all__ = [
@@ -41,17 +41,13 @@ TRIPLE_DROP_BOUND = 9.0 / 5.0
 ZERO_DROP_BOUND = 9.0 / 5.0
 WEIGHTED_BOUND = 2.0
 
-_POS = {p: k for k, p in enumerate(PAIRS)}
-
-#: the 3/5-weighted pattern: full-weight pairs and 3/5-weight pairs
-HEAVY_PAIRS = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
-LIGHT_PAIRS = ((1, 4), (1, 5), (2, 3), (2, 5), (3, 4))
+#: the 3/5-weighted pattern: full weight on the peculiar family's
+#: magnitude-one pairs ``HEAVY_PAIRS``, weight 3/5 on the other five
+LIGHT_PAIRS = tuple(p for p in PAIRS if p not in HEAVY_PAIRS)
 
 
 def _pair_pos(i, j):
-    if i == j or not (1 <= i <= 5 and 1 <= j <= 5):
-        raise IndexError("indices must be distinct and in 1..5")
-    return _POS[(i, j) if i < j else (j, i)]
+    return pair_pos(i, j)[0]
 
 
 def pair_drop_sum(L, kl, mn) -> float:
@@ -85,7 +81,7 @@ def zero_lambda_drop(L, kl) -> float:
 
     Requires lam_1 = 0 and k, l in 2..5; the value never exceeds 9/5.
     """
-    lam = L.values if isinstance(L, LambdaVector) else LambdaVector(np.asarray(L, float)).values
+    lam = _as_lambda(L)
     if lam[0] != 0.0:
         raise PreconditionError("first weight must be exactly zero")
     k, l = kl
@@ -98,8 +94,8 @@ def zero_lambda_drop(L, kl) -> float:
 def weighted_sum(L) -> float:
     """Heavy pairs at weight 1 plus light pairs at weight 3/5; at most 2."""
     p = lambda_pair_products(L)
-    heavy = sum(p[_POS[pair]] for pair in HEAVY_PAIRS)
-    light = sum(p[_POS[pair]] for pair in LIGHT_PAIRS)
+    heavy = sum(p[_pair_pos(*pair)] for pair in HEAVY_PAIRS)
+    light = sum(p[_pair_pos(*pair)] for pair in LIGHT_PAIRS)
     return float(heavy + 0.6 * light)
 
 
@@ -155,8 +151,7 @@ def _weighted_patterns():
         if heavy not in seen:
             coeff = np.full(10, 0.6)
             for pair in heavy:
-                i, j = sorted(pair)
-                coeff[_POS[(i, j)]] = 1.0
+                coeff[_pair_pos(*pair)] = 1.0
             seen[heavy] = coeff
     return np.stack(list(seen.values()))
 
@@ -177,14 +172,15 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
     N = len(lam)
 
     # ten pairwise products per grid point, PAIRS order over indices 1..5
-    P = np.stack([lam[:, i - 1] * lam[:, j - 1] for i, j in PAIRS], axis=1)
+    P = lambda_pair_products(lam)
     S = P.sum(axis=1)
 
     families = {}
     violations = []
     best = (-np.inf, None, None)  # excess, lambda, family
 
-    def scan(name, values, bound, labels):
+    def scan(name, values, bound, labels, weights=lam):
+        """Record one family; row r of ``values`` belongs to ``weights[r]``."""
         nonlocal best
         excess = values - bound
         flat = int(np.argmax(excess))
@@ -193,17 +189,17 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
         families[name] = {
             "bound": bound,
             "max_value": fmax,
-            "argmax_lambda": [float(v) for v in lam[r]],
+            "argmax_lambda": [float(v) for v in weights[r]],
             "instances": values.shape[1],
         }
         if fmax - bound > best[0]:
-            best = (fmax - bound, lam[r], name)
+            best = (fmax - bound, weights[r], name)
         bad = np.argwhere(excess > tol)
         for rr, cc in bad[:100]:
             violations.append(
                 {
                     "family": name,
-                    "lambda": [float(v) for v in lam[rr]],
+                    "lambda": [float(v) for v in weights[rr]],
                     "indices": labels[cc],
                     "value": float(values[rr, cc]),
                     "bound": bound,
@@ -229,32 +225,12 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
     vals = S[:, None] - np.stack(cols, axis=1)
     scan("triple_drop", vals, TRIPLE_DROP_BOUND, labels)
 
-    # zero_lambda: grid rows with a vanishing smallest weight
+    # zero_lambda: grid rows with a vanishing smallest weight (the first
+    # grid tuple, all weight on lam_6, is always one)
     zrows = np.flatnonzero(lam[:, 0] == 0.0)
-    if len(zrows):
-        labels = list(combinations(range(2, 6), 2))
-        vals = S[zrows, None] - np.stack([P[zrows, _pair_pos(k, l)] for k, l in labels], axis=1)
-        excess = vals - ZERO_DROP_BOUND
-        flat = int(np.argmax(excess))
-        r, c = divmod(flat, vals.shape[1])
-        families["zero_lambda"] = {
-            "bound": ZERO_DROP_BOUND,
-            "max_value": float(vals[r, c]),
-            "argmax_lambda": [float(v) for v in lam[zrows[r]]],
-            "instances": vals.shape[1],
-        }
-        if float(vals[r, c]) - ZERO_DROP_BOUND > best[0]:
-            best = (float(vals[r, c]) - ZERO_DROP_BOUND, lam[zrows[r]], "zero_lambda")
-        for rr, cc in np.argwhere(excess > tol)[:100]:
-            violations.append(
-                {
-                    "family": "zero_lambda",
-                    "lambda": [float(v) for v in lam[zrows[rr]]],
-                    "indices": labels[cc],
-                    "value": float(vals[rr, cc]),
-                    "bound": ZERO_DROP_BOUND,
-                }
-            )
+    labels = list(combinations(range(2, 6), 2))
+    vals = S[zrows, None] - np.stack([P[zrows, _pair_pos(k, l)] for k, l in labels], axis=1)
+    scan("zero_lambda", vals, ZERO_DROP_BOUND, labels, lam[zrows])
 
     # weighted: the 12 relabelings of the 3/5 pattern
     patterns = _weighted_patterns()

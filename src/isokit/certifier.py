@@ -23,7 +23,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .admissible import PAIRS, LambdaVector, lambda_pair_products, objective
+from .admissible import (
+    CEILING,
+    HEAVY_PAIRS,
+    PAIRS,
+    _as_lambda,
+    lambda_pair_products,
+    objective,
+    pair_pos,
+    peculiar_forced,
+    sample_lambda,
+)
 from .errors import PreconditionError
 
 __all__ = [
@@ -38,7 +48,6 @@ __all__ = [
     "boundary_structure_check",
 ]
 
-CEILING = 2.0
 ZERO_WEIGHT_CEILING = 9.0 / 5.0
 
 #: equality case: the sqrt(2)-rescaled edge-direction frame of a regular
@@ -46,22 +55,20 @@ ZERO_WEIGHT_CEILING = 9.0 / 5.0
 WITNESS_SET = np.array([1.0, 0.0, 1.0, -1.0, -1.0, 0.0, -1.0, 1.0, -1.0, -1.0])
 WITNESS_LAMBDA = np.full(6, 0.5)
 
-_POS = {p: k for k, p in enumerate(PAIRS)}
-
 # chart descriptions: local state = a[free]; local index 0 is the pivot
 # (bounded away from zero by eps); each derived entry is
 # (s[A] * s[B] - s[C] * s[D]) / s[0], with C = D = -1 meaning no second
 # product
 _CHART_A = {
     "name": "a12",
-    "free": [_POS[p] for p in ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))],
-    "derived": [_POS[p] for p in ((3, 4), (3, 5), (4, 5))],
+    "free": [pair_pos(*p)[0] for p in ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))],
+    "derived": [pair_pos(*p)[0] for p in ((3, 4), (3, 5), (4, 5))],
     "quads": ((1, 5, 2, 4), (1, 6, 3, 4), (2, 6, 3, 5)),
 }
 _CHART_B = {
     "name": "a13",
-    "free": [_POS[p] for p in ((1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5))],
-    "derived": [_POS[p] for p in ((2, 4), (2, 5), (4, 5))],
+    "free": [pair_pos(*p)[0] for p in ((1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5))],
+    "derived": [pair_pos(*p)[0] for p in ((2, 4), (2, 5), (4, 5))],
     "quads": ((1, 3, -1, -1), (2, 3, -1, -1), (1, 5, 2, 4)),
 }
 
@@ -84,15 +91,18 @@ def witness_value() -> float:
     return objective(WITNESS_SET, WITNESS_LAMBDA)
 
 
+def _numerator(S, quad):
+    """Chart numerator S_A S_B - S_C S_D, shape (R,), for local state S of shape (R, n)."""
+    A, B, C, D = quad
+    num = S[:, A] * S[:, B]
+    if C >= 0:
+        num = num - S[:, C] * S[:, D]
+    return num
+
+
 def _derived(S, quads):
     """Derived entries on a chart, (R, 3) for local state S of shape (R, n)."""
-    cols = []
-    for A, B, C, D in quads:
-        num = S[:, A] * S[:, B]
-        if C >= 0:
-            num = num - S[:, C] * S[:, D]
-        cols.append(num / S[:, 0])
-    return np.stack(cols, axis=1)
+    return np.stack([_numerator(S, quad) / S[:, 0] for quad in quads], axis=1)
 
 
 def _chart_value(S, chart, w10):
@@ -112,7 +122,8 @@ def _linear_step(S, c, chart, w10):
     A_coef = np.full(R, wc)
     B_coef = np.zeros(R)
     t = S[:, c]
-    for k, (A, B, C, D) in enumerate(quads):
+    for k, quad in enumerate(quads):
+        A, B, C, D = quad
         if c == A:
             p = S[:, B] / S[:, 0]
         elif c == B:
@@ -123,10 +134,7 @@ def _linear_step(S, c, chart, w10):
             p = -S[:, C] / S[:, 0]
         else:
             continue
-        num = S[:, A] * S[:, B]
-        if C >= 0:
-            num = num - S[:, C] * S[:, D]
-        q = num / S[:, 0] - p * t
+        q = _numerator(S, quad) / S[:, 0] - p * t
         nz = p != 0.0
         b1 = np.where(nz, (-1.0 - q) / np.where(nz, p, 1.0), -1.0)
         b2 = np.where(nz, (1.0 - q) / np.where(nz, p, 1.0), 1.0)
@@ -146,13 +154,7 @@ def _pivot_step(S, chart, w10, eps):
     quads = chart["quads"]
     wd = w10[chart["derived"]]
     w0 = w10[chart["free"][0]]
-    nums = []
-    for A, B, C, D in quads:
-        num = S[:, A] * S[:, B]
-        if C >= 0:
-            num = num - S[:, C] * S[:, D]
-        nums.append(num)
-    nums = np.stack(nums, axis=1)
+    nums = np.stack([_numerator(S, quad) for quad in quads], axis=1)
     kappa = (nums * nums) @ wd
     t_lo = np.maximum(eps, np.abs(nums).max(axis=1))
     ok = t_lo <= 1.0
@@ -166,14 +168,10 @@ def _pivot_step(S, chart, w10, eps):
 
 def _relabel(a, sigma):
     """Entries after renaming indices 1..5 by ``sigma`` (6 stays fixed)."""
-    M = np.zeros((6, 6))
-    for (i, j), k in _POS.items():
-        M[i - 1, j - 1] = a[k]
-        M[j - 1, i - 1] = -a[k]
     out = np.empty(10)
-    for (i, j), k in _POS.items():
-        si, sj = sigma[i - 1], sigma[j - 1]
-        out[k] = M[si - 1, sj - 1]
+    for k, (i, j) in enumerate(PAIRS):
+        pos, sign = pair_pos(sigma[i - 1], sigma[j - 1])
+        out[k] = sign * a[pos]
     return out
 
 
@@ -205,7 +203,7 @@ def _init_chart(rng, R, chart, eps):
             v = ab[:, :1] * U[:, 0] + ab[:, 1:] * U[:, 5]
             U[:, 1] = v / np.linalg.norm(v, axis=1, keepdims=True)
         A = np.empty((R - filled, 10))
-        for (i, j), k in _POS.items():
+        for k, (i, j) in enumerate(PAIRS):
             A[:, k] = np.einsum(
                 "rk,rk->r", np.cross(U[:, i - 1], U[:, j - 1]), U[:, 5]
             )
@@ -253,10 +251,10 @@ def maximize_objective(
     the ceiling claim is that it never exceeds 2 (9/5 when the smallest
     weight is zero).
     """
-    L = lam if isinstance(lam, LambdaVector) else LambdaVector(np.asarray(lam, float))
+    lam = _as_lambda(lam)
     if not (0.0 < eps < 0.1):
         raise PreconditionError("eps must lie in (0, 0.1)")
-    w10 = lambda_pair_products(L)
+    w10 = lambda_pair_products(lam)
     rng = np.random.default_rng(seed)
     r_a = max(1, restarts // 2)
     r_b = max(1, restarts - r_a)
@@ -269,22 +267,12 @@ def maximize_objective(
     return CeilingCertificate(
         value=value,
         argmax=a,
-        lam=L.values.copy(),
+        lam=lam.copy(),
         chart=chart,
         restarts=r_a + r_b,
         sweeps=max(sa, sb),
         boundary=boundary_structure_check(a),
     )
-
-
-def _sample_lambda(rng, first_weight_zero: bool) -> np.ndarray:
-    """Uniform weight vector: spacings of sorted cuts, scaled to sum 3."""
-    if first_weight_zero:
-        cuts = np.sort(rng.uniform(0.0, 1.0, size=4))
-        lam = np.concatenate([[0.0], np.sort(np.diff(np.concatenate([[0.0], cuts, [1.0]]))) * 3.0])
-        return lam
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=5))
-    return np.sort(np.diff(np.concatenate([[0.0], cuts, [1.0]]))) * 3.0
 
 
 def certify_random(
@@ -314,7 +302,7 @@ def certify_random(
     kinds = {"zero_entry": 0, "peculiar": 0, "unclassified": 0}
     for k in range(n_lambda):
         rng = np.random.default_rng([seed, k])
-        lam = _sample_lambda(rng, first_weight_zero)
+        lam = sample_lambda(rng, first_weight_zero)
         cert = maximize_objective(lam, restarts=restarts, seed=[seed, k, 1], eps=eps)
         if cert.value > max_value:
             max_value = cert.value
@@ -355,21 +343,16 @@ def boundary_structure_check(a, tol: float = 1e-4) -> dict:
     zero_pairs = [PAIRS[k] for k in range(10) if mag[k] <= tol]
 
     def m(i, j, perm):
-        i, j = perm[i - 1], perm[j - 1]
-        return mag[_POS[(i, j) if i < j else (j, i)]]
+        return mag[pair_pos(perm[i - 1], perm[j - 1])[0]]
 
     peculiar_perm = None
     for perm in permutations(range(1, 6)):
-        if any(abs(m(i, j, perm) - 1.0) > tol for i, j in ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))):
+        if any(abs(m(i, j, perm) - 1.0) > tol for i, j in HEAVY_PAIRS):
             continue
         x, y = m(1, 4, perm), m(1, 5, perm)
         if x <= tol or y <= tol or x + y < 1.0 - tol:
             continue
-        if (
-            abs(m(2, 3, perm) - (x + y - 1.0) / (x * y)) <= 10.0 * tol
-            and abs(m(2, 5, perm) - (1.0 - y) / x) <= 10.0 * tol
-            and abs(m(3, 4, perm) - (1.0 - x) / y) <= 10.0 * tol
-        ):
+        if all(abs(m(i, j, perm) - f) <= 10.0 * tol for (i, j), f in peculiar_forced(x, y).items()):
             peculiar_perm = list(perm)
             break
     return {

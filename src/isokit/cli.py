@@ -1,12 +1,16 @@
 """Command-line front end: JSON in, JSON out.
 
-Subcommands
------------
-normalize      volume-preserving normalization certificate for a polytope
-width          lattice width and the width-volume inequality report
-verify-lemmas  grid verification of the four weight-product bounds
-certify        randomized certification of the objective ceiling
-peculiar       boundary-family sampling plus the region sweep
+Subcommands, each with only the flags it reads
+----------------------------------------------
+normalize FILE [--tol] [--mode]   normalization certificate for a polytope
+width FILE [--mode]               lattice width and width-volume report
+verify-lemmas [--grid-step]       grid check of the four weight-product bounds
+certify [--samples --restarts --seed --tol --zero-first]
+                                  randomized check of the objective ceiling
+peculiar [--samples --lambdas --seed --tol]
+                                  boundary-family and region sweep
+
+Each subcommand is one library call plus its payload and exit code.
 
 Exit codes: 0 success; 2 bad input or configuration; 3 a mathematical
 bound failed to verify.  Code 3 is an alarm — it signals a numerical
@@ -25,19 +29,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
+from .admissible import peculiar_sweep
 from .bounds import grid_verify_all
-from .certifier import CEILING, certify_random
+from .certifier import certify_random
 from .errors import DegenerateInput, IsokitError, PreconditionError
 from .geom import polytope_from_json
 from .john import IDQ_LOWER_BOUND, normalize
 from .lattice import is_nonseparable_width, verify_width_volume_corollary
-
-NINE_SIXTEENTHS = 9.0 / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +49,11 @@ NINE_SIXTEENTHS = 9.0 / 16.0
 
 @dataclass(frozen=True)
 class Config:
-    """Validated run parameters shared by the subcommands."""
+    """Validated run parameters; a subcommand without a field's flag keeps its default."""
 
     tolerance: float = 1e-9
     seed: int = 42
     restarts: int = 64
-    grid_step: float = 0.05
     mode: str = "float"
 
     def __post_init__(self):
@@ -61,20 +63,12 @@ class Config:
             raise PreconditionError("seed must be a 64-bit unsigned integer")
         if not (isinstance(self.restarts, int) and self.restarts >= 1):
             raise PreconditionError("restarts must be a positive count")
-        if not 0.0 < self.grid_step <= 0.25:
-            raise PreconditionError("grid_step must lie in (0, 0.25]")
         if self.mode not in ("rational", "float"):
             raise PreconditionError('mode must be "rational" or "float"')
 
 
-def _config(args: argparse.Namespace, default_mode: str = "float") -> Config:
-    return Config(
-        tolerance=float(args.tol),
-        seed=args.seed,
-        restarts=args.restarts,
-        grid_step=float(getattr(args, "grid_step", 0.05)),
-        mode=getattr(args, "mode", None) or default_mode,
-    )
+def _config(args: argparse.Namespace) -> Config:
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def cmd_width(args, cfg: Config):
 
 
 def cmd_verify_lemmas(args, cfg: Config):
-    rep = grid_verify_all(cfg.grid_step)
+    rep = grid_verify_all(args.grid_step)
     if rep["violations"]:
         print(
             f"alarm: {len(rep['violations'])} grid violations, "
@@ -238,84 +232,10 @@ def cmd_certify(args, cfg: Config):
     return payload, 0
 
 
-def _sample_omega_points(rng, n: int) -> np.ndarray:
-    """n points of the closed region {x,y >= 1/2, xy <= 1/2, 2x-xy <= 1, 2y-xy <= 1}."""
-    pts = np.empty((0, 2))
-    while pts.shape[0] < n:
-        cand = rng.uniform(0.5, 1.0, size=(4 * n, 2))
-        x, y = cand[:, 0], cand[:, 1]
-        keep = (x * y <= 0.5) & (2 * y - x * y <= 1.0) & (2 * x - x * y <= 1.0)
-        pts = np.vstack([pts, cand[keep]])
-    return pts[:n]
-
-
 def cmd_peculiar(args, cfg: Config):
-    from .admissible import PAIRS, f_eval, five_square_max, peculiar_from
-    from .bounds import HEAVY_PAIRS
-    from .certifier import _sample_lambda
-
-    if args.samples < 1:
-        raise PreconditionError("--samples must be >= 1")
-    n = args.samples
-    n_lam = args.lambdas
-    tol = cfg.tolerance
-    violations = []
-
-    # feasible magnitude pairs: x, y in (0, 1], x + y >= 1
-    rng = np.random.default_rng([cfg.seed, 101])
-    pairs = np.empty((0, 2))
-    while pairs.shape[0] < n:
-        cand = rng.uniform(0.0, 1.0, size=(2 * n, 2))
-        cand = cand[(cand.sum(axis=1) >= 1.0) & (cand > 0.0).all(axis=1)]
-        pairs = np.vstack([pairs, cand])
-    pairs = pairs[:n]
-
-    lam = np.array([_sample_lambda(np.random.default_rng([cfg.seed, 102, k]), False) for k in range(n_lam)])
-    lam_prod = np.array([[row[i - 1] * row[j - 1] for (i, j) in PAIRS] for row in lam])
-
-    obj_max, obj_arg = -np.inf, None
-    for x, y in pairs:
-        A = peculiar_from(float(x), float(y))
-        sq = A.a**2
-        worst = float((lam_prod @ sq).max())
-        if worst > obj_max:
-            obj_max, obj_arg = worst, (float(x), float(y))
-        if worst > CEILING + tol:
-            violations.append({"kind": "objective", "pair": [float(x), float(y)], "value": worst})
-
-    # region sweep: five squared coordinates stay below 9/16 and the
-    # two-variable bound keeps every weighted total below the ceiling
-    omega_pts = _sample_omega_points(np.random.default_rng([cfg.seed, 103]), n)
-    fsq_max = max(five_square_max(float(x), float(y)) for x, y in omega_pts)
-    if fsq_max > NINE_SIXTEENTHS + tol:
-        violations.append({"kind": "five_square", "value": fsq_max})
-
-    heavy = np.array([sum(row[i - 1] * row[j - 1] for (i, j) in HEAVY_PAIRS) for row in lam])
-    total_max = -np.inf
-    for k, (x, y) in enumerate(omega_pts):
-        L = lam[k % n_lam]
-        t = f_eval(L, float(x), float(y)) + float(heavy[k % n_lam])
-        if t > total_max:
-            total_max = t
-    if total_max > CEILING + tol:
-        violations.append({"kind": "region_total", "value": float(total_max)})
-
-    payload = {
-        "n_pairs": n,
-        "n_lambda": n_lam,
-        "seed": cfg.seed,
-        "objective_bound": CEILING,
-        "objective_max": float(obj_max),
-        "argmax_pair": list(obj_arg),
-        "region_points": int(omega_pts.shape[0]),
-        "five_square_max": float(fsq_max),
-        "five_square_bound": NINE_SIXTEENTHS,
-        "region_total_max": float(total_max),
-        "region_total_bound": CEILING,
-        "violations": violations,
-    }
-    if violations:
-        print(f"alarm: {len(violations)} ceiling violations", file=sys.stderr)
+    payload = peculiar_sweep(args.samples, args.lambdas, cfg.seed, cfg.tolerance)
+    if payload["violations"]:
+        print(f"alarm: {len(payload['violations'])} ceiling violations", file=sys.stderr)
         return payload, 3
     return payload, 0
 
@@ -328,44 +248,36 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="isokit", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_default=None):
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-        p.add_argument("--restarts", type=int, default=64, help="optimizer restarts (default 64)")
-        if mode_default is not None:
-            p.add_argument(
-                "--mode",
-                choices=("rational", "float"),
-                default=mode_default,
-                help=f"coordinate arithmetic (default {mode_default})",
-            )
+    # shared flags; their dest names are the Config fields they set
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=1e-9, help="tolerance (default 1e-9)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
-    p = sub.add_parser("normalize", help="normalization certificate for a polytope file")
-    common(p, mode_default="float")
+    p = sub.add_parser("normalize", parents=[tol], help="normalization certificate for a polytope file")
+    p.add_argument("--mode", choices=("rational", "float"), default="float", help="arithmetic (default float)")
     p.add_argument("file", help="polytope JSON file")
-    p.set_defaults(func=cmd_normalize, default_mode="float")
+    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("width", help="lattice width and width-volume report")
-    common(p, mode_default="rational")
+    p.add_argument("--mode", choices=("rational", "float"), default="rational", help="arithmetic (default rational)")
     p.add_argument("file", help="polytope JSON file")
-    p.set_defaults(func=cmd_width, default_mode="rational")
+    p.set_defaults(func=cmd_width)
 
     p = sub.add_parser("verify-lemmas", help="grid verification of the weight-product bounds")
-    common(p)
     p.add_argument("--grid-step", type=float, default=0.05, help="simplex grid step (default 0.05)")
-    p.set_defaults(func=cmd_verify_lemmas, default_mode="float")
+    p.set_defaults(func=cmd_verify_lemmas)
 
-    p = sub.add_parser("certify", help="randomized ceiling certification")
-    common(p)
+    p = sub.add_parser("certify", parents=[tol, seed], help="randomized ceiling certification")
+    p.add_argument("--restarts", type=int, default=64, help="optimizer restarts (default 64)")
     p.add_argument("--samples", type=int, default=0, help="number of weight vectors (default 0: witness only)")
     p.add_argument("--zero-first", action="store_true", help="pin the smallest weight to zero (ceiling 9/5)")
-    p.set_defaults(func=cmd_certify, default_mode="float")
+    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("peculiar", help="boundary-family sampling and region sweep")
-    common(p)
+    p = sub.add_parser("peculiar", parents=[tol, seed], help="boundary-family sampling and region sweep")
     p.add_argument("--samples", type=int, default=1000, help="magnitude pairs / region points (default 1000)")
     p.add_argument("--lambdas", type=int, default=100, help="weight vectors per pair (default 100)")
-    p.set_defaults(func=cmd_peculiar, default_mode="float")
+    p.set_defaults(func=cmd_peculiar)
 
     return top
 
@@ -377,7 +289,7 @@ def _first_line(exc: BaseException) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args, args.default_mode)
+        cfg = _config(args)
         payload, code = args.func(args, cfg)
     except DegenerateInput as exc:
         print(f"error: DegenerateInput: {_first_line(exc)}", file=sys.stderr)

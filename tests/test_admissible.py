@@ -21,6 +21,7 @@ from isokit.admissible import (
     parseval_sum,
     peculiar_from,
     relation_residuals,
+    sample_lambda,
 )
 from isokit.errors import (
     InfeasibleMagnitudes,
@@ -91,6 +92,14 @@ def test_pair_products_order():
     p = lambda_pair_products(HALF)
     assert p.shape == (10,)
     assert np.allclose(p, 0.25)
+
+
+def test_batched_pair_products_are_exact(rng):
+    lam = np.array([sample_lambda(rng, first_weight_zero=k % 3 == 0) for k in range(200)])
+    rows = np.array([lambda_pair_products(row) for row in lam])
+    batched = lambda_pair_products(lam)
+    assert batched.shape == (200, 10)
+    assert np.array_equal(batched, rows)
 
 
 def test_tetra_frame_is_value2_case():

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from isokit.admissible import AdmissibleSet, objective
+from isokit.admissible import AdmissibleSet, objective, peculiar_from, relation_residuals
 from isokit.certifier import (
+    _CHART_A,
+    _CHART_B,
+    _derived,
     CEILING,
     WITNESS_LAMBDA,
     WITNESS_SET,
@@ -115,3 +118,30 @@ def test_generic_frame_unclassified(rng):
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     b = boundary_structure_check(from_contact_vectors(U).as_array())
     assert not b["classified"]
+
+
+@pytest.mark.parametrize("chart", [_CHART_A, _CHART_B], ids=lambda c: c["name"])
+def test_charts_obey_the_relation_table(rng, chart):
+    # free coordinates anywhere in the box, the pivot away from zero; the
+    # derived entries must complete a solution of all five relations
+    S = rng.uniform(-1.0, 1.0, size=(500, len(chart["free"])))
+    S[:, 0] = rng.choice([-1.0, 1.0], size=500) * rng.uniform(0.2, 1.0, size=500)
+    a = np.zeros((500, 10))
+    a[:, chart["free"]] = S
+    a[:, chart["derived"]] = _derived(S, chart["quads"])
+    res = relation_residuals(a)
+    assert res.shape == (500, 5)
+    assert np.max(np.abs(res)) <= 1e-12
+
+
+def test_peculiar_members_classify_as_peculiar(rng):
+    # the constructor and the classifier share one magnitude pattern, so
+    # every member away from the tol edges is found unpermuted
+    checked = 0
+    while checked < 200:
+        x, y = rng.uniform(0.01, 1.0, size=2)
+        if x + y < 1.0:
+            continue
+        b = boundary_structure_check(peculiar_from(x, y).a)
+        assert b["peculiar_permutation"] == [1, 2, 3, 4, 5], (x, y)
+        checked += 1

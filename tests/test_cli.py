@@ -112,6 +112,30 @@ def test_bad_config_exits_2(files):
     assert run_cli("normalize", files["tetra"], "--bogus-flag").returncode == 2
 
 
+def test_grid_step_domain_is_the_library_one():
+    # the library accepts steps in (0, 0.5]; the CLI adds no narrower check
+    r = run_cli("verify-lemmas", "--grid-step", "0.5")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["step"] == 0.5
+    assert out["violations"] == []
+
+
+def test_flags_a_subcommand_never_reads_exit_2(files):
+    assert run_cli("normalize", files["tetra"], "--seed", "1").returncode == 2
+    assert run_cli("width", files["extremal"], "--tol", "1e-9").returncode == 2
+    assert run_cli("verify-lemmas", "--restarts", "8").returncode == 2
+    r = run_cli("peculiar", "--samples", "10", "--restarts", "8")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --restarts" in r.stderr
+
+
+def test_peculiar_needs_a_weight_vector():
+    r = run_cli("peculiar", "--samples", "10", "--lambdas", "0")
+    assert r.returncode == 2
+    assert "PreconditionError" in r.stderr
+
+
 def test_verify_lemmas_coarse_grid():
     r = run_cli("verify-lemmas", "--grid-step", "0.25")
     assert r.returncode == 0, r.stderr
