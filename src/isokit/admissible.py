@@ -296,9 +296,10 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     total f_eval + (products on ``HEAVY_PAIRS``) against the ceiling,
     pairing point k with weight vector k mod ``n_lambda``.  Every value
     above its bound by more than ``tol`` is listed as a violation.
+    Counts above 10^6 samples or 10^4 weight vectors are refused.
     """
-    if n < 1 or n_lambda < 1:
-        raise PreconditionError("need at least one sample and one weight vector")
+    if not (1 <= n <= 10**6 and 1 <= n_lambda <= 10**4):
+        raise PreconditionError("need 1 to 10^6 samples and 1 to 10^4 weight vectors")
     violations = []
 
     # feasible magnitude pairs: x, y in (0, 1], x + y >= 1

@@ -61,8 +61,8 @@ class Config:
             raise PreconditionError("tolerance must be a positive real")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a 64-bit unsigned integer")
-        if not (isinstance(self.restarts, int) and self.restarts >= 1):
-            raise PreconditionError("restarts must be a positive count")
+        if not (isinstance(self.restarts, int) and 1 <= self.restarts <= 10**4):
+            raise PreconditionError("restarts must lie in [1, 10^4]")
         if self.mode not in ("rational", "float"):
             raise PreconditionError('mode must be "rational" or "float"')
 

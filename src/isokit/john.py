@@ -167,6 +167,10 @@ def john_weights(contacts, residual_tol: float = 1e-7) -> JohnDecomposition:
         pad_pool = pad_pool[1:]
     # round the weight in the sort key so float noise cannot reorder ties
     entries.sort(key=lambda e: (round(e[0], 9), e[1]))
+    # rounding can tie a smaller weight with the maximum and order it last
+    top = max(range(6), key=lambda i: entries[i][0])
+    if entries[5][0] < entries[top][0] - 1e-12:
+        entries.append(entries.pop(top))
     return JohnDecomposition(
         lambdas=np.array([e[0] for e in entries]),
         u=np.array([e[1] for e in entries]),

@@ -1,5 +1,7 @@
 """Weight-product inequalities: tight cases, random sweeps, grid harness."""
 
+from itertools import combinations, combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -122,4 +124,75 @@ def test_grid_step_domain():
         grid_verify_all(0.0)
     with pytest.raises(PreconditionError):
         grid_verify_all(0.6)
+    with pytest.raises(PreconditionError):
+        grid_verify_all(0.009)  # below the finest legal step, 0.01
     grid_verify_all(0.5)  # coarsest legal grid
+
+
+def _sorted_grid(n):
+    """Nondecreasing integer 6-tuples summing to n, brute force, in lexicographic order."""
+    return [list(t) for t in combinations_with_replacement(range(n + 1), 6) if sum(t) == n]
+
+
+_DISJOINT = [(kl, mn) for kl, mn in combinations(combinations(range(1, 6), 2), 2) if not set(kl) & set(mn)]
+#: name -> (bound, index instances, scalar reference, rows it covers)
+_SCALAR_FAMILIES = {
+    "pair_drop": (PAIR_DROP_BOUND, _DISJOINT, lambda lam, ix: pair_drop_sum(lam, *ix), lambda lam: True),
+    "triple_drop": (TRIPLE_DROP_BOUND, list(combinations(range(1, 6), 3)), triple_drop_sum, lambda lam: True),
+    "zero_lambda": (ZERO_DROP_BOUND, list(combinations(range(2, 6), 2)), zero_lambda_drop, lambda lam: lam[0] == 0),
+}
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 25])
+def test_grid_blocks_enumerate_the_sorted_grid_in_order(n):
+    from isokit.bounds import _grid_blocks
+
+    blocks = list(_grid_blocks(n))
+    assert np.concatenate([K for _, K in blocks]).tolist() == _sorted_grid(n)
+    for k1, K in blocks:  # one block per (k1, k2) prefix
+        assert (K[:, 0] == k1).all() and (K[:, 1] == K[0, 1]).all()
+    assert len({tuple(K[0, :2]) for _, K in blocks}) == len(blocks)
+
+
+def test_grid_violations_are_the_first_100_in_row_major_order():
+    grid = [[3.0 * k / 12 for k in t] for t in _sorted_grid(12)]  # step 0.25
+    rep = grid_verify_all(0.25, tol=-10.0)  # every instance is a violation
+    assert rep["n_points"] == len(grid) == 58
+    got = rep["violations"]
+    assert len(got) == 4 * 100
+    families = dict(_SCALAR_FAMILIES, weighted=(WEIGHTED_BOUND, [f"pattern_{i}" for i in range(12)], None, None))
+    for f, (name, (bound, labels, value, covers)) in enumerate(families.items()):
+        want = [(lam, ix) for lam in grid if covers is None or covers(lam) for ix in labels][:100]
+        for v, (lam, ix) in zip(got[100 * f : 100 * (f + 1)], want):
+            assert (v["family"], v["lambda"], v["indices"], v["bound"]) == (name, lam, ix, bound)
+            if value is not None:
+                assert v["value"] == pytest.approx(value(lam, ix), abs=1e-12)
+            elif ix == "pattern_0":  # the unrelabeled pattern is weighted_sum's
+                assert v["value"] == pytest.approx(weighted_sum(lam), abs=1e-12)
+
+
+def test_grid_argmax_is_the_first_maximum_in_row_major_order():
+    # at step 0.25 every weight is a multiple of 1/4, so all values are
+    # exact and ties between grid points are real ties
+    grid = [[k / 4 for k in t] for t in _sorted_grid(12)]
+    rep = grid_verify_all(0.25)
+    for name, (bound, labels, value, covers) in _SCALAR_FAMILIES.items():
+        rows = [lam for lam in grid if covers(lam)]
+        best = [max(value(lam, ix) for ix in labels) for lam in rows]
+        fam = rep["families"][name]
+        assert fam["max_value"] == max(best)
+        assert fam["argmax_lambda"] == rows[best.index(max(best))], name
+    assert rep["families"]["zero_lambda"]["argmax_lambda"] == [0, 0, 0.75, 0.75, 0.75, 0.75]
+
+
+def test_grid_memory_follows_a_block_not_the_grid():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = grid_verify_all(0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["n_points"] == 189509 and rep["violations"] == []
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

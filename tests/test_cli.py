@@ -108,12 +108,15 @@ def test_bad_config_exits_2(files):
     assert run_cli("verify-lemmas", "--grid-step", "0").returncode == 2
     assert run_cli("normalize", files["tetra"], "--tol", "0").returncode == 2
     assert run_cli("certify", "--samples", "-1").returncode == 2
+    assert run_cli("certify", "--samples", "1", "--restarts", "10001").returncode == 2
+    assert run_cli("peculiar", "--samples", "1000001", "--lambdas", "1").returncode == 2
+    assert run_cli("peculiar", "--samples", "1", "--lambdas", "10001").returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("normalize", files["tetra"], "--bogus-flag").returncode == 2
 
 
 def test_grid_step_domain_is_the_library_one():
-    # the library accepts steps in (0, 0.5]; the CLI adds no narrower check
+    # the library accepts steps in [0.01, 0.5]; the CLI adds no narrower check
     r = run_cli("verify-lemmas", "--grid-step", "0.5")
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)

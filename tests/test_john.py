@@ -142,6 +142,29 @@ def test_normalize_flat_slab():
     assert res.witness_value >= 1.0 / SQRT2 - 1e-9
 
 
+#: seven points whose six contact weights all equal 1/2 within 1e-9, so
+#: they round alike at nine digits
+TIED_WEIGHTS_BODY = [
+    [-0.23819718583817862, -0.5128549993957083, -0.41127248495224045],
+    [-0.16016233759485, 0.9245227898295085, -0.08227886203683399],
+    [0.9002700242246349, -0.9389358568328889, -0.867779482853561],
+    [-0.9443681876054615, 0.33188927652470857, -0.5595346177724096],
+    [0.152840362586097, 0.5907322712108491, -0.3363721626829925],
+    [-0.5086450145818264, 0.45081717428114976, -0.048204413400859236],
+    [-0.7015797079013988, -0.8251097650606227, 0.4743350022788413],
+]
+
+
+def test_normalize_tied_weights_keep_the_maximum_last():
+    for s in range(10):
+        q, r = np.linalg.qr(np.random.default_rng([s, 17]).normal(size=(3, 3)))
+        res = normalize(Polytope(np.array(TIED_WEIGHTS_BODY) @ (q * np.sign(np.diag(r))).T))
+        lam = res.decomposition.lambdas
+        assert lam[5] == lam.max(), s
+        assert np.allclose(lam, 0.5, atol=1e-8)
+        assert res.idq >= SQRT2 / 12.0 - 1e-9
+
+
 def test_json_dict_shape():
     res = normalize(Polytope(REGULAR_TETRA))
     d = res.to_json_dict()
