@@ -202,8 +202,9 @@ def cmd_verify_lemmas(args, cfg: Config):
 
 
 def cmd_certify(args, cfg: Config):
-    if args.samples < 0:
-        raise PreconditionError("--samples must be >= 0")
+    # bounded time: 10^5 weight vectors take about ten minutes at 64 restarts
+    if not 0 <= args.samples <= 10**5:
+        raise PreconditionError("samples must lie in [0, 10^5]")
     summary = certify_random(
         n_lambda=args.samples,
         restarts=cfg.restarts,

@@ -18,8 +18,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QHull
-from scipy.spatial import QhullError as _QhullError
 
 from .errors import DegenerateInput, NotFullDimensional, PreconditionError
 
@@ -272,12 +270,16 @@ def _coerce_point(p, mode):
 
 
 def _hull_float(pts):
+    # scipy loads only when a float hull is built: commands that never
+    # take one (certify, verify-lemmas, peculiar) skip its import cost
+    from scipy.spatial import ConvexHull, QhullError
+
     arr = np.asarray(pts, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise PreconditionError("non-finite coordinate")
     try:
-        hull = _QHull(arr)
-    except _QhullError as exc:
+        hull = ConvexHull(arr)
+    except QhullError as exc:
         raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
     return sorted(hull.vertices.tolist()), [tuple(s) for s in hull.simplices.tolist()]
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
 from .geom import Polytope, diameter, difference_body, volume
@@ -117,6 +116,13 @@ def _svec(u: np.ndarray) -> np.ndarray:
     return np.array(
         [u[0] * u[0], u[1] * u[1], u[2] * u[2], r2 * u[0] * u[1], r2 * u[0] * u[2], r2 * u[1] * u[2]]
     )
+
+
+def nnls(A, b):
+    """``scipy.optimize.nnls``, imported on first use so that commands without a John decomposition skip scipy."""
+    from scipy.optimize import nnls as _nnls
+
+    return _nnls(A, b)
 
 
 def john_weights(contacts, residual_tol: float = 1e-7) -> JohnDecomposition:

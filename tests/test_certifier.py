@@ -1,9 +1,24 @@
 """Ceiling certification: witness, ascent quality, determinism, summaries."""
 
+import hashlib
+import json
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from isokit.admissible import AdmissibleSet, objective, peculiar_from, relation_residuals
+import isokit.certifier as certifier
+from isokit.admissible import (
+    HEAVY_PAIRS,
+    PAIRS,
+    AdmissibleSet,
+    objective,
+    pair_pos,
+    peculiar_forced,
+    peculiar_from,
+    relation_residuals,
+)
 from isokit.certifier import (
     _CHART_A,
     _CHART_B,
@@ -17,6 +32,7 @@ from isokit.certifier import (
     maximize_objective,
     witness_value,
 )
+from isokit.cli import main
 from isokit.errors import InvariantError, PreconditionError
 
 
@@ -145,3 +161,148 @@ def test_peculiar_members_classify_as_peculiar(rng):
         b = boundary_structure_check(peculiar_from(x, y).a)
         assert b["peculiar_permutation"] == [1, 2, 3, 4, 5], (x, y)
         checked += 1
+
+
+def _same_certificate(a, b):
+    return (
+        a.value == b.value
+        and a.argmax.tobytes() == b.argmax.tobytes()
+        and a.lam.tobytes() == b.lam.tobytes()
+        and (a.chart, a.restarts, a.sweeps, a.boundary) == (b.chart, b.restarts, b.sweeps, b.boundary)
+    )
+
+
+@pytest.mark.parametrize(
+    "n_lambda, restarts, zero_first, budget",
+    [(6, 16, False, None), (4, 16, True, None), (7, 16, False, 32), (5, 3, True, 8)],
+)
+def test_a_block_changes_no_certificate(monkeypatch, n_lambda, restarts, zero_first, budget):
+    # every weight vector of a certify_random block gets, bit for bit, the
+    # certificate it gets alone; the small budgets split a run into blocks
+    # of two vectors
+    blocks = []
+
+    def spy(lam, rngs, *args):
+        certs = maximize_block(lam, rngs, *args)
+        blocks.append(certs)
+        return certs
+
+    maximize_block = certifier._maximize_block
+    monkeypatch.setattr(certifier, "_maximize_block", spy)
+    if budget is not None:
+        monkeypatch.setattr(certifier, "_BLOCK_ROWS", budget)
+    certify_random(n_lambda=n_lambda, restarts=restarts, seed=9, first_weight_zero=zero_first)
+    monkeypatch.undo()
+    certs = [c for block in blocks for c in block]
+    assert len(certs) == n_lambda
+    assert len(blocks) == (1 if budget is None else -(-n_lambda // 2))
+    for k, cert in enumerate(certs):
+        alone = maximize_objective(cert.lam, restarts=restarts, seed=[9, k, 1])
+        assert _same_certificate(cert, alone), k
+
+
+@pytest.mark.parametrize(
+    "zero_first, global_max, argmax_lambda, digest",
+    [
+        (False, "0x1.0000000000000p+1", [0.5] * 6, "56ba7b5b8b81ce4f"),
+        (
+            True,
+            "0x1.ac6f310c81e9cp+0",
+            [0.0, 0.4754030298003722, 0.48224251844123667, 0.6194919378231366, 0.6849865419110396, 0.737875972024215],
+            "c427e6da28a78b5c",
+        ),
+    ],
+)
+def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, global_max, argmax_lambda, digest):
+    # ``certify --samples 20 --restarts 64 --seed 42`` as the per-vector
+    # ascent that preceded the batched one reported it; the digest covers
+    # every certificate's value, argmax bits, chart and sweeps, which the
+    # report alone does not pin (the maxima are robust to the starts)
+    certs = []
+
+    def spy(*args):
+        block = maximize_block(*args)
+        certs.extend(block)
+        return block
+
+    maximize_block = certifier._maximize_block
+    monkeypatch.setattr(certifier, "_maximize_block", spy)
+    argv = ["certify", "--samples", "20", "--restarts", "64", "--seed", "42"]
+    assert main(argv + (["--zero-first"] if zero_first else [])) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert float(out["global_max"]).hex() == global_max
+    assert out["argmax_lambda"] == argmax_lambda
+    assert out["boundary_kinds"] == {"zero_entry": 20, "peculiar": 0, "unclassified": 0}
+    assert out["violations"] == []
+    h = hashlib.sha256()
+    for c in certs:
+        h.update(np.float64(c.value).tobytes() + c.argmax.tobytes() + f"{c.chart}:{c.sweeps};".encode())
+    assert (len(certs), h.hexdigest()[:16]) == (20, digest)
+
+
+def test_certify_memory_follows_a_block(monkeypatch):
+    # with a budget of 256 rows, 8 weight vectors at 128 restarts are four
+    # blocks of two; the traced peak was 74 KiB, and 174 KiB with the whole
+    # run in one block (the budget is shrunk so that the test takes about a
+    # second; the peak grows with the rows a block holds)
+    monkeypatch.setattr(certifier, "_BLOCK_ROWS", 256)
+    certify_random(n_lambda=1, restarts=8, seed=1)
+    tracemalloc.start()
+    try:
+        certify_random(n_lambda=8, restarts=128, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * 1024
+
+
+def _relabeled(a, sigma):
+    return np.array([s * a[k] for k, s in (pair_pos(sigma[i - 1], sigma[j - 1]) for i, j in PAIRS)])
+
+
+def _reference_peculiar_permutation(a, tol=1e-4):
+    # one permutation at a time, in itertools order
+    mag = np.abs(np.asarray(a, float))
+
+    def m(i, j, perm):
+        return mag[pair_pos(perm[i - 1], perm[j - 1])[0]]
+
+    for perm in permutations(range(1, 6)):
+        if any(abs(m(i, j, perm) - 1.0) > tol for i, j in HEAVY_PAIRS):
+            continue
+        x, y = m(1, 4, perm), m(1, 5, perm)
+        if x <= tol or y <= tol or x + y < 1.0 - tol:
+            continue
+        if all(abs(m(i, j, perm) - f) <= 10.0 * tol for (i, j), f in peculiar_forced(x, y).items()):
+            return list(perm)
+    return None
+
+
+def test_boundary_check_matches_the_permutation_loop(rng):
+    sets = [_relabeled(WITNESS_SET, sigma) for sigma in permutations(range(1, 6))]
+    while len(sets) < 120 + 400:
+        x, y = rng.uniform(0.01, 1.0, size=2)
+        if x + y >= 1.0:
+            a = peculiar_from(x, y).a
+            sets += [a, _relabeled(a, tuple(rng.permutation(5) + 1))]
+    found = set()
+    for a in sets:
+        b = boundary_structure_check(a)
+        assert b["peculiar_permutation"] == _reference_peculiar_permutation(a), a
+        found.add(tuple(b["peculiar_permutation"] or ()))
+    assert len(found) > 10  # the relabelings reach many different first matches
+
+
+def test_tight_families_stay_under_the_ceiling_at_1024_restarts():
+    # the tight cases named by the bounds, three weights at 0.4 and three at
+    # 0.6, and equal weights 1/2, with small perturbations of 1/2 that keep
+    # the sum 3 and the largest weight last
+    rng = np.random.default_rng(2024)
+    lams = [np.array([0.4, 0.4, 0.4, 0.6, 0.6, 0.6]), WITNESS_LAMBDA]
+    for eps in (1e-6, 1e-4, 1e-2, 1e-2, 5e-2):
+        d = rng.uniform(-1.0, 1.0, size=6)
+        lams.append(np.sort(0.5 + eps * (d - d.mean())))
+    for k, lam in enumerate(lams):
+        cert = maximize_objective(lam, restarts=1024, seed=[31, k])
+        assert cert.value <= CEILING + 1e-9, (lam, cert.value)
+    assert cert.restarts == 1024

@@ -109,10 +109,28 @@ def test_bad_config_exits_2(files):
     assert run_cli("normalize", files["tetra"], "--tol", "0").returncode == 2
     assert run_cli("certify", "--samples", "-1").returncode == 2
     assert run_cli("certify", "--samples", "1", "--restarts", "10001").returncode == 2
+    assert run_cli("certify", "--samples", "100001").returncode == 2
     assert run_cli("peculiar", "--samples", "1000001", "--lambdas", "1").returncode == 2
     assert run_cli("peculiar", "--samples", "1", "--lambdas", "10001").returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("normalize", files["tetra"], "--bogus-flag").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [["certify", "--samples", "0"], ["verify-lemmas", "--grid-step", "0.5"]])
+def test_commands_without_hulls_load_no_scipy(argv):
+    # scipy is imported by the float hull and by nnls only, when first used
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('isokit.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)
+    assert r.stderr == "scipy modules: []\n"
 
 
 def test_grid_step_domain_is_the_library_one():
