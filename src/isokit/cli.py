@@ -39,7 +39,7 @@ from .bounds import grid_verify_all
 from .certifier import certify_random
 from .errors import DegenerateInput, IsokitError, PreconditionError
 from .geom import polytope_from_json
-from .john import IDQ_LOWER_BOUND, normalize
+from .john import IDQ_LOWER_BOUND, WITNESS_LOWER_BOUND, normalize
 from .lattice import is_nonseparable_width, verify_width_volume_corollary
 
 
@@ -160,13 +160,17 @@ def cmd_normalize(args, cfg: Config):
     P = _load_polytope(args.file, cfg.mode)
     res = normalize(P, tol=cfg.tolerance)
     payload = res.to_json_dict()
-    threshold = IDQ_LOWER_BOUND - 10.0 * cfg.tolerance
-    if res.idq < threshold:
-        print(
-            f"alarm: idq {res.idq:.17g} below guaranteed bound {threshold:.17g}",
-            file=sys.stderr,
-        )
-        return payload, 3
+    for name, value, bound in (
+        ("idq", res.idq, IDQ_LOWER_BOUND),
+        ("witness value", res.witness_value, WITNESS_LOWER_BOUND),
+    ):
+        threshold = bound - 10.0 * cfg.tolerance
+        if value < threshold:
+            print(
+                f"alarm: {name} {value:.17g} below guaranteed bound {threshold:.17g} by {threshold - value:.3e}",
+                file=sys.stderr,
+            )
+            return payload, 3
     return payload, 0
 
 

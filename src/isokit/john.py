@@ -15,14 +15,15 @@ value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
-from .geom import Polytope, diameter, difference_body, volume
-from .mvee import Ellipsoid, contact_points, mvee_centered
+from .geom import Polytope, difference_body, volume
+from .mvee import Ellipsoid, caratheodory, contact_points, mvee_centered, svec
 
 __all__ = [
     "JohnDecomposition",
@@ -110,14 +111,6 @@ def transform_to_ball(ellipsoid: Ellipsoid) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _svec(u: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of u u^T (Frobenius norm preserved)."""
-    r2 = np.sqrt(2.0)
-    return np.array(
-        [u[0] * u[0], u[1] * u[1], u[2] * u[2], r2 * u[0] * u[1], r2 * u[0] * u[2], r2 * u[1] * u[2]]
-    )
-
-
 def nnls(A, b):
     """``scipy.optimize.nnls``, imported on first use so that commands without a John decomposition skip scipy."""
     from scipy.optimize import nnls as _nnls
@@ -144,25 +137,15 @@ def john_weights(contacts, residual_tol: float = 1e-7) -> JohnDecomposition:
         raise PreconditionError("contact directions must be unit vectors")
     dirs = dirs / norms[:, None]
 
-    C = np.stack([_svec(d) for d in dirs], axis=1)  # (6, m)
+    C = svec(dirs)  # (6, m)
     b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     lam, rnorm = nnls(C, b)
     if rnorm > residual_tol:
-        raise NoDecomposition(f"identity not reproducible: residual {rnorm:.3e}")
-
-    support = list(np.flatnonzero(lam > 0.0))
-    while len(support) > 6:
-        Cs = C[:, support]
-        gamma = np.linalg.svd(Cs)[2][-1]  # null direction: Cs @ gamma ~ 0
-        if gamma.max() <= 0.0:
-            gamma = -gamma
-        ratios = _elim_ratios(gamma, lam[support])
-        drop = int(np.argmin(ratios))
-        lam_s = np.clip(lam[support] - ratios[drop] * gamma, 0.0, None)
-        lam_s[drop] = 0.0
-        for idx, v in zip(support, lam_s):
-            lam[idx] = v
-        support = [i for i in support if lam[i] > 1e-15]
+        raise NoDecomposition(
+            f"identity not reproducible: residual {rnorm:.3e} above bound {residual_tol:.3e} "
+            f"by {rnorm - residual_tol:.3e}"
+        )
+    support, lam = caratheodory(C, lam)
 
     entries = [(float(lam[i]), tuple(dirs[i])) for i in support]
     spare = [tuple(d) for i, d in enumerate(dirs) if i not in set(support)]
@@ -173,22 +156,14 @@ def john_weights(contacts, residual_tol: float = 1e-7) -> JohnDecomposition:
         pad_pool = pad_pool[1:]
     # round the weight in the sort key so float noise cannot reorder ties
     entries.sort(key=lambda e: (round(e[0], 9), e[1]))
-    # rounding can tie a smaller weight with the maximum and order it last
+    # the exact maximum goes last: rounding can tie a smaller weight with it
     top = max(range(6), key=lambda i: entries[i][0])
-    if entries[5][0] < entries[top][0] - 1e-12:
+    if entries[5][0] < entries[top][0]:
         entries.append(entries.pop(top))
     return JohnDecomposition(
         lambdas=np.array([e[0] for e in entries]),
         u=np.array([e[1] for e in entries]),
     )
-
-
-def _elim_ratios(gamma, lam_s):
-    """Elimination ratios lam_i / gamma_i, inf where gamma_i is not positive."""
-    out = np.full(len(gamma), np.inf)
-    pos = gamma > 1e-14
-    out[pos] = lam_s[pos] / gamma[pos]
-    return out
 
 
 def witness_triple(decomp: JohnDecomposition):
@@ -214,13 +189,15 @@ def normalize(P: Polytope, tol: float = 1e-9, contact_tol: float | None = None) 
     """
     if contact_tol is None:
         contact_tol = max(100.0 * tol, 1e-8)
-    arr = P.as_array()
-    D = difference_body(Polytope(arr))
-    E = mvee_centered(D.as_array(), tol=tol)
+    D = difference_body(P, mode="float").as_array()
+    E = mvee_centered(D, tol=tol)
     T = transform_to_ball(E)
-    TP = Polytope(arr @ T.T)
-    idq = float(volume(TP) / diameter(TP) ** 3)
-    contacts = contact_points(E, D.as_array(), tol=contact_tol)
+    # vol(TK) = |det T| vol(K), and diam(TK) is the longest T-image of a
+    # vertex of K - K: no hull of TK is needed
+    TD = D @ T.T
+    diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
+    idq = float(abs(np.linalg.det(T)) * float(volume(P)) / diam**3)
+    contacts = contact_points(E, D, tol=contact_tol)
     dirs = contacts @ T.T
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     decomp = john_weights(dirs)

@@ -7,11 +7,28 @@ is the classical D-optimal design problem
     maximize  log det V(u),   V(u) = sum_i u_i s_i s_i^T,   u in simplex.
 
 At the optimum M = V^{-1} / 3, and the optimal design weights u_i are
-(up to the factor 3) contact-point weights.  The iteration below is the
-multiplicative-weight / Frank-Wolfe ascent with Wolfe-Atwood away steps,
-which in practice converges linearly and so reaches tight tolerances
-(1e-9) at moderate iteration counts.  Each step does an exact line
-search, so the design objective det V is nondecreasing throughout.
+(up to the factor 3) contact-point weights.  The leverages
+w_i = s_i^T V^{-1} s_i are at most 3 everywhere and equal 3 on the
+support, and the solver stops once both hold within the relative gap tol.
+
+The problem is linearly equivariant, so the solver works in a whitened
+frame (the points' second moment is the identity, from a QR factor) and
+maps M back at the end.  It starts from uniform weights when they are
+already optimal (the cube returns at iteration 0), else from a core set
+of three points, each the farthest from the span of the ones before
+(Kumar & Yildirim 2005).  Each round then tries a Newton polish: the
+support plus the worst violator, which enters at the Frank-Wolfe
+line-search weight, solves w_i = 3 with the Jacobian -(G o G),
+G = S V^{-1} S^T.  Before each Newton step a Caratheodory elimination
+keeps V and shrinks the support to at most six points with independent
+outer products, so G o G stays nonsingular; a step that would make a
+weight negative stops at the boundary and drops that point.  A polish is
+kept only if it converges and raises log det V.  Otherwise the round is a
+Wolfe-Atwood Frank-Wolfe step (with away steps and an exact line search),
+and the next polish waits 1, 2, 4, ... rounds.  So det V is
+nondecreasing throughout, the Frank-Wolfe steps keep their convergence
+guarantee, and on the right support Newton converges quadratically.
+Every Frank-Wolfe and every Newton step counts as one iteration.
 """
 
 from __future__ import annotations
@@ -23,9 +40,14 @@ import numpy as np
 
 from .errors import InvariantError, NoConvergence, NotFullDimensional, TooFewContacts
 
-__all__ = ["Ellipsoid", "mvee_centered", "contact_points"]
+__all__ = ["Ellipsoid", "mvee_centered", "contact_points", "svec", "caratheodory"]
 
 _SUPPORT_EPS = 1e-15
+#: the polish support's outer products count as dependent when their
+#: smallest singular value is at most this times the largest
+_POLISH_RANK_RTOL = 1e-7
+#: Newton steps one polish may take before it counts as failed
+_POLISH_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -48,6 +70,136 @@ class Ellipsoid:
         object.__setattr__(self, "M", 0.5 * (M + M.T))
 
 
+def svec(points) -> np.ndarray:
+    """Isometric vectorizations of the outer products p p^T (Frobenius norm
+    preserved), one column per row of ``points``: a (6, k) array."""
+    P = np.asarray(points, dtype=float)
+    a, b, c = P[:, 0], P[:, 1], P[:, 2]
+    r2 = np.sqrt(2.0)
+    return np.array([a * a, b * b, c * c, r2 * a * b, r2 * a * c, r2 * b * c])
+
+
+def caratheodory(C, lam, rtol: float | None = None, protect: int | None = None):
+    """Caratheodory elimination on the nonnegative combination ``C @ lam``.
+
+    Each step moves the weights along a null vector gamma of the support
+    columns (C gamma ~ 0, so C @ lam stays put) until the first weight
+    reaches zero (the ratio test), and drops that column.  Steps run while
+    more than six columns carry weight (the columns of ``svec`` live in a
+    6-dimensional space, so such a support always has a null vector) and,
+    given ``rtol``, while the smallest singular value of the support
+    columns is at most ``rtol`` times the largest.  The weight at index
+    ``protect`` does not decrease when the null vector allows it.
+
+    Returns (support, weights): the indices still carrying weight above
+    1e-15 and the new weight vector.
+    """
+    lam = np.array(lam, dtype=float)
+    support = np.flatnonzero(lam > 0.0)
+    while len(support) > 6 or (rtol is not None and len(support)):
+        _, s, vh = np.linalg.svd(C[:, support])
+        if len(support) <= 6 and s[-1] > rtol * s[0]:
+            break
+        gamma = vh[-1]  # null direction: C[:, support] @ gamma ~ 0
+        pos = np.flatnonzero(support == protect)  # empty once the protected column is gone
+        if len(pos) and gamma[pos[0]] > 0.0 and gamma.min() < 0.0:
+            gamma = -gamma
+        if gamma.max() <= 0.0:
+            gamma = -gamma
+        ratios = _elim_ratios(gamma, lam[support])
+        drop = int(np.argmin(ratios))
+        lam_s = np.clip(lam[support] - ratios[drop] * gamma, 0.0, None)
+        lam_s[drop] = 0.0
+        lam[support] = lam_s
+        support = support[lam_s > 1e-15]
+    return support, lam
+
+
+def _elim_ratios(gamma, lam_s):
+    """Elimination ratios lam_i / gamma_i, inf where gamma_i is not positive."""
+    out = np.full(len(gamma), np.inf)
+    pos = gamma > 1e-14
+    out[pos] = lam_s[pos] / gamma[pos]
+    return out
+
+
+def _leverages(Y, V):
+    """(V^{-1}, w) with w_i = y_i^T V^{-1} y_i."""
+    Vinv = np.linalg.inv(V)
+    return Vinv, np.einsum("ij,jk,ik->i", Y, Vinv, Y)
+
+
+def _gap(w, u) -> float:
+    """Relative duality gap: the largest leverage above 3, or the smallest
+    on the support below 3."""
+    return max(float(w.max()) / 3.0 - 1.0, 1.0 - float(w[u > _SUPPORT_EPS].min()) / 3.0)
+
+
+def _core_set(Y) -> np.ndarray:
+    """Weight 1/3 on three points, each the farthest from the span of the ones before."""
+    R = Y.copy()
+    u = np.zeros(len(Y))
+    for _ in range(3):
+        j = int(np.argmax(np.einsum("ij,ij->i", R, R)))
+        u[j] = 1.0 / 3.0
+        q = R[j] / np.linalg.norm(R[j])
+        R -= np.outer(R @ q, q)
+    return u
+
+
+def _polish(Y, u, w, tol, budget):
+    """Newton on w_i = 3 over the support plus the worst violator.
+
+    Returns (steps taken, (u, V) or None): the polished design, weights
+    summing to one, if Newton converged within ``budget`` steps (the
+    violator's entry counts as one) and log det V rose; None otherwise.
+    """
+    budget = min(budget, _POLISH_STEPS)
+    S = np.flatnonzero(u > _SUPPORT_EPS)
+    us = u[S]
+    logdet0 = np.linalg.slogdet((Y[S].T * us) @ Y[S])[1]
+    steps, protect = 0, None
+    jp = int(np.argmax(w))
+    kp = float(w[jp])
+    if kp > 3.0 and u[jp] <= _SUPPORT_EPS:  # the violator enters at the line-search weight
+        beta = (kp - 3.0) / (3.0 * (kp - 1.0))
+        S, us = np.append(S, jp), np.append((1.0 - beta) * us, beta)
+        protect, steps = len(S) - 1, 1
+    while True:
+        # keep the violator: it is the point the new design needs
+        keep, lam = caratheodory(svec(Y[S]), us, rtol=_POLISH_RANK_RTOL, protect=protect)
+        protect = None
+        S, us = S[keep], lam[keep]
+        Ys = Y[S]
+        V = (Ys.T * us) @ Ys
+        try:
+            G = Ys @ np.linalg.solve(V, Ys.T)
+            r = np.diag(G) - 3.0
+            if np.abs(r).max() <= 0.75 * tol:
+                break
+            if steps >= budget:
+                return steps, None
+            steps += 1
+            d = np.linalg.solve(G * G, r)
+        except np.linalg.LinAlgError:  # the support lost rank
+            return steps, None
+        new = us + d
+        if new.min() < 0.0:  # stop at the boundary and drop the point that reaches it
+            neg = np.flatnonzero(new < 0.0)
+            hit = neg[np.argmin(us[neg] / -d[neg])]
+            new = np.clip(us - us[hit] / d[hit] * d, 0.0, None)
+            new[hit] = 0.0
+            S, new = S[new > 0.0], new[new > 0.0]
+        us = new
+    total = float(us.sum())
+    V /= total
+    if steps == 0 or not np.linalg.slogdet(V)[1] > logdet0:
+        return steps, None
+    out = np.zeros(len(u))
+    out[S] = us / total
+    return steps, (out, V)
+
+
 def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=None) -> Ellipsoid:
     """MVEE of the symmetric set {+-s : s in points}.
 
@@ -60,9 +212,10 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
         Relative duality gap at exit: all points satisfy s^T M s <= 1 + tol
         and the support satisfies s^T M s >= 1 - tol.
     max_iter : int, optional
-        Iteration cap; default 100 * m * log(1/tol).
+        Cap on Frank-Wolfe plus Newton steps; default 100 * m * log(1/tol).
     trace : list, optional
-        If given, (det V, det M_feasible) is appended per iteration, where
+        If given, (det V, det M_feasible) is appended at the start and
+        after every Frank-Wolfe step and every kept polish, where
         M_feasible is the current iterate rescaled to contain all points.
 
     Raises
@@ -81,26 +234,50 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     if max_iter is None:
         max_iter = int(100 * m * math.log(1.0 / min(tol, 0.5)))
 
+    # whitened frame: Y = X L with Y^T Y / m = Id, and M = L M_Y L^T
+    Q, R = np.linalg.qr(X)
+    Y = Q * math.sqrt(m)
+    L = np.linalg.inv(R) * math.sqrt(m)
+    det_l2 = float(np.linalg.det(L)) ** 2
+
     u = np.full(m, 1.0 / m)
-    V = (X.T * u) @ X
-    for it in range(max_iter + 1):
+    V = (Y.T * u) @ Y
+    if _gap(_leverages(Y, V)[1], u) > tol:
+        u = _core_set(Y)
+        V = (Y.T * u) @ Y
+    it = fw_steps = wait = 0
+    backoff = 1
+    while True:
         try:
-            Vinv = np.linalg.inv(V)
+            Vinv, w = _leverages(Y, V)
         except np.linalg.LinAlgError:
-            V = (X.T * u) @ X
-            Vinv = np.linalg.inv(V)
-        w = np.einsum("ij,jk,ik->i", X, Vinv, X)
+            V = (Y.T * u) @ Y
+            Vinv, w = _leverages(Y, V)
         jp = int(np.argmax(w))
         kp = float(w[jp])
+        if trace is not None:
+            trace.append((float(np.linalg.det(V)) / det_l2, float(np.linalg.det(Vinv / kp)) * det_l2))
+        gap = _gap(w, u)
+        if gap <= tol:
+            M_Y = Vinv / kp if kp > 3.0 else Vinv / 3.0
+            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, weights=u.copy())
+        if it >= max_iter:
+            raise NoConvergence(
+                f"ellipsoid solver did not reach tol={tol} in {max_iter} iterations: "
+                f"gap {gap:.3e} above tol {tol:.3e} by {gap - tol:.3e}"
+            )
+        if wait == 0:
+            steps, polished = _polish(Y, u, w, tol, max_iter - it)
+            it += steps
+            if polished is not None:
+                u, V = polished
+                continue
+            wait, backoff = backoff, 2 * backoff
+            if it >= max_iter:
+                continue
         sup = u > _SUPPORT_EPS
         jm = int(np.flatnonzero(sup)[np.argmin(w[sup])])
         km = float(w[jm])
-        if trace is not None:
-            trace.append((float(np.linalg.det(V)), float(np.linalg.det(Vinv / kp))))
-        gap = max(kp / 3.0 - 1.0, 1.0 - km / 3.0)
-        if gap <= tol:
-            M = Vinv / kp if kp > 3.0 else Vinv / 3.0
-            return Ellipsoid(M=M, iterations=it, gap=gap, weights=u.copy())
         if kp - 3.0 >= 3.0 - km:
             j, k = jp, kp
             beta = (k - 3.0) / (3.0 * (k - 1.0))
@@ -110,14 +287,16 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
             j, k = jm, km
             floor = -u[j] / (1.0 - u[j])
             beta = max((k - 3.0) / (3.0 * (k - 1.0)), floor) if k > 1.0 else floor
-        x = X[j]
+        y = Y[j]
         u *= 1.0 - beta
         u[j] += beta
         np.clip(u, 0.0, None, out=u)
-        V = (1.0 - beta) * V + beta * np.outer(x, x)
-        if it % 256 == 255:
-            V = (X.T * u) @ X  # refresh accumulated rank-one drift
-    raise NoConvergence(f"ellipsoid solver did not reach tol={tol} in {max_iter} iterations")
+        V = (1.0 - beta) * V + beta * np.outer(y, y)
+        it += 1
+        wait -= 1
+        fw_steps += 1
+        if fw_steps % 256 == 0:
+            V = (Y.T * u) @ Y  # refresh accumulated rank-one drift
 
 
 def contact_points(ellipsoid: Ellipsoid, points, tol: float = 1e-9) -> np.ndarray:

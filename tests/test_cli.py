@@ -204,3 +204,23 @@ def test_peculiar_sweep():
     assert out["region_total_max"] <= 2.0 + 1e-9
     x, y = out["argmax_pair"]
     assert 0 < x <= 1 and 0 < y <= 1 and x + y >= 1
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [("idq", 0.1, "idq"), ("witness_value", 0.7, "witness value")],
+)
+def test_normalize_alarms_name_the_bound(files, monkeypatch, capsys, field, value, name):
+    # a decomposition pushed below its floor: exit 3, and the message
+    # names the quantity, its value, the bound and the margin
+    import dataclasses
+
+    from isokit import cli, john
+
+    def weakened(P, tol):
+        return dataclasses.replace(john.normalize(P, tol=tol), **{field: value})
+
+    monkeypatch.setattr(cli, "normalize", weakened)
+    assert cli.main(["normalize", files["tetra"]]) == 3
+    bound = {"idq": math.sqrt(2.0) / 12.0, "witness_value": 1.0 / math.sqrt(2.0)}[field] - 1e-8
+    err = capsys.readouterr().err
+    assert err == f"alarm: {name} {value:.17g} below guaranteed bound {bound:.17g} by {bound - value:.3e}\n"

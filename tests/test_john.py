@@ -173,3 +173,10 @@ def test_json_dict_shape():
     assert sorted(d["witness"]["ijk"]) == list(d["witness"]["ijk"])
     assert all(1 <= i <= 6 for i in d["witness"]["ijk"])
     assert d["witness"]["value"] >= 1.0 / SQRT2 - 1e-9
+
+
+def test_no_decomposition_names_the_bound():
+    ang = np.linspace(0.0, np.pi, 5, endpoint=False)
+    flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
+    with pytest.raises(NoDecomposition, match=r"residual (\S+) above bound 1\.000e-07 by \S+$"):
+        john_weights(flat)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import random_polytope_vertices, random_rotation
+
+from isokit import mvee
 from isokit.errors import InvariantError, NoConvergence, NotFullDimensional, TooFewContacts
-from isokit.mvee import Ellipsoid, contact_points, mvee_centered
+from isokit.geom import Polytope, difference_body
+from isokit.mvee import Ellipsoid, caratheodory, contact_points, mvee_centered, svec
 
 CUBE_CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
 
@@ -82,6 +86,102 @@ def test_no_convergence(rng):
     pts = rng.normal(size=(50, 3))
     with pytest.raises(NoConvergence):
         mvee_centered(pts, tol=1e-12, max_iter=2)
+
+
+def test_no_convergence_names_the_gap(rng):
+    pts = rng.normal(size=(50, 3))
+    with pytest.raises(NoConvergence, match=r"gap \S+ above tol 1\.000e-12 by \S+"):
+        mvee_centered(pts, tol=1e-12, max_iter=2)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6])
+def test_one_axis_scaled(rng, scale):
+    # the solver's whitened frame makes it blind to the scale of an axis
+    base = rng.normal(size=(20, 3))
+    E1 = mvee_centered(base)
+    S = np.diag([1.0, 1.0, scale])
+    E = mvee_centered(base @ S)
+    q = np.einsum("ij,jk,ik->i", base @ S, E.M, base @ S)
+    assert E.gap <= 1e-9
+    assert q.max() <= 1.0 + 1e-9
+    assert np.allclose(S @ E.M @ S, E1.M, atol=1e-9 * np.abs(E1.M).max())
+    # turned off the axes, the same body takes the same steps
+    E = mvee_centered(base @ S @ random_rotation(rng).T)
+    assert E.gap <= 1e-9
+    assert E.iterations == E1.iterations
+
+
+PHI = (1.0 + np.sqrt(5.0)) / 2.0
+#: the regular dodecahedron: 20 vertices, 10 antipodal pairs, all at radius sqrt(3)
+DODECAHEDRON = np.array(
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    + [p for a in (-1 / PHI, 1 / PHI) for b in (-PHI, PHI) for p in ((0, a, b), (a, b, 0), (b, 0, a))],
+    dtype=float,
+)
+
+
+def test_dodecahedron_returns_the_ball():
+    # repeating three vertices makes the uniform start suboptimal; the
+    # optimum has all ten pairs in contact, the design at most six of them
+    E = mvee_centered(np.vstack([DODECAHEDRON, DODECAHEDRON[:3]]))
+    assert E.iterations > 0
+    assert np.allclose(E.M, np.eye(3) / 3.0, atol=1e-12)
+    assert np.count_nonzero(E.weights) <= 6
+    assert len(contact_points(E, DODECAHEDRON)) == 10
+
+
+def test_caratheodory_keeps_the_sum():
+    # ten equally weighted pairs reproduce 10/3 Id; the elimination keeps
+    # that sum on six pairs, and on independent outer products given rtol
+    C = svec(DODECAHEDRON[DODECAHEDRON[:, 0] + 1e-9 * DODECAHEDRON[:, 1] > 0])
+    lam = np.full(10, 1.0 / 3.0)
+    for rtol in (None, 1e-7):
+        support, out = caratheodory(C, lam, rtol=rtol)
+        assert len(support) <= 6 and np.all(out >= 0.0)
+        assert np.count_nonzero(out > 1e-15) == len(support)
+        assert np.allclose(C @ out, C @ lam, atol=1e-12)
+    s = np.linalg.svd(C[:, support], compute_uv=False)
+    assert s[-1] > 1e-7 * s[0]
+
+
+def test_polish_reduces_a_support_of_seven(monkeypatch):
+    # a difference body on which a polish support outgrows six points; the
+    # elimination keeps the entering violator, so every polish is kept
+    sizes, failed = [], []
+    polish = mvee._polish
+
+    def counting(C, lam, rtol=None, protect=None):
+        sizes.append(int(np.count_nonzero(np.asarray(lam) > 0.0)))
+        return caratheodory(C, lam, rtol=rtol, protect=protect)
+
+    def checked(*args):
+        steps, polished = polish(*args)
+        failed.append(polished is None)
+        return steps, polished
+
+    monkeypatch.setattr(mvee, "caratheodory", counting)
+    monkeypatch.setattr(mvee, "_polish", checked)
+    D = difference_body(Polytope(random_polytope_vertices(np.random.default_rng(18)))).as_array()
+    E = mvee_centered(D)
+    assert max(sizes) == 7
+    assert not any(failed)
+    assert np.count_nonzero(E.weights) <= 6
+    assert E.gap <= 1e-9
+    assert np.einsum("ij,jk,ik->i", D, E.M, D).max() <= 1.0 + 1e-9
+
+
+def test_frank_wolfe_fallback_converges(monkeypatch, rng):
+    # with every polish failing, the solver is Frank-Wolfe with away steps
+    # and lands on the same ellipsoid, det V still nondecreasing
+    pts = rng.normal(size=(30, 3))
+    M = mvee_centered(pts, tol=1e-10).M
+    monkeypatch.setattr(mvee, "_polish", lambda Y, u, w, tol, budget: (0, None))
+    trace = []
+    E = mvee_centered(pts, tol=1e-10, trace=trace)
+    det_v = np.array([t[0] for t in trace])
+    assert E.iterations == len(trace) - 1  # one entry per Frank-Wolfe step
+    assert np.all(np.diff(det_v) >= -1e-12 * det_v[:-1])
+    assert np.allclose(E.M, M, atol=1e-7 * np.abs(M).max())
 
 
 def test_degenerate_inputs():
