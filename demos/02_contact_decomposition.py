@@ -9,6 +9,8 @@ contact directions u_1..u_6 carry weights lambda_i with
     sum_i lambda_i u_i u_i^T = Id,   sum_i lambda_i = 3,
 
 and some triple of them spans a parallelepiped of volume >= 1/sqrt(2).
+The weights need no second solve: the ellipsoid solver's optimal design
+already is this decomposition (Kiefer-Wolfowitz).
 """
 
 import os
@@ -16,7 +18,6 @@ import os
 import numpy as np
 
 from isokit import (
-    contact_points,
     difference_body,
     from_contact_vectors,
     john_weights,
@@ -33,29 +34,31 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 body = polytope_from_json(open(os.path.join(DATA, "random_12.json")).read())
 
 # Step 1: the difference body K - K is centrally symmetric, so its MVEE
-# is centered and can be written {x : x^T M x <= 1}.
-D = difference_body(body)
-E = mvee_centered(D.as_array())
+# is centered and can be written {x : x^T M x <= 1}.  The solver returns
+# M together with its optimal design: one weight per vertex of K - K.
+D = difference_body(body).as_array()
+E = mvee_centered(D)
 print("MVEE matrix M:")
 print(np.array2string(E.M, precision=4))
 
-# Step 2: points of K - K on the ellipsoid boundary become unit contact
-# vectors of the ball after the normalizing map T = M^(1/2).
-contacts = contact_points(E, D.as_array(), tol=1e-7)
-print(f"\n{len(contacts)} contact points on the ellipsoid boundary")
+# Step 2: the vertices carrying weight lie on the ellipsoid boundary; the
+# normalizing map T = M^(1/2) sends them to unit contact vectors.
+support = E.weights > 0.0
 T = transform_to_ball(E)
-dirs = contacts @ T.T
-dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+TS = D[support] @ T.T
+print(f"\n{len(TS)} of {len(D)} vertices carry weight; |T s| - 1 on them:",
+      np.array2string(np.linalg.norm(TS, axis=1) - 1.0, precision=1))
 
-# Step 3: nonnegative weights reproducing the identity matrix; at most
-# six of them are needed.
-decomp = john_weights(dirs)
+# Step 3: 3 u_i on the unit vectors T s_i / |T s_i| reproduce the identity
+# (normalize does the same in a whitened frame, where M is well
+# conditioned however thin K is).  Caratheodory elimination keeps at most
+# six directions; smaller supports are padded with zero weights.
+sq = np.einsum("ij,ij->i", TS, TS)
+lam = E.weights[support] * sq
+decomp = john_weights(TS / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
 print("\nweights:", np.round(decomp.lambdas, 6))
 print("sum of weights:", round(float(np.sum(decomp.lambdas)), 12))
-resid = np.linalg.norm(
-    sum(l * np.outer(u, u) for l, u in zip(decomp.lambdas, decomp.u)) - np.eye(3)
-)
-print("|sum lambda_i u_i u_i^T - Id| =", f"{resid:.2e}")
+print("|sum lambda_i u_i u_i^T - Id| =", f"{decomp.residual:.2e}")
 
 # Step 4: the witness triple.
 ijk, value = witness_triple(decomp)

@@ -34,7 +34,6 @@ from .errors import (
     PreconditionError,
     SingularLattice,
     SingularPoint,
-    TooFewContacts,
 )
 from .geom import (
     Polytope,
@@ -46,7 +45,7 @@ from .geom import (
     simplex_volume_lower_bound,
     volume,
 )
-from .mvee import Ellipsoid, contact_points, mvee_centered
+from .mvee import Ellipsoid, mvee_centered
 from .john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,

@@ -19,7 +19,7 @@ The ascent is batched: a block of weight vectors climbs in lockstep, its
 state one array of shape (N, R, n) holding the R restarts of each of the
 N vectors on a chart with n free coordinates.  Every vector keeps its own
 random stream (chart-A starts, one sweep order per chart-A sweep, then the
-same for chart B) and leaves the block once its gain drops below ``ftol``,
+same for chart B) and leaves the block once its gain drops below ``_FTOL``,
 so each certificate is the one a block of one produces.  Weighted sums go
 through one matrix-vector product per vector, as for a single vector.
 ``certify_random`` runs blocks of at most ``_BLOCK_ROWS`` rows, so memory
@@ -257,7 +257,7 @@ def _init_chart(rng, R, chart, eps):
     return out
 
 
-def _ascend(W, chart, R, rngs, eps, max_sweeps, ftol):
+def _ascend(W, chart, R, rngs, eps):
     """Climb R restarts per weight vector on one chart, all vectors in lockstep.
 
     ``W`` holds the pair products of N weight vectors, shape (N, 10), and
@@ -283,14 +283,14 @@ def _ascend(W, chart, R, rngs, eps, max_sweeps, ftol):
         sweeps[i] = n_sweeps
 
     sweep = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         _pivot_step(S, chart, wf, wd, eps)
         # random sweep order breaks fixed-cycle stalls
         order = np.array([rngs[i].permutation(len(S) - 1) + 1 for i in active])
         for cols in order.T:
             _linear_step(S, cols, chart, wf, wd)
         new_value = _chart_value(S, chart, wf, wd)
-        done = np.max(new_value - value, axis=1) < ftol
+        done = np.max(new_value - value, axis=1) < _FTOL
         value = new_value
         if done.any():
             leave(done, sweep)
@@ -303,7 +303,7 @@ def _ascend(W, chart, R, rngs, eps, max_sweeps, ftol):
     return best, argmax, sweeps
 
 
-def _maximize_block(lam, rngs, restarts, eps, max_sweeps, ftol):
+def _maximize_block(lam, rngs, restarts, eps):
     """Certificates for checked weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``."""
     if not (0.0 < eps < 0.1):
         raise PreconditionError("eps must lie in (0, 0.1)")
@@ -311,8 +311,8 @@ def _maximize_block(lam, rngs, restarts, eps, max_sweeps, ftol):
     r_a = max(1, restarts // 2)
     r_b = max(1, restarts - r_a)
     # chart B starts only when chart A is done, as for a single vector
-    va, aa, sa = _ascend(W, _CHART_A, r_a, rngs, eps, max_sweeps, ftol)
-    vb, ab, sb = _ascend(W, _CHART_B, r_b, rngs, eps, max_sweeps, ftol)
+    va, aa, sa = _ascend(W, _CHART_A, r_a, rngs, eps)
+    vb, ab, sb = _ascend(W, _CHART_B, r_b, rngs, eps)
     certs = []
     for i in range(len(lam)):
         if va[i] >= vb[i]:
@@ -333,14 +333,7 @@ def _maximize_block(lam, rngs, restarts, eps, max_sweeps, ftol):
     return certs
 
 
-def maximize_objective(
-    lam,
-    restarts: int = 64,
-    seed=0,
-    eps: float = 1e-3,
-    max_sweeps: int = _MAX_SWEEPS,
-    ftol: float = _FTOL,
-) -> CeilingCertificate:
+def maximize_objective(lam, restarts: int = 64, seed=0, eps: float = 1e-3) -> CeilingCertificate:
     """Certified-from-below maximum of the objective for one weight vector.
 
     Runs ``restarts`` coordinate-ascent climbs, split between the two
@@ -350,7 +343,7 @@ def maximize_objective(
     weight is zero).
     """
     lam = _as_lambda(lam)[None]
-    return _maximize_block(lam, [np.random.default_rng(seed)], restarts, eps, max_sweeps, ftol)[0]
+    return _maximize_block(lam, [np.random.default_rng(seed)], restarts, eps)[0]
 
 
 def certify_random(
@@ -385,7 +378,7 @@ def certify_random(
         ks = range(start, min(start + block, n_lambda))
         lams = [sample_lambda(np.random.default_rng([seed, k]), first_weight_zero) for k in ks]
         rngs = [np.random.default_rng([seed, k, 1]) for k in ks]
-        certs = _maximize_block(_as_lambda(np.array(lams)), rngs, restarts, eps, _MAX_SWEEPS, _FTOL)
+        certs = _maximize_block(_as_lambda(np.array(lams)), rngs, restarts, eps)
         for lam, cert in zip(lams, certs):
             if cert.value > max_value:
                 max_value = cert.value

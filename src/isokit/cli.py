@@ -156,6 +156,14 @@ def _load_polytope(path: str, mode: str):
 # subcommands: each returns (payload, exit_code)
 
 
+def _alarm(quantity: str, value, bound, ceiling: bool = False, note: str = "") -> int:
+    """Print the alarm for a value past its bound, naming both and the margin; returns exit code 3."""
+    margin = float(value - bound) if ceiling else float(bound - value)
+    side = "above ceiling" if ceiling else "below guaranteed bound"
+    print(f"alarm: {quantity} {float(value):.17g} {side} {float(bound):.17g} by {margin:.3e}{note}", file=sys.stderr)
+    return 3
+
+
 def cmd_normalize(args, cfg: Config):
     P = _load_polytope(args.file, cfg.mode)
     res = normalize(P, tol=cfg.tolerance)
@@ -166,11 +174,7 @@ def cmd_normalize(args, cfg: Config):
     ):
         threshold = bound - 10.0 * cfg.tolerance
         if value < threshold:
-            print(
-                f"alarm: {name} {value:.17g} below guaranteed bound {threshold:.17g} by {threshold - value:.3e}",
-                file=sys.stderr,
-            )
-            return payload, 3
+            return payload, _alarm(name, value, threshold)
     return payload, 0
 
 
@@ -188,20 +192,16 @@ def cmd_width(args, cfg: Config):
         "nonseparable": is_nonseparable_width(rep["width"], P.mode),
     }
     if not rep["holds"]:
-        print("alarm: width-volume inequality violated", file=sys.stderr)
-        return payload, 3
+        return payload, _alarm("volume", rep["volume"], rep["bound"], note=" (bound omega^3/12)")
     return payload, 0
 
 
 def cmd_verify_lemmas(args, cfg: Config):
     rep = grid_verify_all(args.grid_step)
     if rep["violations"]:
-        print(
-            f"alarm: {len(rep['violations'])} grid violations, "
-            f"worst excess {rep['max_value']:.3e}",
-            file=sys.stderr,
-        )
-        return rep, 3
+        fam = rep["families"][rep["worst_family"]]
+        note = f" ({len(rep['violations'])} grid violations)"
+        return rep, _alarm(f"{rep['worst_family']} sum", fam["max_value"], fam["bound"], True, note)
     return rep, 0
 
 
@@ -229,19 +229,18 @@ def cmd_certify(args, cfg: Config):
         "violations": summary["violations"],
     }
     if summary["violations"]:
-        print(
-            f"alarm: objective ceiling exceeded in {len(summary['violations'])} runs",
-            file=sys.stderr,
-        )
-        return payload, 3
+        note = f" ({len(summary['violations'])} of {summary['n_lambda']} weight vectors)"
+        return payload, _alarm("objective", summary["max_value"], summary["bound"] + summary["tol"], True, note)
     return payload, 0
 
 
 def cmd_peculiar(args, cfg: Config):
     payload = peculiar_sweep(args.samples, args.lambdas, cfg.seed, cfg.tolerance)
     if payload["violations"]:
-        print(f"alarm: {len(payload['violations'])} ceiling violations", file=sys.stderr)
-        return payload, 3
+        # the sweep lists violations in this order: objective, five_square, region_total
+        kind = payload["violations"][0]["kind"]
+        note = f" ({len(payload['violations'])} violations)"
+        return payload, _alarm(kind, payload[f"{kind}_max"], payload[f"{kind}_bound"] + cfg.tolerance, True, note)
     return payload, 0
 
 

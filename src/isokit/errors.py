@@ -17,10 +17,6 @@ class NoConvergence(IsokitError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class TooFewContacts(IsokitError):
-    """Ellipsoid touches the point set in fewer than 3 independent directions."""
-
-
 class NoDecomposition(IsokitError):
     """No nonnegative weights reproduce the identity from the given directions."""
 

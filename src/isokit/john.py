@@ -7,10 +7,11 @@ the contact directions u_i admit nonnegative weights with
 
     sum_i lam_i u_i u_i^T = Id,      sum_i lam_i = 3,
 
-and the isodiametric quotient vol(TK) / diam(TK)^3 is at least
-sqrt(2)/12.  The witness for that bound is a vector triple among the
-contact directions whose determinant is at least 1/sqrt(2) in absolute
-value.
+(the ellipsoid solver's optimal design is such a decomposition, so no
+second solve is needed), and the isodiametric quotient vol(TK) /
+diam(TK)^3 is at least sqrt(2)/12.  The witness for that bound is a
+vector triple among the contact directions whose determinant is at least
+1/sqrt(2) in absolute value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
 from .geom import Polytope, difference_body, volume
-from .mvee import Ellipsoid, caratheodory, contact_points, mvee_centered, svec
+from .mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 __all__ = [
     "JohnDecomposition",
@@ -39,6 +40,13 @@ IDQ_LOWER_BOUND = float(np.sqrt(2.0) / 12.0)
 
 #: guaranteed witness determinant
 WITNESS_LOWER_BOUND = float(1.0 / np.sqrt(2.0))
+
+#: |sum lam_i u_i u_i^T - Id| above this is no decomposition
+RESIDUAL_BOUND = 1e-7
+
+#: the kept directions' outer products count as dependent when their
+#: smallest singular value is at most this times the largest
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,41 +119,37 @@ def transform_to_ball(ellipsoid: Ellipsoid) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def nnls(A, b):
-    """``scipy.optimize.nnls``, imported on first use so that commands without a John decomposition skip scipy."""
-    from scipy.optimize import nnls as _nnls
+def john_weights(directions, weights) -> JohnDecomposition:
+    """Six-entry decomposition from unit directions and weights reproducing Id.
 
-    return _nnls(A, b)
+    Caratheodory elimination moves the weights, keeping sum_i lam_i u_i u_i^T,
+    onto at most six directions whose outer products are independent (the
+    outer products live in a 6-dimensional space; antipodal or repeated
+    directions share one).  Supports smaller than six are padded with
+    zero-weight entries: eliminated directions first, then repeats.
 
-
-def john_weights(contacts, residual_tol: float = 1e-7) -> JohnDecomposition:
-    """Nonnegative weights on unit contact directions reproducing Id.
-
-    Solves the nonnegative least-squares problem over the outer products
-    u_i u_i^T, then reduces the support to at most six entries by
-    Caratheodory elimination (the outer products live in a 6-dimensional
-    space, so larger supports always contain a removable direction).
-    Supports smaller than six are padded with zero-weight entries.
-
-    Raises NoDecomposition if the best residual exceeds ``residual_tol``.
+    Raises NoDecomposition if |sum lam_i u_i u_i^T - Id| exceeds
+    ``RESIDUAL_BOUND``.
     """
-    dirs = np.asarray(contacts, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1:
-        raise PreconditionError("contacts must be an (m, 3) array")
+    dirs = np.asarray(directions, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1 or lam.shape != (len(dirs),):
+        raise PreconditionError("need an (m, 3) array of directions and m weights")
+    if np.any(lam < 0.0):
+        raise PreconditionError("weights must be nonnegative")
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise PreconditionError("contact directions must be unit vectors")
     dirs = dirs / norms[:, None]
 
     C = svec(dirs)  # (6, m)
-    b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    lam, rnorm = nnls(C, b)
-    if rnorm > residual_tol:
+    support, lam = caratheodory(C, lam, rtol=_RANK_RTOL)
+    rnorm = float(np.linalg.norm(C[:, support] @ lam[support] - [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    if rnorm > RESIDUAL_BOUND:
         raise NoDecomposition(
-            f"identity not reproducible: residual {rnorm:.3e} above bound {residual_tol:.3e} "
-            f"by {rnorm - residual_tol:.3e}"
+            f"identity not reproducible: residual {rnorm:.3e} above bound {RESIDUAL_BOUND:.3e} "
+            f"by {rnorm - RESIDUAL_BOUND:.3e}"
         )
-    support, lam = caratheodory(C, lam)
 
     entries = [(float(lam[i]), tuple(dirs[i])) for i in support]
     spare = [tuple(d) for i, d in enumerate(dirs) if i not in set(support)]
@@ -180,26 +184,37 @@ def witness_triple(decomp: JohnDecomposition):
     return best[1], best[0]
 
 
-def normalize(P: Polytope, tol: float = 1e-9, contact_tol: float | None = None) -> NormalizationResult:
+def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     """Normalizing map T for a polytope, with certificate.
 
     Computes the MVEE of the difference body, T = M^(1/2), the
     isodiametric quotient of TK, and the contact decomposition whose
     witness triple certifies idq >= sqrt(2)/12 - 10 * tol.
+
+    The problem is linearly invariant, so everything is solved in the
+    whitened frame Y = D L of the vertices D of K - K, where the shape
+    matrix M_Y is well conditioned however thin K is.  With T_Y = M_Y^(1/2),
+    the polar decomposition T_Y L^T = U T gives T (M = L M_Y L^T = T^2),
+    and T s_i = U^T T_Y y_i.  The solver's optimal design u is the John
+    decomposition (Kiefer-Wolfowitz): lam_i is proportional to
+    u_i |T_Y y_i|^2, scaled to sum 3, on the direction of T s_i.
     """
-    if contact_tol is None:
-        contact_tol = max(100.0 * tol, 1e-8)
     D = difference_body(P, mode="float").as_array()
-    E = mvee_centered(D, tol=tol)
-    T = transform_to_ball(E)
+    Y, L = whiten(D)
+    E = mvee_centered(Y, tol=tol)
+    T_Y = transform_to_ball(E)
+    W, sigma, Vt = np.linalg.svd(T_Y @ L.T)
+    T = (Vt.T * sigma) @ Vt
     # vol(TK) = |det T| vol(K), and diam(TK) is the longest T-image of a
     # vertex of K - K: no hull of TK is needed
     TD = D @ T.T
     diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
     idq = float(abs(np.linalg.det(T)) * float(volume(P)) / diam**3)
-    contacts = contact_points(E, D, tol=contact_tol)
-    dirs = contacts @ T.T
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    decomp = john_weights(dirs)
+    support = E.weights > 0.0
+    Z = Y[support] @ T_Y.T
+    sq = np.einsum("ij,ij->i", Z, Z)
+    lam = E.weights[support] * sq
+    dirs = Z @ (W @ Vt) / np.sqrt(sq)[:, None]
+    decomp = john_weights(dirs, 3.0 * lam / lam.sum())
     ijk, wval = witness_triple(decomp)
     return NormalizationResult(T=T, idq=idq, decomposition=decomp, witness_ijk=ijk, witness_value=wval)

@@ -7,7 +7,8 @@ is the classical D-optimal design problem
     maximize  log det V(u),   V(u) = sum_i u_i s_i s_i^T,   u in simplex.
 
 At the optimum M = V^{-1} / 3, and the optimal design weights u_i are
-(up to the factor 3) contact-point weights.  The leverages
+(up to the factor 3) contact-point weights (Kiefer-Wolfowitz): with
+T = M^(1/2), sum_i 3 u_i (T s_i)(T s_i)^T = Id.  The leverages
 w_i = s_i^T V^{-1} s_i are at most 3 everywhere and equal 3 on the
 support, and the solver stops once both hold within the relative gap tol.
 
@@ -38,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, NoConvergence, NotFullDimensional, TooFewContacts
+from .errors import InvariantError, NoConvergence, NotFullDimensional
 
-__all__ = ["Ellipsoid", "mvee_centered", "contact_points", "svec", "caratheodory"]
+__all__ = ["Ellipsoid", "mvee_centered", "whiten", "svec", "caratheodory"]
 
 _SUPPORT_EPS = 1e-15
 #: the polish support's outer products count as dependent when their
@@ -52,7 +53,12 @@ _POLISH_STEPS = 30
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Origin-centered ellipsoid {x : x^T M x <= 1} with solver metadata."""
+    """Origin-centered ellipsoid {x : x^T M x <= 1} with solver metadata.
+
+    ``weights`` is the solver's design u, one weight per input point,
+    zero off the support: the points with u_i > 0 lie on the boundary
+    within the gap, and they carry the contact decomposition.
+    """
 
     M: np.ndarray
     iterations: int = 0
@@ -200,6 +206,25 @@ def _polish(Y, u, w, tol, budget):
     return steps, (out, V)
 
 
+def whiten(points):
+    """(Y, L) with Y = X L and Y^T Y / m = Id, for the (m, 3) array X.
+
+    L = sqrt(m) R^{-1} comes from the QR factor of X: the frame of
+    chol(inv(X^T X / m)) up to a rotation, without squaring the condition
+    number.  The MVEE of Y is {y : y^T M_Y y <= 1}, and X's is M = L M_Y L^T.
+
+    Raises NotFullDimensional if the points span fewer than 3 dimensions.
+    """
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise NotFullDimensional("expected an (m, 3) point array")
+    m = X.shape[0]
+    if m < 3 or np.linalg.matrix_rank(X, tol=1e-12 * max(1.0, float(np.abs(X).max()))) < 3:
+        raise NotFullDimensional("points span fewer than 3 dimensions")
+    Q, R = np.linalg.qr(X)
+    return Q * math.sqrt(m), np.linalg.inv(R) * math.sqrt(m)
+
+
 def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=None) -> Ellipsoid:
     """MVEE of the symmetric set {+-s : s in points}.
 
@@ -225,19 +250,10 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     NoConvergence
         If the iteration cap is reached before the gap closes.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 3:
-        raise NotFullDimensional("expected an (m, 3) point array")
-    m = X.shape[0]
-    if m < 3 or np.linalg.matrix_rank(X, tol=1e-12 * max(1.0, float(np.abs(X).max()))) < 3:
-        raise NotFullDimensional("points span fewer than 3 dimensions")
+    Y, L = whiten(points)
+    m = len(Y)
     if max_iter is None:
         max_iter = int(100 * m * math.log(1.0 / min(tol, 0.5)))
-
-    # whitened frame: Y = X L with Y^T Y / m = Id, and M = L M_Y L^T
-    Q, R = np.linalg.qr(X)
-    Y = Q * math.sqrt(m)
-    L = np.linalg.inv(R) * math.sqrt(m)
     det_l2 = float(np.linalg.det(L)) ** 2
 
     u = np.full(m, 1.0 / m)
@@ -260,7 +276,8 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
         gap = _gap(w, u)
         if gap <= tol:
             M_Y = Vinv / kp if kp > 3.0 else Vinv / 3.0
-            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, weights=u.copy())
+            weights = np.where(u > _SUPPORT_EPS, u, 0.0)
+            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, weights=weights)
         if it >= max_iter:
             raise NoConvergence(
                 f"ellipsoid solver did not reach tol={tol} in {max_iter} iterations: "
@@ -297,26 +314,3 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
         fw_steps += 1
         if fw_steps % 256 == 0:
             V = (Y.T * u) @ Y  # refresh accumulated rank-one drift
-
-
-def contact_points(ellipsoid: Ellipsoid, points, tol: float = 1e-9) -> np.ndarray:
-    """Points of the set lying on the ellipsoid boundary, s^T M s >= 1 - tol.
-
-    One representative per antipodal pair is returned, with the
-    lexicographically larger sign chosen, sorted for determinism.
-
-    Raises TooFewContacts if fewer than 3 linearly independent contact
-    directions are found.
-    """
-    X = np.asarray(points, dtype=float)
-    vals = np.einsum("ij,jk,ik->i", X, ellipsoid.M, X)
-    sel = X[vals >= 1.0 - tol]
-    canon = {}
-    for s in sel:
-        t = tuple(s) if tuple(s) >= tuple(-s) else tuple(-s)
-        key = tuple(round(c, 12) for c in t)
-        canon.setdefault(key, t)
-    out = np.array(sorted(canon.values()), dtype=float)
-    if len(out) == 0 or np.linalg.matrix_rank(out, tol=1e-8 * float(np.abs(out).max())) < 3:
-        raise TooFewContacts("fewer than 3 independent contact directions")
-    return out

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import REGULAR_TETRA, UNIT_CUBE
@@ -116,21 +117,34 @@ def test_bad_config_exits_2(files):
     assert run_cli("normalize", files["tetra"], "--bogus-flag").returncode == 2
 
 
-@pytest.mark.parametrize("argv", [["certify", "--samples", "0"], ["verify-lemmas", "--grid-step", "0.5"]])
-def test_commands_without_hulls_load_no_scipy(argv):
-    # scipy is imported by the float hull and by nnls only, when first used
+def loaded_modules(argv, package):
+    """Run the CLI in a fresh interpreter; return its stdout and the loaded modules of ``package``."""
     code = (
         "import runpy, sys\n"
         "try:\n"
         "    runpy.run_module('isokit.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})), file=sys.stderr)\n"
     )
     r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)
-    assert r.stderr == "scipy modules: []\n"
+    return r.stdout, r.stderr
+
+
+@pytest.mark.parametrize("argv", [["certify", "--samples", "0"], ["verify-lemmas", "--grid-step", "0.5"]])
+def test_commands_without_hulls_load_no_scipy(argv):
+    # scipy is imported by the float hull only, when first used
+    stdout, modules = loaded_modules(argv, "scipy")
+    assert json.loads(stdout)
+    assert modules == "[]\n"
+
+
+def test_normalize_loads_no_scipy_optimize(files):
+    # the John decomposition comes from the ellipsoid solver's own weights
+    stdout, modules = loaded_modules(["normalize", files["cube"]], "scipy.optimize")
+    assert json.loads(stdout)["idq"] > 0.0
+    assert modules == "[]\n"
 
 
 def test_grid_step_domain_is_the_library_one():
@@ -224,3 +238,48 @@ def test_normalize_alarms_name_the_bound(files, monkeypatch, capsys, field, valu
     bound = {"idq": math.sqrt(2.0) / 12.0, "witness_value": 1.0 / math.sqrt(2.0)}[field] - 1e-8
     err = capsys.readouterr().err
     assert err == f"alarm: {name} {value:.17g} below guaranteed bound {bound:.17g} by {bound - value:.3e}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, target, changes, expected",
+    [
+        (
+            ["width", "extremal"],
+            "verify_width_volume_corollary",
+            {"volume": Fraction(1, 24), "holds": False},
+            "alarm: volume 0.041666666666666664 below guaranteed bound 0.083333333333333329 by 4.167e-02"
+            " (bound omega^3/12)",
+        ),
+        (
+            ["verify-lemmas", "--grid-step", "0.5"],
+            "grid_verify_all",
+            {
+                "worst_family": "triple_drop",
+                "violations": [{}] * 3,
+                "families": {"triple_drop": {"max_value": 1.9, "bound": 1.8}},
+            },
+            "alarm: triple_drop sum 1.8999999999999999 above ceiling 1.8 by 1.000e-01 (3 grid violations)",
+        ),
+        (
+            ["certify", "--samples", "2", "--restarts", "4", "--tol", "0.0009765625"],
+            "certify_random",
+            {"max_value": 2.5, "violations": [{}]},
+            "alarm: objective 2.5 above ceiling 2.0009765625 by 4.990e-01 (1 of 2 weight vectors)",
+        ),
+        (
+            ["peculiar", "--samples", "10", "--lambdas", "2", "--tol", "0.0009765625"],
+            "peculiar_sweep",
+            {"five_square_max": 0.6, "violations": [{"kind": "five_square"}, {"kind": "region_total"}]},
+            "alarm: five_square 0.59999999999999998 above ceiling 0.5634765625 by 3.652e-02 (2 violations)",
+        ),
+    ],
+)
+def test_alarms_name_the_bound(files, monkeypatch, capsys, argv, target, changes, expected):
+    # every sweep's alarm names the quantity, its value, the bound and the margin
+    from isokit import cli
+
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *a, **k: {**real(*a, **k), **changes})
+    argv = [files.get(a, a) for a in argv]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == expected + "\n"

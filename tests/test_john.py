@@ -7,7 +7,7 @@ import pytest
 from conftest import FLAT_SLAB, REGULAR_TETRA, UNIT_CUBE, random_polytope_vertices, random_rotation
 
 from isokit.errors import InvariantError, NoDecomposition
-from isokit.geom import Polytope
+from isokit.geom import Polytope, difference_body
 from isokit.john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,
@@ -38,7 +38,7 @@ def test_transform_is_spd_sqrt(rng):
 
 
 def test_john_weights_orthonormal_basis():
-    d = john_weights(np.eye(3))
+    d = john_weights(np.eye(3), np.ones(3))
     assert np.allclose(d.lambdas, [0, 0, 0, 1, 1, 1], atol=1e-12)
     assert d.residual <= 1e-12
     assert np.allclose(np.linalg.norm(d.u, axis=1), 1.0)
@@ -48,7 +48,7 @@ def test_john_weights_cube_diagonals():
     diag = np.array(
         [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)], float
     ) / math.sqrt(3.0)
-    d = john_weights(diag)
+    d = john_weights(diag, np.full(4, 0.75))
     assert np.allclose(d.lambdas, [0, 0, 0.75, 0.75, 0.75, 0.75], atol=1e-10)
     assert d.residual <= 1e-9
 
@@ -57,7 +57,7 @@ def test_coplanar_contacts_rejected():
     ang = np.linspace(0.0, np.pi, 5, endpoint=False)
     flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
     with pytest.raises(NoDecomposition):
-        john_weights(flat)
+        john_weights(flat, np.full(5, 0.6))
 
 
 def test_caratheodory_reduction(rng):
@@ -65,7 +65,7 @@ def test_caratheodory_reduction(rng):
     # the decomposition must come back on at most six of them
     for _ in range(10):
         frames = np.vstack([random_rotation(rng) for _ in range(3)])
-        d = john_weights(frames)
+        d = john_weights(frames, np.full(9, 1.0 / 3.0))
         assert d.lambdas.shape == (6,)
         assert d.residual <= 1e-7
         assert abs(d.lambdas.sum() - 3.0) <= 1e-7
@@ -179,4 +179,60 @@ def test_no_decomposition_names_the_bound():
     ang = np.linspace(0.0, np.pi, 5, endpoint=False)
     flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
     with pytest.raises(NoDecomposition, match=r"residual (\S+) above bound 1\.000e-07 by \S+$"):
-        john_weights(flat)
+        john_weights(flat, np.full(5, 0.6))
+
+
+def scaled_bodies(scale, seeds=range(6)):
+    """(base, [scaled, scaled and turned]) Gaussian bodies, one axis scaled."""
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 31])
+        base = rng.normal(size=(int(rng.integers(4, 30)), 3))
+        S = np.diag([1.0, 1.0, scale])[np.roll(range(3), seed)]
+        yield base, [base @ S, base @ S @ random_rotation(rng).T]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6])
+def test_normalize_one_axis_scaled(scale):
+    # linear images of a body share its certificate: the whitened frame
+    # makes normalize blind to the scale of an axis.  Turned off the axes,
+    # the input and vol(K) carry relative errors of about 1e-16 times the
+    # condition number (up to 1e7 here), hence the 1e-6 agreement
+    for base, images in scaled_bodies(scale):
+        ref = normalize(Polytope(base))
+        for pts in images:
+            res = normalize(Polytope(pts))
+            assert res.idq == pytest.approx(ref.idq, rel=1e-6)
+            assert res.idq >= IDQ_LOWER_BOUND - 1e-8
+            assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-6)
+            assert res.decomposition.residual <= 1e-7
+
+
+def test_normalize_nearly_flat_gaussian():
+    # condition number about 1e16 in the original frame
+    base = np.random.default_rng(5).normal(size=(20, 3))
+    ref = normalize(Polytope(base))
+    flat = base @ np.diag([1.0, 1.0, 1e-8])
+    for pts in (flat, flat @ random_rotation(np.random.default_rng(5)).T):
+        res = normalize(Polytope(pts))
+        assert res.idq == pytest.approx(ref.idq, rel=1e-6)
+        assert res.witness_value >= WITNESS_LOWER_BOUND
+        assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
+def test_certificate_directions_are_contacts(rng, scale):
+    # every weighted direction is T s / |T s| for a vertex s of K - K on
+    # the ellipsoid, |T s| = 1 within tol: checked apart from the solver
+    bodies = [random_polytope_vertices(rng) for _ in range(5)]
+    bodies += [imgs[1] for _, imgs in scaled_bodies(scale, seeds=range(3))]
+    for pts in bodies:
+        P = Polytope(pts)
+        res = normalize(P, tol=1e-9)
+        TD = difference_body(P).as_array() @ res.T.T
+        norms = np.linalg.norm(TD, axis=1)
+        for lam, u in zip(res.decomposition.lambdas, res.decomposition.u):
+            if lam > 0.0:
+                dist = np.linalg.norm(TD / norms[:, None] - u, axis=1)
+                i = int(np.argmin(dist))
+                assert dist[i] <= 1e-9
+                assert abs(norms[i] - 1.0) <= 1e-9

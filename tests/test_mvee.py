@@ -6,9 +6,9 @@ import pytest
 from conftest import random_polytope_vertices, random_rotation
 
 from isokit import mvee
-from isokit.errors import InvariantError, NoConvergence, NotFullDimensional, TooFewContacts
+from isokit.errors import InvariantError, NoConvergence, NotFullDimensional
 from isokit.geom import Polytope, difference_body
-from isokit.mvee import Ellipsoid, caratheodory, contact_points, mvee_centered, svec
+from isokit.mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 CUBE_CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
 
@@ -21,21 +21,23 @@ def test_cube_exact():
     assert E.iterations == 0
 
 
-def test_cube_contacts_canonical():
+def on_boundary(E, pts):
+    return np.einsum("ij,jk,ik->i", pts, E.M, pts)
+
+
+def test_cube_contacts():
+    # all eight corners touch, and the uniform design is optimal
     E = mvee_centered(CUBE_CORNERS)
-    C = contact_points(E, CUBE_CORNERS)
-    # all eight corners touch; four survive sign canonicalization
-    assert C.shape == (4, 3)
-    assert np.all(C[:, 0] == 1.0)
-    assert all(tuple(a) < tuple(b) for a, b in zip(C, C[1:]))  # sorted, deduped
+    assert np.allclose(on_boundary(E, CUBE_CORNERS), 1.0, atol=1e-12)
+    assert np.allclose(E.weights, 1.0 / 8.0, atol=0)
 
 
 def test_octahedron_exact():
     pts = np.vstack([2.0 * np.eye(3), -2.0 * np.eye(3)])
     E = mvee_centered(pts)
     assert np.allclose(E.M, np.eye(3) / 4.0, atol=1e-12)
-    C = contact_points(E, pts)
-    assert C.shape == (3, 3)
+    assert np.allclose(on_boundary(E, pts), 1.0, atol=1e-12)
+    assert np.allclose(E.weights, 1.0 / 6.0, atol=1e-12)
 
 
 def test_containment_and_shrunk_ball(rng):
@@ -127,7 +129,11 @@ def test_dodecahedron_returns_the_ball():
     assert E.iterations > 0
     assert np.allclose(E.M, np.eye(3) / 3.0, atol=1e-12)
     assert np.count_nonzero(E.weights) <= 6
-    assert len(contact_points(E, DODECAHEDRON)) == 10
+    assert np.allclose(on_boundary(E, DODECAHEDRON), 1.0, atol=1e-12)
+    # the design is a John decomposition of the ball: sum 3 u_i s_i s_i^T / 3 = Id
+    S = np.vstack([DODECAHEDRON, DODECAHEDRON[:3]])
+    assert np.all(E.weights >= 0.0) and abs(E.weights.sum() - 1.0) <= 1e-12
+    assert np.allclose((S.T * E.weights) @ S, np.eye(3), atol=1e-9)
 
 
 def test_caratheodory_keeps_the_sum():
@@ -184,6 +190,15 @@ def test_frank_wolfe_fallback_converges(monkeypatch, rng):
     assert np.allclose(E.M, M, atol=1e-7 * np.abs(M).max())
 
 
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1e-6, 1e6), (1.0, 1.0, 1e-8)])
+def test_whiten(rng, scales):
+    # one QR factor: Y = X L has second moment Id however the axes are scaled
+    X = rng.normal(size=(20, 3)) @ np.diag(scales)
+    Y, L = whiten(X)
+    assert np.allclose(Y.T @ Y / 20.0, np.eye(3), atol=1e-12)
+    assert np.allclose(X @ L, Y, atol=1e-9)
+
+
 def test_degenerate_inputs():
     planar = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 2.0, 0.0)]
     with pytest.raises(NotFullDimensional):
@@ -199,13 +214,6 @@ def test_ellipsoid_validation():
         Ellipsoid(M=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(InvariantError):
         Ellipsoid(M=np.diag([1.0, 1.0, -1.0]))
-
-
-def test_too_few_contacts():
-    # a strictly larger ball touches nothing
-    E = Ellipsoid(M=np.eye(3) / 100.0)
-    with pytest.raises(TooFewContacts):
-        contact_points(E, CUBE_CORNERS)
 
 
 def test_duplicates_and_negatives_harmless():
