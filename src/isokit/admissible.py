@@ -253,6 +253,60 @@ def peculiar_forced(x: float, y: float) -> dict:
 _SIGNS = np.ones((256, 10))
 _SIGNS[:, 2:] = list(product((1.0, -1.0), repeat=8))
 
+# the sign of each of the three terms a_i a_j of each relation, per pattern: (256, 5, 3)
+_TERM_SIGNS = _SIGNS[:, _RELATIONS[:, 0::2]] * _SIGNS[:, _RELATIONS[:, 1::2]]
+
+#: values a sweep block's objective screen may hold (rows x weight vectors)
+_SCREEN_VALUES = 1 << 17
+
+#: rows a sweep block may hold: magnitude pairs for the sign search, points for the Omega screens
+_BLOCK_ROWS = 1024
+
+
+def _sign_ok(mag: np.ndarray, patterns) -> np.ndarray:
+    """Which patterns ``_SIGNS[patterns]`` satisfy all five relations within 1e-9, per row of ``mag``.
+
+    Works on the fifteen relation monomials m_i m_j: as (s m_i)(s' m_j)
+    = s s' (m_i m_j) exactly, every residual is bit-identical to
+    ``relation_residuals(_SIGNS[patterns] * mag)``.
+    """
+    terms = mag[:, None, _RELATIONS[:, 0::2]] * mag[:, None, _RELATIONS[:, 1::2]]  # (rows, 1, 5, 3)
+    t = _TERM_SIGNS[patterns] * terms
+    return (np.abs(t[..., 0] - t[..., 1] - t[..., 2]) <= 1e-9).all(axis=2)
+
+
+def _peculiar_members(x: np.ndarray, y: np.ndarray):
+    """Magnitudes and first valid sign pattern of the members at feasible pairs (x, y).
+
+    Returns ``(mag, pick)``; ``_SIGNS[pick] * mag`` are the members, row
+    for row what ``peculiar_from`` returns.  ``_SIGNS`` is scanned in
+    order, 16 patterns at a time, until every row has one.  The first
+    row with no valid pattern raises NoSignAssignment, and the first
+    with an entry above 1 + 1e-9 raises InvariantError, as the
+    per-pair search and ``AdmissibleSet`` would.
+    """
+    mag = np.ones((len(x), 10))  # magnitude one on HEAVY_PAIRS
+    mag[:, _PAIR_POS[(1, 4)]] = x
+    mag[:, _PAIR_POS[(1, 5)]] = y
+    for p, m in peculiar_forced(x, y).items():
+        mag[:, _PAIR_POS[p]] = m
+    pick = np.full(len(mag), -1)
+    todo = np.arange(len(mag))
+    for start in range(0, len(_SIGNS), 16):
+        ok = _sign_ok(mag[todo], slice(start, start + 16))
+        hit = ok.any(axis=1)
+        pick[todo[hit]] = start + ok[hit].argmax(axis=1)
+        todo = todo[~hit]
+        if not len(todo):
+            break
+    bad = (pick < 0) | (np.abs(mag).max(axis=1) > 1.0 + 1e-9)
+    if bad.any():
+        r = int(bad.argmax())
+        if pick[r] < 0:
+            raise NoSignAssignment(f"no sign pattern satisfies the relations for ({float(x[r])}, {float(y[r])})")
+        raise InvariantError("entries must lie in [-1, 1]")
+    return mag, pick
+
 
 def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleSet:
     """Member of the boundary family with prescribed |a14|, |a15|.
@@ -269,22 +323,22 @@ def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleS
         raise InfeasibleMagnitudes("|a14|, |a15| must lie in (0, 1]")
     if x + y < 1.0:
         raise InfeasibleMagnitudes("|a14| + |a15| must be at least 1")
-    mag = np.empty(10)
-    for p in HEAVY_PAIRS:
-        mag[_PAIR_POS[p]] = 1.0
-    mag[_PAIR_POS[(1, 4)]] = x
-    mag[_PAIR_POS[(1, 5)]] = y
-    for p, m in peculiar_forced(x, y).items():
-        mag[_PAIR_POS[p]] = m
-
-    cand = _SIGNS * mag
-    ok = np.flatnonzero(np.max(np.abs(relation_residuals(cand)), axis=1) <= 1e-9)
-    if len(ok) == 0:
-        raise NoSignAssignment(f"no sign pattern satisfies the relations for ({x}, {y})")
-    pick = ok[0]
+    mag, pick = _peculiar_members(np.array([x]), np.array([y]))
+    pick = pick[0]
     if sign_seed is not None:
+        ok = np.flatnonzero(_sign_ok(mag, slice(None))[0])
         pick = ok[int(np.random.default_rng(sign_seed).integers(0, len(ok)))]
-    return AdmissibleSet(cand[pick])
+    return AdmissibleSet(_SIGNS[pick] * mag[0])
+
+
+def _near(screen: np.ndarray, level: float) -> np.ndarray:
+    """Rows whose screened value reaches ``level`` less 1e-12 relative.
+
+    Every screen here sums or compares nonnegative terms, so it is within
+    a few ulps of the exact value; a row outside the margin cannot reach
+    the level exactly.
+    """
+    return screen >= level - 1e-12 * abs(level)
 
 
 def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
@@ -297,6 +351,18 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     pairing point k with weight vector k mod ``n_lambda``.  Every value
     above its bound by more than ``tol`` is listed as a violation.
     Counts above 10^6 samples or 10^4 weight vectors are refused.
+
+    The pairs are taken in blocks of at most ``_SCREEN_VALUES //
+    n_lambda`` rows (and ``_BLOCK_ROWS``), so memory follows a block.
+    Each block builds its members at once (``_peculiar_members``: every
+    pair still needs a sign pattern meeting the relations within 1e-9
+    and entries within 1 + 1e-9) and screens the objective with one
+    matmul.  A matmul sums in another order than the per-pair product,
+    and numpy's ``** 2`` is not Python's, so screens only select rows:
+    every row within 1e-12 relative of the running maximum or of its
+    bound + ``tol`` is recomputed by the per-pair expression (the
+    objective) or by ``five_square_max`` and ``f_eval`` (the region), and
+    only recomputed values are reported.
     """
     if not (1 <= n <= 10**6 and 1 <= n_lambda <= 10**4):
         raise PreconditionError("need 1 to 10^6 samples and 1 to 10^4 weight vectors")
@@ -315,25 +381,36 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     products = lambda_pair_products(lam)
 
     obj_max, obj_arg = -np.inf, None
-    for x, y in pairs:
-        worst = float((products @ peculiar_from(float(x), float(y)).a ** 2).max())
-        if worst > obj_max:
-            obj_max, obj_arg = worst, [float(x), float(y)]
-        if worst > CEILING + tol:
-            violations.append({"kind": "objective", "pair": [float(x), float(y)], "value": worst})
+    limit = CEILING + tol
+    rows = min(_BLOCK_ROWS, max(1, _SCREEN_VALUES // n_lambda))
+    for lo in range(0, n, rows):
+        x, y = pairs[lo : lo + rows].T
+        mag, pick = _peculiar_members(x, y)
+        a = _SIGNS[pick] * mag
+        screen = (a**2 @ products.T).max(axis=1)
+        for r in np.flatnonzero(_near(screen, max(obj_max, screen.max())) | _near(screen, limit)):
+            worst = float((products @ a[r] ** 2).max())
+            if worst > obj_max:
+                obj_max, obj_arg = worst, [float(x[r]), float(y[r])]
+            if worst > limit:
+                violations.append({"kind": "objective", "pair": [float(x[r]), float(y[r])], "value": worst})
 
     # region sweep: five squared coordinates stay below 9/16 and the
     # two-variable bound keeps every weighted total below the ceiling
     omega_pts = sample_omega(np.random.default_rng([seed, 103]), n)
-    fsq_max = max(five_square_max(float(x), float(y)) for x, y in omega_pts)
+    heavy = sum(products[:, _PAIR_POS[p]] for p in HEAVY_PAIRS)
+    fsq_max = total_max = -np.inf
+    for lo in range(0, n, _BLOCK_ROWS):
+        x, y = omega_pts[lo : lo + _BLOCK_ROWS].T
+        k = np.arange(lo, lo + len(x)) % n_lambda
+        screen = np.maximum.reduce(_five_squares(x, y))
+        for r in np.flatnonzero(_near(screen, max(fsq_max, screen.max()))):
+            fsq_max = max(fsq_max, five_square_max(float(x[r]), float(y[r])))
+        screen = _f_value(lam[k], x, y) + heavy[k]
+        for r in np.flatnonzero(_near(screen, max(total_max, screen.max()))):
+            total_max = max(total_max, f_eval(lam[k[r]], float(x[r]), float(y[r])) + float(heavy[k[r]]))
     if fsq_max > NINE_SIXTEENTHS + tol:
         violations.append({"kind": "five_square", "value": fsq_max})
-
-    heavy = sum(products[:, _PAIR_POS[p]] for p in HEAVY_PAIRS)
-    total_max = max(
-        f_eval(lam[k % n_lambda], float(x), float(y)) + float(heavy[k % n_lambda])
-        for k, (x, y) in enumerate(omega_pts)
-    )
     if total_max > CEILING + tol:
         violations.append({"kind": "region_total", "value": float(total_max)})
 
@@ -392,12 +469,15 @@ def five_square_max(x: float, y: float) -> float:
 
     On Omega the value never exceeds 9/16.
     """
-    d = 1.0 - x * y
-    if d == 0.0:
+    if 1.0 - x * y == 0.0:
         raise SingularPoint("undefined where xy = 1")
-    return float(
-        max(x * x, y * y, d * d, ((1.0 - x) / d) ** 2, ((1.0 - y) / d) ** 2)
-    )
+    return float(max(_five_squares(x, y)))
+
+
+def _five_squares(x, y) -> tuple:
+    """The five squares of ``five_square_max``, on floats or elementwise on arrays."""
+    d = 1.0 - x * y
+    return x * x, y * y, d * d, ((1.0 - x) / d) ** 2, ((1.0 - y) / d) ** 2
 
 
 def f_eval(L, x: float, y: float) -> float:
@@ -413,13 +493,18 @@ def f_eval(L, x: float, y: float) -> float:
     lam = _as_lambda(L)
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise PreconditionError("(x, y) must lie in the unit square")
-    d = x * y - 1.0
-    if d == 0.0:
+    if x * y - 1.0 == 0.0:
         raise SingularPoint("f is undefined at (1, 1)")
-    return float(
-        lam[0] * lam[4] * ((y - 1.0) / d) ** 2
-        + lam[0] * lam[3] * ((x - 1.0) / d) ** 2
-        + lam[1] * lam[2] * d * d
-        + lam[1] * lam[4] * y * y
-        + lam[2] * lam[3] * x * x
+    return float(_f_value(lam, x, y))
+
+
+def _f_value(lam: np.ndarray, x, y):
+    """The formula of ``f_eval``, unchecked; elementwise on arrays, weights (..., 6)."""
+    d = x * y - 1.0
+    return (
+        lam[..., 0] * lam[..., 4] * ((y - 1.0) / d) ** 2
+        + lam[..., 0] * lam[..., 3] * ((x - 1.0) / d) ** 2
+        + lam[..., 1] * lam[..., 2] * d * d
+        + lam[..., 1] * lam[..., 4] * y * y
+        + lam[..., 2] * lam[..., 3] * x * x
     )

@@ -218,6 +218,8 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
             fam = fams[f.name]
             if excess[r, c] > fam["max_value"] - f.bound:  # the first strict maximum
                 fam["max_value"], fam["argmax_lambda"] = float(values[r, c]), [float(v) for v in lam[r]]
+            if not (excess[r, c] > tol and len(bad[f.name]) < 100):
+                continue  # no violation in this block, or the family's list is full
             for rr, cc in np.argwhere(excess > tol)[: 100 - len(bad[f.name])]:
                 bad[f.name].append(
                     {

@@ -1,12 +1,17 @@
 """Determinant coordinates of contact frames and the peculiar family."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import REGULAR_TETRA, random_polytope_vertices
 
+from isokit import admissible
 from isokit.admissible import (
+    HEAVY_PAIRS,
     PAIRS,
     AdmissibleSet,
     LambdaVector,
@@ -19,13 +24,17 @@ from isokit.admissible import (
     objective,
     omega_contains,
     parseval_sum,
+    peculiar_forced,
     peculiar_from,
+    peculiar_sweep,
     relation_residuals,
     sample_lambda,
+    sample_omega,
 )
 from isokit.errors import (
     InfeasibleMagnitudes,
     InvariantError,
+    NoSignAssignment,
     PreconditionError,
     SingularPoint,
 )
@@ -178,6 +187,127 @@ def test_peculiar_sign_seed():
     b = peculiar_from(0.8, 0.7, sign_seed=5)
     assert np.allclose(np.abs(a.as_array()), np.abs(b.as_array()), atol=1e-12)
     assert check_relations(b.as_array())
+
+
+def _first_valid_member(x, y):
+    # the exhaustive search: every pattern's full relation_residuals, first hit
+    mag = np.ones(10)
+    mag[PAIRS.index((1, 4))], mag[PAIRS.index((1, 5))] = x, y
+    for pair, m in peculiar_forced(x, y).items():
+        mag[PAIRS.index(pair)] = m
+    cand = admissible._SIGNS * mag
+    return cand[np.flatnonzero(np.max(np.abs(relation_residuals(cand)), axis=1) <= 1e-9)[0]]
+
+
+def test_batched_members_match_peculiar_from():
+    rng = np.random.default_rng(8)
+    pairs = rng.uniform(0.0, 1.0, size=(4000, 2))
+    pairs = pairs[(pairs.sum(axis=1) >= 1.0) & (pairs > 0.0).all(axis=1)][:2000]
+    edge = np.arange(1, 64) / 64.0  # x + y = 1 exactly
+    pairs = np.vstack([pairs, [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5)], np.column_stack([edge, 1.0 - edge])])
+    assert len(pairs) == 2066 and (pairs[-63:].sum(axis=1) == 1.0).all()
+    mag, pick = admissible._peculiar_members(pairs[:, 0], pairs[:, 1])
+    members = admissible._SIGNS[pick] * mag
+    for (x, y), a in zip(pairs, members):
+        assert a.tobytes() == peculiar_from(float(x), float(y)).a.tobytes(), (x, y)
+        assert a.tobytes() == _first_valid_member(float(x), float(y)).tobytes(), (x, y)
+
+
+def test_batched_members_refuse_as_the_per_pair_search():
+    # the first faulty row decides, as when each pair was built alone: an
+    # entry beyond 1 fails AdmissibleSet, a NaN leaves no sign pattern
+    x, y = np.array([0.9, 0.3, np.nan]), np.array([0.9, 0.3, 0.5])
+    with pytest.raises(InvariantError, match="entries must lie in"):
+        admissible._peculiar_members(x, y)
+    with pytest.raises(NoSignAssignment, match=r"\(nan, 0.5\)"):
+        admissible._peculiar_members(x[[0, 2, 1]], y[[0, 2, 1]])
+
+
+@pytest.mark.parametrize(
+    "args, digest, maxima, n_violations",
+    [
+        (
+            (10**4, 100, 0, 1e-9),
+            "1fe3810b909b8184",
+            ("0x1.b57ac10525cc2p+0", "0x1.1f9377db5f504p-1", "0x1.7a12d56e2b2bbp+0"),
+            0,
+        ),
+        (
+            (10**4, 100, 42, 1e-9),
+            "b44f49dca76e560a",
+            ("0x1.b08e12ae7166ap+0", "0x1.1f8e5d6d1f1c2p-1", "0x1.720350fc13f65p+0"),
+            0,
+        ),
+        (
+            (2500, 37, 7, -0.05),
+            "8c8eedad1cd9cd4f",
+            ("0x1.b012b96dbc902p+0", "0x1.1f53096eb0f9cp-1", "0x1.751376318c865p+0"),
+            1,
+        ),
+        (
+            (2500, 37, 7, -0.4),
+            "ad67159c808e89a0",
+            ("0x1.b012b96dbc902p+0", "0x1.1f53096eb0f9cp-1", "0x1.751376318c865p+0"),
+            99,
+        ),
+    ],
+)
+def test_peculiar_sweep_output_is_pinned(args, digest, maxima, n_violations):
+    # reports of the per-pair sweep that preceded the batched one; the
+    # digest covers every maximum, the argmax pair and every violation in
+    # order, the hex strings the three maxima bit for bit
+    out = peculiar_sweep(*args)
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16] == digest
+    assert tuple(float(out[k]).hex() for k in ("objective_max", "five_square_max", "region_total_max")) == maxima
+    assert len(out["violations"]) == n_violations
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_peculiar_sweep_matches_the_per_pair_loop(seed):
+    # the per-pair sweep as the reference: every pair scored alone by its
+    # own matrix-vector product, every region point by the scalar functions
+    n, n_lambda, tol = 1500, 23, -0.35
+    out = peculiar_sweep(n, n_lambda, seed, tol)
+    rng = np.random.default_rng([seed, 101])
+    pairs = np.empty((0, 2))
+    while pairs.shape[0] < n:
+        cand = rng.uniform(0.0, 1.0, size=(2 * n, 2))
+        pairs = np.vstack([pairs, cand[(cand.sum(axis=1) >= 1.0) & (cand > 0.0).all(axis=1)]])
+    lam = np.array([sample_lambda(np.random.default_rng([seed, 102, k])) for k in range(n_lambda)])
+    products = lambda_pair_products(lam)
+    worst = [float((products @ peculiar_from(float(x), float(y)).a ** 2).max()) for x, y in pairs[:n]]
+    k = int(np.argmax(worst))
+    assert (out["objective_max"], out["argmax_pair"]) == (worst[k], pairs[k].tolist())
+    expected = [[float(x), float(y), w] for (x, y), w in zip(pairs[:n], worst) if w > 2.0 + tol]
+    assert [v["pair"] + [v["value"]] for v in out["violations"] if v["kind"] == "objective"] == expected
+    omega = sample_omega(np.random.default_rng([seed, 103]), n)
+    heavy = sum(products[:, PAIRS.index(p)] for p in HEAVY_PAIRS)
+    assert out["five_square_max"] == max(five_square_max(float(x), float(y)) for x, y in omega)
+    totals = (f_eval(lam[j % n_lambda], x, y) + float(heavy[j % n_lambda]) for j, (x, y) in enumerate(omega.tolist()))
+    assert out["region_total_max"] == max(totals)
+
+
+def test_screens_keep_every_row_near_a_level():
+    # a screened value may sit a few ulps off the value it stands for, so
+    # every row within 1e-12 relative of a maximum or bound is recomputed
+    screen = np.array([1.0, 1.0 - 1e-13, 1.0 - 1e-11, 0.5, 0.0])
+    assert admissible._near(screen, 1.0).tolist() == [True, True, False, False, False]
+    assert admissible._near(screen, 1.0 + 1e-13).tolist() == [True, True, False, False, False]
+    assert admissible._near(screen, -0.5).all()
+    assert not admissible._near(screen, np.inf).any()
+
+
+@pytest.mark.parametrize("n, n_lambda", [(1000, 10**4), (10**4, 100)])
+def test_peculiar_sweep_memory_follows_a_block(n, n_lambda):
+    # the per-pair sweep peaked at 3.2 and 1.7 MiB here; blocks not sized
+    # by the weight count (1,024 pairs at 10^4 weight vectors) held 78 MiB
+    tracemalloc.start()
+    try:
+        peculiar_sweep(n, n_lambda, 3, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_omega_membership():

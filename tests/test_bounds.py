@@ -171,6 +171,18 @@ def test_grid_violations_are_the_first_100_in_row_major_order():
                 assert v["value"] == pytest.approx(weighted_sum(lam), abs=1e-12)
 
 
+def test_grid_violations_where_some_blocks_have_none():
+    # at tol -0.32 only some prefix blocks hold a violation; a block is
+    # scanned only when its maximum excess passes tol, and none that holds
+    # one may be skipped (step 0.25 keeps every value exact)
+    grid = [[k / 4 for k in t] for t in _sorted_grid(12)]
+    rep = grid_verify_all(0.25, tol=-0.32)
+    for name, (bound, labels, value, covers) in _SCALAR_FAMILIES.items():
+        want = [(lam, ix) for lam in grid if covers(lam) for ix in labels if value(lam, ix) > bound - 0.32]
+        got = [(v["lambda"], v["indices"]) for v in rep["violations"] if v["family"] == name]
+        assert got == want[:100] and 0 < len(want) < sum(map(covers, grid)) * len(labels), name
+
+
 def test_grid_argmax_is_the_first_maximum_in_row_major_order():
     # at step 0.25 every weight is a multiple of 1/4, so all values are
     # exact and ties between grid points are real ties
