@@ -331,6 +331,29 @@ def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleS
     return AdmissibleSet(_SIGNS[pick] * mag[0])
 
 
+def _accepted_blocks(rng, low: float, accept, n: int, rows: int):
+    """The first n uniform points of [low, 1)^2 that ``accept`` keeps, in
+    blocks of ``rows`` (the last block may be shorter).
+
+    Candidates are drawn ``_BLOCK_ROWS`` at a time.  A generator yields the
+    same stream however it is cut into draws, so the points kept do not
+    depend on the block sizes, and memory holds one draw and one block.
+    """
+    kept = np.empty((0, 2))
+    for lo in range(0, n, rows):
+        want = min(rows, n - lo)
+        while len(kept) < want:
+            cand = rng.uniform(low, 1.0, size=(_BLOCK_ROWS, 2))
+            kept = np.concatenate([kept, cand[accept(cand)]])
+        yield kept[:want]
+        kept = kept[want:]
+
+
+def _feasible(cand: np.ndarray) -> np.ndarray:
+    """Feasible magnitude pairs: x, y in (0, 1], x + y >= 1."""
+    return (cand.sum(axis=1) >= 1.0) & (cand > 0.0).all(axis=1)
+
+
 def _near(screen: np.ndarray, level: float) -> np.ndarray:
     """Rows whose screened value reaches ``level`` less 1e-12 relative.
 
@@ -352,8 +375,9 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     above its bound by more than ``tol`` is listed as a violation.
     Counts above 10^6 samples or 10^4 weight vectors are refused.
 
-    The pairs are taken in blocks of at most ``_SCREEN_VALUES //
-    n_lambda`` rows (and ``_BLOCK_ROWS``), so memory follows a block.
+    The pairs are drawn and taken in blocks of at most ``_SCREEN_VALUES
+    // n_lambda`` rows (and ``_BLOCK_ROWS``), the region points in blocks
+    of ``_BLOCK_ROWS``, so memory follows a block.
     Each block builds its members at once (``_peculiar_members``: every
     pair still needs a sign pattern meeting the relations within 1e-9
     and entries within 1 + 1e-9) and screens the objective with one
@@ -368,23 +392,14 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
         raise PreconditionError("need 1 to 10^6 samples and 1 to 10^4 weight vectors")
     violations = []
 
-    # feasible magnitude pairs: x, y in (0, 1], x + y >= 1
-    rng = np.random.default_rng([seed, 101])
-    pairs = np.empty((0, 2))
-    while pairs.shape[0] < n:
-        cand = rng.uniform(0.0, 1.0, size=(2 * n, 2))
-        cand = cand[(cand.sum(axis=1) >= 1.0) & (cand > 0.0).all(axis=1)]
-        pairs = np.vstack([pairs, cand])
-    pairs = pairs[:n]
-
     lam = np.array([sample_lambda(np.random.default_rng([seed, 102, k])) for k in range(n_lambda)])
     products = lambda_pair_products(lam)
 
     obj_max, obj_arg = -np.inf, None
     limit = CEILING + tol
     rows = min(_BLOCK_ROWS, max(1, _SCREEN_VALUES // n_lambda))
-    for lo in range(0, n, rows):
-        x, y = pairs[lo : lo + rows].T
+    for pairs in _accepted_blocks(np.random.default_rng([seed, 101]), 0.0, _feasible, n, rows):
+        x, y = pairs.T
         mag, pick = _peculiar_members(x, y)
         a = _SIGNS[pick] * mag
         screen = (a**2 @ products.T).max(axis=1)
@@ -397,11 +412,11 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
 
     # region sweep: five squared coordinates stay below 9/16 and the
     # two-variable bound keeps every weighted total below the ceiling
-    omega_pts = sample_omega(np.random.default_rng([seed, 103]), n)
     heavy = sum(products[:, _PAIR_POS[p]] for p in HEAVY_PAIRS)
     fsq_max = total_max = -np.inf
-    for lo in range(0, n, _BLOCK_ROWS):
-        x, y = omega_pts[lo : lo + _BLOCK_ROWS].T
+    omega_pts = _accepted_blocks(np.random.default_rng([seed, 103]), 0.5, _in_omega, n, _BLOCK_ROWS)
+    for lo, pts in zip(range(0, n, _BLOCK_ROWS), omega_pts):
+        x, y = pts.T
         k = np.arange(lo, lo + len(x)) % n_lambda
         screen = np.maximum.reduce(_five_squares(x, y))
         for r in np.flatnonzero(_near(screen, max(fsq_max, screen.max()))):
@@ -421,7 +436,7 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
         "objective_bound": CEILING,
         "objective_max": float(obj_max),
         "argmax_pair": obj_arg,
-        "region_points": int(omega_pts.shape[0]),
+        "region_points": n,
         "five_square_max": float(fsq_max),
         "five_square_bound": NINE_SIXTEENTHS,
         "region_total_max": float(total_max),
@@ -444,13 +459,13 @@ def omega_contains(x: float, y: float) -> bool:
     return inside if np.ndim(inside) else bool(inside)
 
 
+def _in_omega(cand: np.ndarray) -> np.ndarray:
+    return omega_contains(cand[:, 0], cand[:, 1])
+
+
 def sample_omega(rng, n: int) -> np.ndarray:
     """n uniform points of Omega, shape (n, 2), by rejection from [1/2, 1)^2."""
-    pts = np.empty((0, 2))
-    while pts.shape[0] < n:
-        cand = rng.uniform(0.5, 1.0, size=(4 * n, 2))
-        pts = np.vstack([pts, cand[omega_contains(cand[:, 0], cand[:, 1])]])
-    return pts[:n]
+    return np.concatenate([np.empty((0, 2)), *_accepted_blocks(rng, 0.5, _in_omega, n, _BLOCK_ROWS)])
 
 
 def g_map(x: float, y: float):

@@ -6,9 +6,15 @@ Two arithmetic modes are supported and carried by every ``Polytope``:
 * ``"rational"`` -- ``fractions.Fraction`` coordinates with exact sign
   predicates, so volumes and widths admit exact comparisons.
 
-The rational hull is an incremental (beneath-beyond) algorithm with exact
-orientation tests.  Degenerate inputs (coplanar point sets) raise
-``DegenerateInput`` in both modes.
+The rational hull is an incremental (beneath-beyond) algorithm run on
+Python ints.  Each point becomes homogeneous integer coordinates
+(X, Y, Z, w), w the lcm of its own three denominators, and each facet
+stores its integer plane when it is made, so an orientation test is the
+sign of a four-term integer dot product (the cached-plane test of
+Quickhull: Barber, Dobkin & Huhdanpaa 1996).  The seed simplex, the
+vertex filter and the exact volume run on the same integers, so the hull
+does no ``Fraction`` arithmetic.  Degenerate inputs (coplanar point sets)
+raise ``DegenerateInput`` in both modes.
 """
 
 from __future__ import annotations
@@ -50,11 +56,6 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _orient(a, b, c, d):
-    """Signed volume predicate: det(b-a, c-a, d-a)."""
-    return det3(_sub(b, a), _sub(c, a), _sub(d, a))
-
-
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -68,45 +69,102 @@ def _dot(a, b):
 
 
 # ---------------------------------------------------------------------------
-# exact incremental hull
+# exact incremental hull, on homogeneous integer coordinates
 # ---------------------------------------------------------------------------
 
 
-def _initial_simplex(pts):
-    """Pick four affinely independent points, maximizing each predicate."""
-    n = len(pts)
-    i0 = min(range(n), key=lambda i: pts[i])
-    p0 = pts[i0]
-    i1 = max(range(n), key=lambda i: _dot(_sub(pts[i], p0), _sub(pts[i], p0)))
-    if pts[i1] == p0:
+def _homogeneous(p):
+    """Integer homogeneous coordinates (X, Y, Z, w) of an exact point.
+
+    w > 0 is the lcm of the point's own three denominators, so p = (X, Y,
+    Z) / w.  Each point keeps its own w: one common denominator for a
+    whole point set would make every coordinate as long as the lcm of all
+    of them.  Floats enter at their exact binary value.
+    """
+    (x, dx), (y, dy), (z, dz) = (c.as_integer_ratio() for c in p)
+    w = math.lcm(dx, dy, dz)
+    return (x * (w // dx), y * (w // dy), z * (w // dz), w)
+
+
+def _plane(a, b, c):
+    """Integer plane L through the homogeneous points a, b, c.
+
+    L·q = wa wb wc wq · det(b − a, c − a, q − a) in affine terms, so the
+    sign of the four-term dot product ``_side(L, q)`` is the orientation
+    of q against the triangle abc.  The first three entries are the normal
+    (b − a) × (c − a) times wa wb wc; L is zero exactly when a, b and c
+    are collinear (every 3x3 minor of the rows a, b, c vanishes).
+    """
+    ab, bc, ca = _cross(a, b), _cross(b, c), _cross(c, a)
+    wa, wb, wc = a[3], b[3], c[3]
+    return (
+        wc * ab[0] + wa * bc[0] + wb * ca[0],
+        wc * ab[1] + wa * bc[1] + wb * ca[1],
+        wc * ab[2] + wa * bc[2] + wb * ca[2],
+        -_dot(a, bc),
+    )
+
+
+def _side(L, q):
+    return L[0] * q[0] + L[1] * q[1] + L[2] * q[2] + L[3] * q[3]
+
+
+def _argmax_ratio(ratios):
+    """Index of the first largest n/d over (n, d) pairs with d > 0."""
+    best, bn, bd = 0, None, 1
+    for i, (n, d) in enumerate(ratios):
+        if bn is None or n * bd > bn * d:
+            best, bn, bd = i, n, d
+    return best
+
+
+def _initial_simplex(H):
+    """Four affinely independent points of H, each maximizing its predicate.
+
+    H holds homogeneous points in lexicographic order of their affine
+    coordinates, so H[0] is the lexicographic minimum p0.  Then p1 is the
+    first point farthest from p0, p2 the first farthest from the line
+    p0p1 and p3 the first farthest from the plane p0p1p2, all compared as
+    exact ratios.
+    """
+    X0, Y0, Z0, w0 = H[0]
+    # e_i = w0 w_i (p_i − p0), so every predicate below is a ratio over w_i
+    e = [(w0 * X - w * X0, w0 * Y - w * Y0, w0 * Z - w * Z0) for X, Y, Z, w in H]
+    i1 = _argmax_ratio((_dot(d, d), h[3] * h[3]) for d, h in zip(e, H))
+    if e[i1] == (0, 0, 0):
         raise DegenerateInput("all points coincide")
-    e1 = _sub(pts[i1], p0)
-    i2 = max(range(n), key=lambda i: _dot(_cross(e1, _sub(pts[i], p0)), _cross(e1, _sub(pts[i], p0))))
-    if _cross(e1, _sub(pts[i2], p0)) == (0, 0, 0):
+    cross = [_cross(e[i1], d) for d in e]
+    i2 = _argmax_ratio((_dot(c, c), h[3] * h[3]) for c, h in zip(cross, H))
+    if cross[i2] == (0, 0, 0):
         raise NotFullDimensional("points are collinear")
-    i3 = max(range(n), key=lambda i: abs(_orient(p0, pts[i1], pts[i2], pts[i])))
-    if _orient(p0, pts[i1], pts[i2], pts[i3]) == 0:
+    n = cross[i2]
+    i3 = _argmax_ratio((abs(_dot(n, d)), h[3]) for d, h in zip(e, H))
+    if _dot(n, e[i3]) == 0:
         raise NotFullDimensional("points are coplanar")
-    return i0, i1, i2, i3
+    return 0, i1, i2, i3
 
 
-def _hull_exact(pts):
-    """Exact incremental hull of deduplicated Fraction triples.
+def _hull_exact(H):
+    """Exact incremental hull of distinct, sorted homogeneous points.
 
     Returns (vertex_index_list, triangle_list) where triangles are index
-    triples covering the boundary (coplanar facets may appear split).
-    Orientation tests are exact, so points on a facet plane are never
-    treated as outside it.  Horizon edges collinear with the inserted
-    point force the adjacent coplanar facet into the visible region,
-    which keeps every created facet non-degenerate.
+    triples covering the boundary (coplanar facets may appear split),
+    each oriented so that the hull lies on its negative side.  Every
+    facet stores its integer plane once, when it is made, so a point is
+    tested against a facet by the sign of one integer dot product; points
+    on a facet plane are never treated as outside it.  Horizon edges
+    collinear with the inserted point force the adjacent coplanar facet
+    into the visible region, which keeps every created facet
+    non-degenerate.
     """
-    i0, i1, i2, i3 = _initial_simplex(pts)
-    seed = [i0, i1, i2, i3]
-    if _orient(pts[i0], pts[i1], pts[i2], pts[i3]) > 0:
-        seed = [i0, i2, i1, i3]
+    seed = list(_initial_simplex(H))
+    a, b, c, d = seed
+    if _side(_plane(H[a], H[b], H[c]), H[d]) > 0:
+        seed = [a, c, b, d]
     a, b, c, d = seed
     # each facet oriented so the fourth seed point is on the negative side
     facets = {0: (a, b, c), 1: (a, c, d), 2: (a, d, b), 3: (b, d, c)}
+    planes = {fid: _plane(H[x], H[y], H[z]) for fid, (x, y, z) in facets.items()}
     next_id = 4
     edge_owner = {}
     for fid, tri in facets.items():
@@ -115,15 +173,11 @@ def _hull_exact(pts):
         edge_owner[(y, z)] = fid
         edge_owner[(z, x)] = fid
 
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
-    for ip in order:
+    for ip, p in enumerate(H):
         if ip in seed:
             continue
-        p = pts[ip]
-        visible = set()
-        for fid, (x, y, z) in facets.items():
-            if _orient(pts[x], pts[y], pts[z], p) > 0:
-                visible.add(fid)
+        X, Y, Z, W = p
+        visible = {fid for fid, (lx, ly, lz, lw) in planes.items() if lx * X + ly * Y + lz * Z + lw * W > 0}
         if not visible:
             continue  # inside or on the boundary: not extreme
 
@@ -134,88 +188,77 @@ def _hull_exact(pts):
                 for u, v in ((x, y), (y, z), (z, x)):
                     nb = edge_owner[(v, u)]
                     if nb not in visible:
-                        horizon.append((u, v, nb))
-            bad = [
-                (u, v, nb)
-                for u, v, nb in horizon
-                if _cross(_sub(pts[v], pts[u]), _sub(p, pts[u])) == (0, 0, 0)
-            ]
-            if not bad:
-                break
+                        horizon.append((u, v, nb, _plane(H[u], H[v], p)))
             # the neighbour across a collinear horizon edge is coplanar
             # with p; absorb it so no zero-area facet gets created
-            for _, _, nb in bad:
-                visible.add(nb)
+            bad = [nb for _, _, nb, L in horizon if not any(L)]
+            if not bad:
+                break
+            visible.update(bad)
             if len(visible) == len(facets):
                 raise DegenerateInput("hull insertion saw every facet")
 
         for fid in visible:
             x, y, z = facets.pop(fid)
+            del planes[fid]
             for u, v in ((x, y), (y, z), (z, x)):
                 del edge_owner[(u, v)]
-        for u, v, _ in horizon:
+        for u, v, _, L in horizon:
             fid = next_id
             next_id += 1
             facets[fid] = (u, v, ip)
+            planes[fid] = L
             edge_owner[(u, v)] = fid
             edge_owner[(v, ip)] = fid
             edge_owner[(ip, u)] = fid
 
-    tris = list(facets.values())
-    verts = _extreme_vertices(pts, tris)
-    return verts, tris
+    verts = _extreme_vertices(facets, planes)
+    return verts, list(facets.values())
 
 
-def _canonical_plane(n):
-    """Scale an exact normal vector so collinear normals compare equal."""
-    for comp in n:
-        if comp != 0:
-            return (n[0] / comp, n[1] / comp, n[2] / comp)
-    raise DegenerateInput("zero normal")
+def _canonical_normal(L):
+    """A facet plane's outward normal, gcd-reduced, so the triangles of
+    one split facet compare equal."""
+    g = math.gcd(L[0], L[1], L[2])
+    if g == 0:
+        raise DegenerateInput("zero normal")
+    return (L[0] // g, L[1] // g, L[2] // g)
 
 
 def _rank3(rows):
-    """Exact rank of a list of length-3 exact rows (at most 3)."""
+    """Exact rank (at most 3) of integer rows of length 3, by fraction-free
+    elimination."""
     m = [list(r) for r in rows]
     rank = 0
     for col in range(3):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
         for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / m[rank][col]
-                for cc in range(col, 3):
-                    m[r][cc] -= f * m[rank][cc]
+            f = m[r][col]
+            if f != 0:
+                m[r] = [x * top[col] - t * f for x, t in zip(m[r], top)]
         rank += 1
         if rank == 3:
             break
     return rank
 
 
-def _extreme_vertices(pts, tris):
-    """Filter triangle corners down to true hull vertices.
+def _extreme_vertices(facets, planes):
+    """Filter triangle corners down to true hull vertices, in index order.
 
     Insertion order can strand a point mid-edge or mid-face of the final
     hull; such a corner is incident to at most two distinct facet planes,
     while a genuine vertex is incident to planes of full rank 3.
     """
     incident = {}
-    for x, y, z in tris:
-        n = _cross(_sub(pts[y], pts[x]), _sub(pts[z], pts[x]))
-        plane = _canonical_plane(n)
-        for idx in (x, y, z):
-            incident.setdefault(idx, set()).add(plane)
-    out = []
-    for idx, planes in incident.items():
-        if len(planes) >= 3 and _rank3(sorted(planes)) == 3:
-            out.append(idx)
-    return sorted(out, key=lambda i: pts[i])
+    for fid, corners in facets.items():
+        normal = _canonical_normal(planes[fid])
+        for idx in corners:
+            incident.setdefault(idx, set()).add(normal)
+    return sorted(idx for idx, normals in incident.items() if len(normals) >= 3 and _rank3(normals) == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +287,16 @@ class Polytope:
         if len(pts) < 4:
             raise DegenerateInput("need at least 4 distinct points")
         if mode == "rational":
-            vidx, tris = _hull_exact(pts)
+            corners = [_homogeneous(p) for p in pts]
+            vidx, tris = _hull_exact(corners)
         else:
+            corners = pts
             vidx, tris = _hull_float(pts)
         self.mode = mode
         self.vertices = [pts[i] for i in vidx]
-        self._tris = [(pts[a], pts[b], pts[c]) for a, b, c in tris]
+        # boundary triangles; in rational mode their corners are
+        # homogeneous integers and each is oriented outward
+        self._tris = [(corners[a], corners[b], corners[c]) for a, b, c in tris]
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
@@ -290,20 +337,18 @@ def convex_hull(points, mode: str = "float") -> Polytope:
 
 
 def volume(P: Polytope):
-    """Volume by fan triangulation from the vertex centroid.
+    """Volume of P: exact (a Fraction) in rational mode, float otherwise.
 
-    Exact (a Fraction) in rational mode, float otherwise.
+    The rational hull orients every boundary triangle outward, so the
+    signed cones from the origin add up to the volume: sum det(a, b, c) / 6
+    over the triangles, on integers over one common denominator.  Qhull's
+    triangles carry no orientation, so the float volume fans them from the
+    vertex centroid.
     """
-    n = len(P.vertices)
     if P.mode == "rational":
-        cx = sum(v[0] for v in P.vertices) / n
-        cy = sum(v[1] for v in P.vertices) / n
-        cz = sum(v[2] for v in P.vertices) / n
-        c = (cx, cy, cz)
-        total = Fraction(0)
-        for a, b, d in P._tris:
-            total += abs(det3(_sub(a, c), _sub(b, c), _sub(d, c)))
-        return total / 6
+        common = math.lcm(*{h[3] for tri in P._tris for h in tri}) ** 3
+        total = sum(det3(a, b, c) * (common // (a[3] * b[3] * c[3])) for a, b, c in P._tris)
+        return Fraction(total, 6 * common)
     c = tuple(float(x) for x in np.mean(P.as_array(), axis=0))
     total = 0.0
     for a, b, d in P._tris:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SingularLattice
-from .geom import Polytope, _initial_simplex, _sub, volume
+from .geom import Polytope, _homogeneous, _initial_simplex, _sub, volume
 
 __all__ = [
     "LatticeDirection",
@@ -104,11 +104,11 @@ def _integer_vertices(P: Polytope) -> list:
 
     Scaling by a positive constant scales every width by it, so the search
     compares plain integers.  Float coordinates enter at their exact binary
-    value, Fraction(x).
+    value.
     """
-    verts = [tuple(Fraction(c) for c in v) for v in P.vertices]
-    scale = math.lcm(*(c.denominator for v in verts for c in v))
-    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in verts]
+    H = [_homogeneous(v) for v in P.vertices]
+    scale = math.lcm(*(w for *_, w in H))
+    return [(x * (scale // w), y * (scale // w), z * (scale // w)) for x, y, z, w in H]
 
 
 def _reduced(coef, g):
@@ -167,7 +167,7 @@ def lattice_width(P: Polytope) -> WidthResult:
     Every comparison is exact, in both modes.
     """
     V = _integer_vertices(P)
-    S = [V[i] for i in _initial_simplex(V)]
+    S = [V[i] for i in _initial_simplex([v + (1,) for v in V])]
     edges = [_sub(S[i], S[j]) for i in range(4) for j in range(i)]
     planes_abc = {(d, 1) for d in edges} | {(tuple(-x for x in d), 1) for d in edges}
     planes_ab = _eliminate(planes_abc, 2)

@@ -46,6 +46,46 @@ FLAT_SLAB = [
     (0.0, 0.0, -0.01),
 ]
 
+# The lattice benchmark's body shapes, unshifted: pairs (K, UK) of the
+# extremal simplex and of seeded integer bodies of 8, 12, 20 and 30 points,
+# UK a unimodular shear of K.  Coordinates are ints or exact "p/q" strings.
+LATTICE_CATALOGUE = [
+    [[0, 0, 0], [1, "1/2", "1/2"], ["1/2", 1, "1/2"], ["1/2", "1/2", 1]],
+    [[0, 0, 0], [1, "-1/2", 2], ["1/2", "1/2", 2], ["1/2", 0, 2]],
+    [[3, 2, 2], [1, 1, 0], [0, 0, 0], [3, 2, 3], [2, 2, 3], [2, 2, 2], [2, 3, 1], [3, 2, 0]],
+    [[3, -1, 0], [1, 0, 0], [0, 0, 0], [3, -1, 1], [2, 0, 3], [2, 0, 2], [2, 1, 3], [3, -1, -2]],
+    [
+        [1, 4, 2], [0, 3, 3], [4, 0, 0], [4, 0, 2], [0, 1, 2], [2, 2, 0], [0, 0, 0], [3, 2, 3], [1, 3, 3],
+        [1, 2, 4], [4, 4, 1], [3, 4, 3],
+    ],
+    [
+        [1, 5, 8], [0, 3, 9], [4, 4, -8], [4, 4, -6], [0, 1, 4], [2, 4, 0], [0, 0, 0], [3, 5, 1], [1, 4, 7],
+        [1, 3, 6], [4, 8, 1], [3, 7, 5],
+    ],
+    [
+        [5, 4, 4], [2, 5, 0], [3, 4, 5], [3, 2, 1], [2, 2, 4], [5, 0, 5], [3, 2, 4], [3, 1, 1], [4, 3, 3],
+        [2, 4, 2], [1, 5, 1], [1, 4, 3], [0, 0, 2], [4, 2, 4], [1, 1, 4], [5, 0, 0], [4, 2, 3], [0, 5, 2],
+        [5, 4, 4], [1, 4, 0],
+    ],
+    [
+        [5, 9, -2], [2, 7, 1], [3, 7, 3], [3, 5, -3], [2, 4, 2], [5, 5, -5], [3, 5, 0], [3, 4, -4],
+        [4, 7, -2], [2, 6, 2], [1, 6, 4], [1, 5, 5], [0, 0, 2], [4, 6, -2], [1, 2, 3], [5, 5, -10],
+        [4, 6, -3], [0, 5, 7], [5, 9, -2], [1, 5, 2],
+    ],
+    [
+        [3, 2, 6], [1, 6, 0], [4, 4, 6], [2, 6, 4], [6, 1, 5], [6, 0, 2], [4, 0, 3], [4, 5, 6], [2, 3, 3],
+        [6, 1, 3], [0, 2, 6], [4, 2, 6], [4, 6, 0], [3, 5, 5], [2, 3, 2], [3, 1, 5], [0, 2, 1], [5, 5, 4],
+        [6, 6, 1], [0, 0, 5], [6, 6, 4], [6, 6, 0], [0, 6, 0], [6, 5, 6], [2, 1, 3], [6, 2, 6], [2, 5, 1],
+        [3, 2, 1], [6, 5, 0], [6, 6, 1],
+    ],
+    [
+        [3, 5, 4], [1, 7, 10], [4, 8, 6], [2, 8, 12], [6, 7, -5], [6, 6, -10], [4, 4, -5], [4, 9, 8],
+        [2, 5, 5], [6, 7, -7], [0, 2, 10], [4, 6, 2], [4, 10, 4], [3, 8, 9], [2, 5, 4], [3, 4, 1], [0, 2, 5],
+        [5, 10, 4], [6, 12, 1], [0, 0, 5], [6, 12, 4], [6, 12, 0], [0, 6, 12], [6, 11, 4], [2, 3, 1],
+        [6, 8, -2], [2, 7, 7], [3, 5, -1], [6, 11, -2], [6, 12, 1],
+    ],
+]
+
 
 def random_lattice_polytope(rng, lo=0, hi=3, n_max=10):
     """Full-dimensional rational-mode polytope with integer vertices."""

@@ -297,10 +297,13 @@ def test_screens_keep_every_row_near_a_level():
     assert not admissible._near(screen, np.inf).any()
 
 
-@pytest.mark.parametrize("n, n_lambda", [(1000, 10**4), (10**4, 100)])
+@pytest.mark.parametrize("n, n_lambda", [(1000, 10**4), (10**4, 100), (2 * 10**5, 100)])
 def test_peculiar_sweep_memory_follows_a_block(n, n_lambda):
     # the per-pair sweep peaked at 3.2 and 1.7 MiB here; blocks not sized
-    # by the weight count (1,024 pairs at 10^4 weight vectors) held 78 MiB
+    # by the weight count (1,024 pairs at 10^4 weight vectors) held 78 MiB.
+    # Candidates drawn 2n and 4n rows at a time, all n pairs and points
+    # held at once, peaked at 37 MiB at 2 * 10^5 pairs; drawn per block,
+    # the sweep peaks at 3.7 MiB there as at 10^4
     tracemalloc.start()
     try:
         peculiar_sweep(n, n_lambda, 3, 1e-9)

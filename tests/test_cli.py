@@ -1,15 +1,18 @@
 """End-to-end CLI checks run through a real subprocess."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from conftest import REGULAR_TETRA, UNIT_CUBE
+from conftest import LATTICE_CATALOGUE, REGULAR_TETRA, UNIT_CUBE
 
 SQRT2_12 = math.sqrt(2.0) / 12.0
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def run_cli(*argv, cwd=None):
@@ -86,6 +89,43 @@ def test_width_shrunk_cube(files):
     assert out["omega"] == "9/10"  # decimals read at face value in rational mode
     assert out["nonseparable"] is False
     assert out["holds"] is True
+
+
+# SHA-256 of `isokit width --mode MODE` stdout on the LATTICE_CATALOGUE shapes
+# and the demo bodies (float mode where the width is not within 1e-9 of 1)
+WIDTH_STDOUT_SHA256 = [
+    ("catalogue-0", "rational", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
+    ("catalogue-1", "rational", "db926d474e6c65008a3306b80a5630ceb0425989a9fa3f25b5c559908e0690e9"),
+    ("catalogue-2", "rational", "f70be059b12416536efb690eeda4f10b7fb294c63067437369089f5f83bd37a8"),
+    ("catalogue-3", "rational", "096c4ebde636538892dec983c272628b9167c924da5f3f82414f5cff6c524d7c"),
+    ("catalogue-4", "rational", "42893463a27ae7556f3e688ba0e6a62648b0e71dcc6f35e6545dae82f5093dd4"),
+    ("catalogue-5", "rational", "375c5ea342d6805fcf187dc361ed2a3a360b531f2f27c57831ae654ec5c88e6b"),
+    ("catalogue-6", "rational", "696bd0b66fa7423447b919a92375a8063e18ed9e6a2ff12ebf9cf13db915f482"),
+    ("catalogue-7", "rational", "568372266386dbba0ef0f0c4ebe209c871e27f46b9b2501d7831cb93237bb28f"),
+    ("catalogue-8", "rational", "4bd8b84ceeced0caa2047f467ee6641b7bde08fe5deaa4047d68c72f8c6cbdfa"),
+    ("catalogue-9", "rational", "6e614ba114148615bbb7980b8f3e3632f1778d887f67c454076172bb5cf69ce9"),
+    ("cube", "rational", "a5572ac0dca92be1b824dd9c0655c84f5ef8bc68965e3374c4d3ce42fd958b6b"),
+    ("extremal_simplex", "rational", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
+    ("flat_slab", "rational", "2ec6370518c7c1788af43aea6217665fdb1ea4fe41c322941b4a970d00442744"),
+    ("flat_slab", "float", "8c8ac4476645e09ef20253f5424c7218ce84631e62c988d8ee5a911dcb915ecd"),
+    ("random_12", "rational", "3f95a21cce6bec1ba57d21dce0198ec7866977118aacf9af6c36246dc885415d"),
+    ("random_12", "float", "70dcc8d0f438a83c232605f61abd5fb1b22e8d6066081a4216b554cf67ee200d"),
+    ("tetrahedron", "rational", "2b083c6b7b390d0e23e16fbed5a9d6a5dd25f922bb71afb11620999483a38256"),
+    ("tetrahedron", "float", "890eec9e36d97c6b35481d6c8e98242c603caa97b8879cc101ea55e7dbc707e3"),
+]
+
+
+@pytest.mark.parametrize("body, mode, digest", WIDTH_STDOUT_SHA256)
+def test_width_output_is_pinned(tmp_path, capsys, body, mode, digest):
+    from isokit import cli
+
+    if body.startswith("catalogue-"):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"vertices": LATTICE_CATALOGUE[int(body[10:])]}))
+    else:
+        path = DEMO_DATA / f"{body}.json"
+    assert cli.main(["width", "--mode", mode, str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_degenerate_input_exits_2(files):

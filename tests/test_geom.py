@@ -1,5 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from scipy.spatial import ConvexHull
 from isokit.errors import DegenerateInput, NotFullDimensional, PreconditionError
 from isokit.geom import (
     Polytope,
+    _homogeneous,
+    _initial_simplex,
     convex_hull,
     det3,
     diameter,
@@ -18,8 +23,16 @@ from isokit.geom import (
     simplex_volume_lower_bound,
     volume,
 )
+from isokit.lattice import LatticeBasis
 
-from conftest import EXTREMAL_SIMPLEX, REGULAR_TETRA, UNIT_CUBE, random_polytope_vertices, random_rotation
+from conftest import (
+    EXTREMAL_SIMPLEX,
+    LATTICE_CATALOGUE,
+    REGULAR_TETRA,
+    UNIT_CUBE,
+    random_polytope_vertices,
+    random_rotation,
+)
 
 
 def in_convex_hull_lp(point, others):
@@ -92,6 +105,155 @@ def test_hull_degenerate_inputs():
         convex_hull([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], mode="rational")
     with pytest.raises(DegenerateInput):
         convex_hull([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], mode="rational")
+
+
+# -- exact hull against a brute-force oracle ----------------------------------
+
+
+def _sub3(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def brute_force_hull(points):
+    """(sorted vertices, volume) of conv(points), in Fractions, without the hull code.
+
+    Every point triple whose plane leaves all points on one side spans a
+    facet plane.  A point is a vertex exactly when the normals of the facet
+    planes through it have rank 3.  The volume adds up, over the facets,
+    the cones from the vertex centroid over the facet polygon, fanned from
+    its lexicographically least vertex in angular order.
+    """
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    facets = {}  # (outward normal, offset), scaled by the first nonzero |entry| -> points on it
+    for a, b, c in itertools.combinations(pts, 3):
+        n = _cross3(_sub3(b, a), _sub3(c, a))
+        if n == (0, 0, 0):
+            continue
+        side = [_dot3(n, _sub3(p, a)) for p in pts]
+        if min(side) < 0 < max(side):
+            continue
+        if max(side) > 0:
+            n = tuple(-x for x in n)
+        s = abs(next(x for x in n if x != 0))
+        n = tuple(x / s for x in n)
+        facets[(n, _dot3(n, a))] = [p for p, t in zip(pts, side) if t == 0]
+    vertices = [
+        p
+        for p in pts
+        if any(
+            _dot3(u, _cross3(v, w)) != 0
+            for u, v, w in itertools.combinations([n for (n, _), on in facets.items() if p in on], 3)
+        )
+    ]
+    centroid = tuple(sum(v[k] for v in vertices) / len(vertices) for k in range(3))
+    total = Fraction(0)
+    for (n, _), on in facets.items():
+        poly = [p for p in on if p in vertices]
+        v0, rest = poly[0], poly[1:]
+        rest.sort(key=cmp_to_key(lambda p, q: -_dot3(n, _cross3(_sub3(p, v0), _sub3(q, v0)))))
+        for p, q in zip(rest, rest[1:]):
+            total += abs(_dot3(_sub3(v0, centroid), _cross3(_sub3(p, centroid), _sub3(q, centroid))))
+    return vertices, total / 6
+
+
+def _rational_body(rng, n, denominators):
+    """n points with coordinates p/q, q drawn without repeats from ``denominators``."""
+    q = rng.choice(denominators, size=(n, 3), replace=False)
+    return [tuple(Fraction(int(rng.integers(-3 * d, 3 * d + 1)), int(d)) for d in row) for row in q]
+
+
+def distinct_denominators(rng):
+    pts = _rational_body(rng, 14, np.arange(2, 200))
+    return pts, Polytope(pts, mode="rational")
+
+
+def integers_and_fractions(rng):
+    pts = [tuple(int(c) for c in rng.integers(-3, 4, size=3)) for _ in range(7)]
+    pts += _rational_body(rng, 7, np.arange(2, 60))
+    return pts, Polytope(pts, mode="rational")
+
+
+def cube_with_edge_and_face_points(rng):
+    # [0, 2]^3 with points mid-edge, mid-face, elsewhere on a face and inside
+    pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    pts += [(1, 0, 0), (2, 1, 0), (0, 0, 1), (1, 2, 2), (1, 1, 0), (2, 1, 1), (Fraction(1, 3), 2, Fraction(1, 2))]
+    pts += [(1, 1, 1)]
+    return pts, Polytope(pts, mode="rational")
+
+
+def lattice_basis_image(rng):
+    # transform maps B y back to y
+    basis = LatticeBasis([[1, 1, 0], [0, 1, 1], [1, 0, 3]])
+    ys = _rational_body(rng, 9, np.arange(2, 40))
+    return ys, basis.transform(Polytope([tuple(_dot3(row, y) for row in basis.rows) for y in ys], mode="rational"))
+
+
+def rational_difference_body(rng):
+    K = Polytope(_rational_body(rng, 5, np.arange(2, 30)), mode="rational")
+    return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_body(K)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        distinct_denominators,
+        integers_and_fractions,
+        cube_with_edge_and_face_points,
+        lattice_basis_image,
+        rational_difference_body,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_exact_hull_matches_brute_force_oracle(case):
+    points, P = case(np.random.default_rng(2024))
+    vertices, vol = brute_force_hull(points)
+    assert P.vertices == vertices
+    assert volume(P) == vol
+
+
+def _first_simplex_reference(pts):
+    """The seed simplex in Fractions: p0 the least point, then the first
+    point farthest from p0, from the line p0p1 and from the plane p0p1p2."""
+    i0 = min(range(len(pts)), key=lambda i: pts[i])
+    e = [_sub3(p, pts[i0]) for p in pts]
+    i1 = max(range(len(pts)), key=lambda i: _dot3(e[i], e[i]))
+    c = [_cross3(e[i1], d) for d in e]
+    i2 = max(range(len(pts)), key=lambda i: _dot3(c[i], c[i]))
+    i3 = max(range(len(pts)), key=lambda i: abs(_dot3(c[i2], e[i])))
+    return i0, i1, i2, i3
+
+
+def test_initial_simplex_takes_the_first_maximizer():
+    # lattice_width prunes with the edges of this simplex, so its choice
+    # among tied points must stay the one the Fraction predicates made
+    rng = np.random.default_rng(5)
+    grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    bodies = [grid, grid[1:], UNIT_CUBE, EXTREMAL_SIMPLEX] + LATTICE_CATALOGUE
+    for _ in range(20):  # coordinates k/2 with |k| <= 2: many ties
+        bodies.append([[Fraction(int(k), 2) for k in rng.integers(-2, 3, 3)] for _ in range(12)])
+    for body in bodies:
+        pts = sorted({tuple(Fraction(c) for c in p) for p in body})
+        assert _initial_simplex([_homogeneous(p) for p in pts]) == _first_simplex_reference(pts)
+
+
+def test_exact_hull_of_distinct_six_digit_denominators_in_budget():
+    # 1,200 distinct six-digit denominators: a denominator common to all
+    # points would be some 24,000 bits long and every predicate with it
+    pts = _rational_body(np.random.default_rng(400), 400, np.arange(100_000, 1_000_000))
+    t0 = perf_counter()
+    P = Polytope(pts, mode="rational")
+    vol = volume(P)
+    dt = perf_counter() - t0
+    assert vol > 0 and set(P.vertices) <= set(pts)
+    assert dt < 5.0, f"exact hull of 400 points took {dt:.1f}s (budget 5s)"
 
 
 # -- volume ------------------------------------------------------------------

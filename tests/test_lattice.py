@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import EXTREMAL_SIMPLEX, random_lattice_polytope
+from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, random_lattice_polytope
 
 from isokit.errors import PreconditionError, SingularLattice
 from isokit.geom import Polytope, difference_body
@@ -199,3 +199,10 @@ def test_lattice_width_builds_no_hull(rng, monkeypatch):
     assert isinstance(res.value, float)
     assert (res.value, res.direction) == (float(expected.value), expected.direction)
     assert lattice_width(img).value == Fraction(7, 13)
+
+
+def test_catalogue_search_effort_is_pinned():
+    # the search prunes with the slabs of the vertex simplex that
+    # _initial_simplex picks, so its count of checked directions pins that pick
+    bodies = [Polytope([[Fraction(c) for c in v] for v in body], mode="rational") for body in LATTICE_CATALOGUE]
+    assert [lattice_width(P).checked for P in bodies] == [9, 9, 5, 1, 5, 5, 3, 3, 4, 3]
