@@ -11,14 +11,20 @@ and concern the ten products lam_i lam_j with 1 <= i < j <= 5:
 ``grid_verify_all`` sweeps every index instance of the four bounds over a
 regular simplex grid of step 3/n, restricted to nondecreasing weight
 tuples (each family is evaluated in all index permutations, so the
-sorted grid covers the full one).  It streams the grid one block per
-prefix (k1, k2): memory grows as n^3 while the grid grows as n^5, so the
-finest step, 0.01, runs in about 300 MB.
+sorted grid covers the full one).  The verdict is exact: at lam = 3k/n
+every instance is 9/(5 n^2) times an integer combination of the products
+k_i k_j, which one matrix product per block computes without rounding,
+so maxima, ties and violations are decided in integers and each reported
+value is rounded once.  It streams the grid one block per prefix
+(k1, k2): memory grows as n^3 while the grid grows as n^5, so the finest
+step, 0.01, runs in about 210 MB.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import math
+from fractions import Fraction
+from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -141,16 +147,20 @@ def _grid_blocks(n: int):
             yield k1, np.column_stack([np.full_like(k3, k1), np.full_like(k3, k2), k3, k4, k5, r - k3 - k4 - k5])
 
 
-def _weighted_patterns():
-    """The 3/5 pattern under every relabeling of 1..5, in order of first appearance.
+def _weighted_patterns() -> list:
+    """The heavy pairs of the 3/5 pattern under every relabeling of 1..5, in order of first appearance.
 
     HEAVY_PAIRS forms a 5-cycle, so exactly 12 distinct patterns exist.
     """
     relabeled = (frozenset(frozenset((p[i - 1], p[j - 1])) for i, j in HEAVY_PAIRS) for p in permutations(range(1, 6)))
-    cycles = dict.fromkeys(relabeled)
-    coeff = np.full((len(cycles), 10), 0.6)
-    for row, heavy in zip(coeff, cycles):
-        row[[_pair_pos(*pair) for pair in heavy]] = 1.0
+    return list(dict.fromkeys(relabeled))
+
+
+def _coefficients(instances, base: int, pick: int) -> np.ndarray:
+    """One PAIRS row per instance: ``pick`` on the instance's pairs, ``base`` on the rest."""
+    coeff = np.full((len(instances), 10), base)
+    for row, pairs in zip(coeff, instances):
+        row[[_pair_pos(*pair) for pair in pairs]] = pick
     return coeff
 
 
@@ -158,26 +168,31 @@ class _Family(NamedTuple):
     """One bound over its index instances on the grid."""
 
     name: str
-    bound: float
+    bound: Fraction
     labels: list
-    drop: np.ndarray | None  # PAIRS columns each instance takes off the full sum; None: the 3/5 patterns
+    coeff: np.ndarray  # instances x PAIRS: five times the weight of each product in the instance's sum
     zero_first: bool = False  # defined only where lam_1 = 0
-
-
-def _drop(instances) -> np.ndarray:
-    return np.array([[_pair_pos(*pair) for pair in pairs] for pairs in instances])
 
 
 _DISJOINT = [(kl, mn) for kl, mn in combinations(combinations(range(1, 6), 2), 2) if not set(kl) & set(mn)]
 _TRIPLES = list(combinations(range(1, 6), 3))
 _ZERO = list(combinations(range(2, 6), 2))
 _FAMILIES = (
-    _Family("pair_drop", PAIR_DROP_BOUND, _DISJOINT, _drop(_DISJOINT)),
-    _Family("triple_drop", TRIPLE_DROP_BOUND, _TRIPLES, _drop([((k, l), (l, m), (k, m)) for k, l, m in _TRIPLES])),
-    _Family("zero_lambda", ZERO_DROP_BOUND, _ZERO, _drop([(kl,) for kl in _ZERO]), zero_first=True),
-    _Family("weighted", WEIGHTED_BOUND, [f"pattern_{i}" for i in range(12)], None),
+    # the drop families keep a pair at weight 5 and drop it at 0; the 3/5
+    # patterns weigh a heavy pair 5 and a light one 3
+    _Family("pair_drop", Fraction(2), _DISJOINT, _coefficients(_DISJOINT, 5, 0)),
+    _Family("triple_drop", Fraction(9, 5), _TRIPLES, _coefficients([combinations(t, 2) for t in _TRIPLES], 5, 0)),
+    _Family("zero_lambda", Fraction(9, 5), _ZERO, _coefficients([(kl,) for kl in _ZERO], 5, 0), zero_first=True),
+    _Family("weighted", Fraction(2), [f"pattern_{i}" for i in range(12)], _coefficients(_weighted_patterns(), 3, 5)),
 )
-_PATTERNS = _weighted_patterns()
+#: all 43 instances in family order, and each family's rows among them
+_COEFF = np.vstack([f.coeff for f in _FAMILIES]).astype(float)
+_ROWS = [slice(end - len(f.labels), end) for f, end in zip(_FAMILIES, accumulate(len(f.labels) for f in _FAMILIES))]
+_FIRST, _SECOND = (np.array(ix) - 1 for ix in zip(*PAIRS))
+
+
+def _grid_lambda(k, n: int) -> list:
+    return [3.0 * int(v) / n for v in k]
 
 
 def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
@@ -188,56 +203,68 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
     ``tol`` of each family (row-major over grid points and instances),
     and the worst signed slack ``max_value = max(value - bound)`` with
     its weight vector.  The grid is visited one prefix block at a time.
+
+    The verdict is exact.  At the grid point lam = 3 k / n an instance's
+    value is 9 V / (5 n^2), where V sums the integer products k_i k_j with
+    the integer weights of ``_Family.coeff``; V is computed exactly, every
+    comparison is made in integers, and each reported value is rounded once.
     """
     if not (0.01 <= step <= 0.5):
         raise PreconditionError("step must lie in [0.01, 0.5]")
+    if not math.isfinite(tol):
+        raise PreconditionError("tol must be finite")
     n = round(3.0 / step)  # effective step is 3/n
+    scale = 5 * n * n  # value = 9 V / scale
+    # value > bound + tol  <=>  9 V > scale (bound + tol)  <=>  V > limit, for V >= 0
+    limits = [max(-1, math.floor(scale * (f.bound + Fraction(tol)) / 9)) for f in _FAMILIES]
+    top = [-1] * len(_FAMILIES)  # each family's largest V so far
+    argmax = [None] * len(_FAMILIES)
+    bad = [[] for _ in _FAMILIES]
     n_points = 0
-    fams = {
-        f.name: {"bound": f.bound, "max_value": -np.inf, "argmax_lambda": None, "instances": len(f.labels)}
-        for f in _FAMILIES
-    }
-    bad = {f.name: [] for f in _FAMILIES}
 
     for k1, K in _grid_blocks(n):
-        lam = 3.0 * K / n
-        n_points += len(lam)
-        # ten pairwise products per grid point, PAIRS order over indices 1..5
-        P = lambda_pair_products(lam)
-        S = P.sum(axis=1)
-        for f in _FAMILIES:
-            if f.zero_first and k1:
+        n_points += len(K)
+        Kt = np.ascontiguousarray(K.T, dtype=float)
+        # V is a sum of nonnegative integer terms no larger than 5 sum_{i<j<=5} k_i k_j
+        # <= 5 n^2 / 2 <= 225,000 (n <= 300): every partial sum is an integer
+        # below 2^53, so any BLAS summation order gives V exactly
+        V = _COEFF @ (Kt[_FIRST] * Kt[_SECOND])
+        for f, (fam, rows, limit) in enumerate(zip(_FAMILIES, _ROWS, limits)):
+            if fam.zero_first and k1:
                 continue
-            if f.drop is not None:
-                values = S[:, None] - P[:, f.drop].sum(-1)
-            else:  # numpy sends a one-row product to gemv, which sums in another
-                # order than gemm; one extra row keeps every block on gemm
-                values = (np.vstack([P, P[:1]]) @ _PATTERNS.T)[:-1]
-            excess = values - f.bound
-            r, c = np.unravel_index(np.argmax(excess), excess.shape)
-            fam = fams[f.name]
-            if excess[r, c] > fam["max_value"] - f.bound:  # the first strict maximum
-                fam["max_value"], fam["argmax_lambda"] = float(values[r, c]), [float(v) for v in lam[r]]
-            if not (excess[r, c] > tol and len(bad[f.name]) < 100):
+            Vf = V[rows]
+            m = int(Vf.max())
+            if m > top[f]:  # the first strict maximum in row-major order
+                top[f], argmax[f] = m, _grid_lambda(K[Vf.max(axis=0).argmax()], n)
+            if m <= limit or len(bad[f]) == 100:
                 continue  # no violation in this block, or the family's list is full
-            for rr, cc in np.argwhere(excess > tol)[: 100 - len(bad[f.name])]:
-                bad[f.name].append(
+            for r, c in np.argwhere(Vf.T > limit)[: 100 - len(bad[f])]:
+                bad[f].append(
                     {
-                        "family": f.name,
-                        "lambda": [float(v) for v in lam[rr]],
-                        "indices": f.labels[cc],
-                        "value": float(values[rr, cc]),
-                        "bound": f.bound,
+                        "family": fam.name,
+                        "lambda": _grid_lambda(K[r], n),
+                        "indices": fam.labels[c],
+                        "value": float(Fraction(9 * int(Vf[c, r]), scale)),
+                        "bound": float(fam.bound),
                     }
                 )
 
-    worst = max(fams, key=lambda name: fams[name]["max_value"] - fams[name]["bound"])
+    excess = [Fraction(9 * t, scale) - fam.bound for t, fam in zip(top, _FAMILIES)]
+    worst = excess.index(max(excess))  # the first family at the largest excess
     return {
         "step": 3.0 / n,
         "n_points": n_points,
-        "violations": [v for f in _FAMILIES for v in bad[f.name]],
-        "max_value": fams[worst]["max_value"] - fams[worst]["bound"],
-        "argmax_lambda": list(fams[worst]["argmax_lambda"]),
-        "worst_family": worst,
-        "families": fams,
+        "violations": [v for b in bad for v in b],
+        "max_value": float(excess[worst]),
+        "argmax_lambda": list(argmax[worst]),
+        "worst_family": _FAMILIES[worst].name,
+        "families": {
+            fam.name: {
+                "bound": float(fam.bound),
+                "max_value": float(Fraction(9 * t, scale)),
+                "argmax_lambda": lam,
+                "instances": len(fam.labels),
+            }
+            for fam, t, lam in zip(_FAMILIES, top, argmax)
+        },
     }

@@ -26,6 +26,7 @@ package exports the standard thread-count variables on import).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,6 +249,7 @@ def cmd_peculiar(args, cfg: Config):
 # wiring
 
 
+@functools.cache  # built once per process; the handlers look up library names at call time
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="isokit", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)

@@ -1,10 +1,12 @@
 """Weight-product inequalities: tight cases, random sweeps, grid harness."""
 
-from itertools import combinations, combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
+from isokit.admissible import HEAVY_PAIRS
 from isokit.bounds import (
     PAIR_DROP_BOUND,
     TRIPLE_DROP_BOUND,
@@ -129,6 +131,12 @@ def test_grid_step_domain():
     grid_verify_all(0.5)  # coarsest legal grid
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_grid_tol_must_be_finite(tol):
+    with pytest.raises(PreconditionError):  # the verdict compares against tol exactly
+        grid_verify_all(0.5, tol=tol)
+
+
 def _sorted_grid(n):
     """Nondecreasing integer 6-tuples summing to n, brute force, in lexicographic order."""
     return [list(t) for t in combinations_with_replacement(range(n + 1), 6) if sum(t) == n]
@@ -208,3 +216,64 @@ def test_grid_memory_follows_a_block_not_the_grid():
         tracemalloc.stop()
     assert rep["n_points"] == 189509 and rep["violations"] == []
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+#: the twelve relabelings of the 3/5 pattern, as heavy pairs, in order of first appearance
+_PATTERNS = list(
+    dict.fromkeys(frozenset(frozenset((p[i - 1], p[j - 1])) for i, j in HEAVY_PAIRS) for p in permutations(range(1, 6)))
+)
+_EXACT_BOUNDS = {
+    "pair_drop": Fraction(2),
+    "triple_drop": Fraction(9, 5),
+    "zero_lambda": Fraction(9, 5),
+    "weighted": Fraction(2),
+}
+
+
+def _exact_instances(lam):
+    """family -> [(indices, value)] at one weight vector of Fractions, every instance in order."""
+    prod = {(i, j): lam[i - 1] * lam[j - 1] for i, j in combinations(range(1, 6), 2)}
+    total = sum(prod.values())
+    return {
+        "pair_drop": [((kl, mn), total - prod[kl] - prod[mn]) for kl, mn in _DISJOINT],
+        "triple_drop": [
+            ((k, l, m), total - prod[k, l] - prod[l, m] - prod[k, m]) for k, l, m in combinations(range(1, 6), 3)
+        ],
+        "zero_lambda": [(kl, total - prod[kl]) for kl in combinations(range(2, 6), 2)] if lam[0] == 0 else [],
+        "weighted": [
+            (f"pattern_{i}", sum(v if frozenset(pair) in heavy else Fraction(3, 5) * v for pair, v in prod.items()))
+            for i, heavy in enumerate(_PATTERNS)
+        ],
+    }
+
+
+@pytest.mark.parametrize("n", [7, 15])  # steps 3/7 and 0.2: neither is dyadic, so no float sum is exact
+def test_grid_matches_an_exact_oracle(n):
+    rows = [([3.0 * k / n for k in t], _exact_instances([Fraction(3 * k, n) for k in t])) for t in _sorted_grid(n)]
+    rep = grid_verify_all(3 / n)
+    every = grid_verify_all(3 / n, tol=-10.0)  # every instance is a violation
+    assert rep["n_points"] == every["n_points"] == len(rows)
+    assert rep["violations"] == []  # every bound holds, at 3/7 with slack and at 0.2 with equality
+    excess = {}
+    for name, bound in _EXACT_BOUNDS.items():
+        best = [(max(v for _, v in inst[name]), lam) for lam, inst in rows if inst[name]]
+        top = max(b for b, _ in best)
+        fam = rep["families"][name]
+        assert fam["max_value"] == float(top), name
+        assert fam["argmax_lambda"] == next(lam for b, lam in best if b == top), name
+        want = [(lam, ix, float(v)) for lam, inst in rows for ix, v in inst[name]][:100]
+        got = [(v["lambda"], v["indices"], v["value"]) for v in every["violations"] if v["family"] == name]
+        assert got == want, name
+        excess[name] = top - bound
+    worst = max(excess, key=excess.get)
+    assert (rep["worst_family"], rep["max_value"]) == (worst, float(excess[worst]))
+    assert rep["argmax_lambda"] == rep["families"][worst]["argmax_lambda"]
+
+
+def test_grid_maxima_are_exact_at_step_0_02():
+    rep = grid_verify_all(0.02)
+    maxima = {name: fam["max_value"] for name, fam in rep["families"].items()}
+    assert maxima == {"pair_drop": 2.0, "triple_drop": 1.8, "zero_lambda": 1.8, "weighted": 2.0}
+    assert rep["max_value"] == 0.0 and rep["worst_family"] == "pair_drop"
+    assert rep["argmax_lambda"] == [0.5] * 6
+    assert rep["violations"] == [] and rep["n_points"] == 1229120

@@ -128,6 +128,24 @@ def test_width_output_is_pinned(tmp_path, capsys, body, mode, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `isokit verify-lemmas --grid-step STEP` stdout; every grid value
+# is exact and rounded once, so these do not depend on BLAS summation order
+LEMMAS_STDOUT_SHA256 = [
+    ("0.5", "a31c333354f5e711f2ff73ddd83ff3b2e8f3e5af2573a109ceabf9d67fbb6dd6"),
+    ("0.25", "a33e278498be358aab71a5d155695880600b1c8a66e2f2eb553e414071040a24"),
+    ("0.1", "87f9ee91f5bb8d9bddd080f095f61fb1dcdfca7db68e20fe5828d275c752861f"),
+    ("0.05", "b598c2465aacc646c59eed2bfaa163d8fd9990020f916e47705907d3f43b921a"),
+]
+
+
+@pytest.mark.parametrize("step, digest", LEMMAS_STDOUT_SHA256)
+def test_verify_lemmas_output_is_pinned(capsys, step, digest):
+    from isokit import cli
+
+    assert cli.main(["verify-lemmas", "--grid-step", step]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_degenerate_input_exits_2(files):
     r = run_cli("normalize", files["coplanar"])
     assert r.returncode == 2
