@@ -5,7 +5,10 @@ Certifying the optimization ceiling
 For weights lambda (six nonnegative reals summing to 3, largest last)
 the objective sum lambda_i lambda_j a_ij^2 over admissible sets with
 entries in [-1, 1] never exceeds 2.  A hard-coded set attains 2 at equal
-weights; multistart coordinate ascent probes the ceiling everywhere else.
+weights; multistart ascent probes the ceiling everywhere else.  Every
+admissible set is the ten 2x2 minors det(v_i, v_j) of a 2x5 matrix, and
+the ascent moves one column at a time to the best corner of its feasible
+polygon.
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ AdmissibleSet(WITNESS_SET)  # passes the determinant-relation validator
 
 # The maximizer search reproduces the ceiling at equal weights...
 cert = maximize_objective(WITNESS_LAMBDA, restarts=64, seed=0)
-print(f"\nmaximize at (1/2,...): value = {cert.value:.15f} (chart {cert.chart})")
+print(f"\nmaximize at (1/2,...): value = {cert.value:.15f} ({cert.sweeps} sweeps)")
+print("minors of the best 2x5 matrix:", np.round(cert.argmax, 12).tolist())
 
 # ...and classifies the structure of what it found: near-maximal sets
 # either contain a zero entry or match the boundary family's magnitude

@@ -55,10 +55,6 @@ WEIGHTED_BOUND = 2.0
 LIGHT_PAIRS = tuple(p for p in PAIRS if p not in HEAVY_PAIRS)
 
 
-def _pair_pos(i, j):
-    return pair_pos(i, j)[0]
-
-
 def pair_drop_sum(L, kl, mn) -> float:
     """sum lam_i lam_j over i<j<=5, minus lam_k lam_l and lam_m lam_n.
 
@@ -70,7 +66,7 @@ def pair_drop_sum(L, kl, mn) -> float:
     if len({k, l, m, n}) != 4:
         raise IndexError("need four distinct indices")
     p = lambda_pair_products(L)
-    return float(p.sum() - p[_pair_pos(k, l)] - p[_pair_pos(m, n)])
+    return float(p.sum() - p[pair_pos(k, l)[0]] - p[pair_pos(m, n)[0]])
 
 
 def triple_drop_sum(L, klm) -> float:
@@ -82,7 +78,7 @@ def triple_drop_sum(L, klm) -> float:
     if len({k, l, m}) != 3:
         raise IndexError("need three distinct indices")
     p = lambda_pair_products(L)
-    return float(p.sum() - p[_pair_pos(k, l)] - p[_pair_pos(l, m)] - p[_pair_pos(k, m)])
+    return float(p.sum() - p[pair_pos(k, l)[0]] - p[pair_pos(l, m)[0]] - p[pair_pos(k, m)[0]])
 
 
 def zero_lambda_drop(L, kl) -> float:
@@ -97,14 +93,14 @@ def zero_lambda_drop(L, kl) -> float:
     if k == l or not (2 <= k <= 5 and 2 <= l <= 5):
         raise IndexError("indices must be distinct and in 2..5")
     p = lambda_pair_products(lam)
-    return float(p.sum() - p[_pair_pos(k, l)])
+    return float(p.sum() - p[pair_pos(k, l)[0]])
 
 
 def weighted_sum(L) -> float:
     """Heavy pairs at weight 1 plus light pairs at weight 3/5; at most 2."""
     p = lambda_pair_products(L)
-    heavy = sum(p[_pair_pos(*pair)] for pair in HEAVY_PAIRS)
-    light = sum(p[_pair_pos(*pair)] for pair in LIGHT_PAIRS)
+    heavy = sum(p[pair_pos(*pair)[0]] for pair in HEAVY_PAIRS)
+    light = sum(p[pair_pos(*pair)[0]] for pair in LIGHT_PAIRS)
     return float(heavy + 0.6 * light)
 
 
@@ -160,7 +156,7 @@ def _coefficients(instances, base: int, pick: int) -> np.ndarray:
     """One PAIRS row per instance: ``pick`` on the instance's pairs, ``base`` on the rest."""
     coeff = np.full((len(instances), 10), base)
     for row, pairs in zip(coeff, instances):
-        row[[_pair_pos(*pair) for pair in pairs]] = pick
+        row[[pair_pos(*pair)[0] for pair in pairs]] = pick
     return coeff
 
 

@@ -5,23 +5,37 @@ For a fixed weight vector the program is
     maximize   sum_{i<j<=5} lam_i lam_j a_ij^2
     subject to a in [-1, 1]^10 satisfying the five determinant relations.
 
-The relation variety splits into two charts: |a12| >= eps with
-(a34, a35, a45) determined by the other seven entries, and a12 = 0 with
-|a13| >= eps determining (a24, a25, a45).  On each chart the objective
-restricted to one free coordinate is a convex one-dimensional function
-(quadratic for the linear coordinates, s + 1/s shaped for the pivot), so
-every coordinate step moves to an endpoint of the exactly-computed
-feasible interval.  Multistart ascent over both charts gives the
-certified maximum; a hard-coded equality case pins the ceiling from
-below at exactly 2.
+The five relations are the Plücker relations of Gr(2, 5): the solutions
+are exactly the minors a_ij = det(v_i, v_j) of real 2x5 matrices
+V = (v_1 .. v_5), and V is feasible when every minor lies in [-1, 1].  By
+Cauchy-Binet the objective is det(V diag(lam_1..lam_5) V^T).  The climb
+keeps V as its state, so no part of the variety is left out.
+
+Hold every column but v_k.  The objective is then
+det A + lam_k v_k^T adj(A) v_k with A = sum_{j != k} lam_j v_j v_j^T, a
+convex function of v_k, on the polygon |det(v_k, v_j)| <= 1 (j != k); its
+maximum sits at a corner.  The corner on the lines det(v_k, v_a) = s_a and
+det(v_k, v_b) = s_b is
+
+    v_k = (s_b v_a - s_a v_b) / m_ab,    m_ab = det(v_a, v_b),
+
+with minors s_a, s_b and x_j = (s_b m_aj - s_a m_bj) / m_ab with the
+other two columns, and column value lam_k sum_j lam_j det(v_k, v_j)^2.
+A corner and its negative score alike, so s_a = 1: a step scores 6 pairs
+times 2 signs.  It builds each corner and computes its four minors from
+it, takes the corner only when all four lie in [-1, 1] (with no slack),
+and moves v_k to the best one that beats the column's current value.
+The minors come from the corner itself, not from the formula for x_j:
+when v_a and v_b are parallel up to rounding, m_ab is rounding noise and
+the corner is an arbitrary vector, which the formula can pass as
+feasible.  A sweep steps the columns in order 1..5.
 
 The ascent is batched: a block of weight vectors climbs in lockstep, its
-state one array of shape (N, R, n) holding the R restarts of each of the
-N vectors on a chart with n free coordinates.  Every vector keeps its own
-random stream (chart-A starts, one sweep order per chart-A sweep, then the
-same for chart B) and leaves the block once its gain drops below ``_FTOL``,
-so each certificate is the one a block of one produces.  Weighted sums go
-through one matrix-vector product per vector, as for a single vector.
+state one array of shape (N, R, 2, 5) holding the R restarts of each of
+the N vectors.  Vector i draws its R Gaussian starts from its own stream
+and leaves the block once its gain drops below ``_FTOL``, so each
+certificate is the one a block of one produces.  Weighted sums go through
+one matrix-vector product per vector, as for a single vector.
 ``certify_random`` runs blocks of at most ``_BLOCK_ROWS`` rows, so memory
 does not grow with the number of weight vectors.
 """
@@ -29,7 +43,7 @@ does not grow with the number of weight vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -71,56 +85,13 @@ _BLOCK_ROWS = 4096
 _MAX_SWEEPS, _FTOL = 200, 1e-13
 
 #: the relabelings of indices 1..5 in ``itertools.permutations`` order;
-#: entry k of ``a`` relabeled by permutation p is
-#: ``_RELABEL_SIGN[p, k] * a[_RELABEL_POS[p, k]]``
+#: entry k of ``a`` relabeled by permutation p has magnitude
+#: ``|a[_RELABEL_POS[p, k]]|``
 _PERMS = list(permutations(range(1, 6)))
-_RELABEL_POS, _RELABEL_SIGN = np.moveaxis(
-    np.array([[pair_pos(s[i - 1], s[j - 1]) for i, j in PAIRS] for s in _PERMS]), -1, 0
-)
-_WITNESS_RELABELED = _RELABEL_SIGN * WITNESS_SET[_RELABEL_POS]
-_PERM_ROW = {perm: p for p, perm in enumerate(_PERMS)}
-#: PAIRS as 0-based index arrays (i - 1, j - 1)
-_PAIR_I, _PAIR_J = (np.array(c) - 1 for c in zip(*PAIRS))
+_RELABEL_POS = np.array([[pair_pos(s[i - 1], s[j - 1])[0] for i, j in PAIRS] for s in _PERMS])
+#: PAIRS as 0-based column pairs (i - 1, j - 1)
+_COLUMN_PAIRS = [(i - 1, j - 1) for i, j in PAIRS]
 _HEAVY_POS = [pair_pos(i, j)[0] for i, j in HEAVY_PAIRS]
-
-
-def _chart(name, free, derived, quads):
-    """Chart description: local state = a[free]; local index 0 is the pivot.
-
-    The pivot is bounded away from zero by eps; each derived entry is
-    (s[A] * s[B] - s[C] * s[D]) / s[0], with C = D = -1 meaning no second
-    product.  The role table says how each sweep column c enters quad k:
-    the derived entry moves by ``sign[k, c] * s[partner[k, c]] / s[0]`` per
-    unit of s[c], with sign 0 where c is not in the quad.
-    """
-    partner = np.zeros((len(quads), len(free)), dtype=int)
-    sign = np.zeros((len(quads), len(free)))
-    for k, (A, B, C, D) in enumerate(quads):
-        for c, other, s in ((A, B, 1.0), (B, A, 1.0), (C, D, -1.0), (D, C, -1.0)):
-            if c >= 0:
-                partner[k, c], sign[k, c] = other, s
-    return {
-        "name": name,
-        "free": [pair_pos(*p)[0] for p in free],
-        "derived": [pair_pos(*p)[0] for p in derived],
-        "quads": quads,
-        "partner": partner,
-        "sign": sign,
-    }
-
-
-_CHART_A = _chart(
-    "a12",
-    ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)),
-    ((3, 4), (3, 5), (4, 5)),
-    ((1, 5, 2, 4), (1, 6, 3, 4), (2, 6, 3, 5)),
-)
-_CHART_B = _chart(
-    "a13",
-    ((1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5)),
-    ((2, 4), (2, 5), (4, 5)),
-    ((1, 3, -1, -1), (2, 3, -1, -1), (1, 5, 2, 4)),
-)
 
 
 @dataclass(frozen=True)
@@ -130,7 +101,6 @@ class CeilingCertificate:
     value: float
     argmax: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    chart: str
     restarts: int
     sweeps: int
     boundary: dict = field(repr=False)
@@ -141,30 +111,10 @@ def witness_value() -> float:
     return objective(WITNESS_SET, WITNESS_LAMBDA)
 
 
-def _numerator(S, quad):
-    """Chart numerator S_A S_B - S_C S_D over the last axis of the local state S."""
-    A, B, C, D = quad
-    num = S[..., A] * S[..., B]
-    if C >= 0:
-        num = num - S[..., C] * S[..., D]
-    return num
-
-
-def _derived(S, quads):
-    """Derived entries on a chart, shape (..., 3), for local state S of shape (..., n)."""
-    return np.stack([_numerator(S, quad) / S[..., 0] for quad in quads], axis=-1)
-
-
-# The block state S is stored columns first, shape (n, N, R): local
-# coordinate c of all R restarts of all N weight vectors is the contiguous
-# slice S[c].  The helpers above see it as ``S.transpose(1, 2, 0)``, of
-# shape (N, R, n).
-
-
-def _numerators(S, chart):
-    """The three chart numerators of the block state, quads first: (3, N, R)."""
-    V = S.transpose(1, 2, 0)
-    return np.array([_numerator(V, quad) for quad in chart["quads"]])
+def _minors(V):
+    """The ten minors det(v_i, v_j) of 2x5 matrices V (..., 2, 5), in PAIRS order: (..., 10)."""
+    X, Y = V[..., 0, :], V[..., 1, :]
+    return np.stack([X[..., i] * Y[..., j] - Y[..., i] * X[..., j] for i, j in _COLUMN_PAIRS], axis=-1)
 
 
 def _weighted(X, w):
@@ -176,174 +126,95 @@ def _weighted(X, w):
     return (np.ascontiguousarray(X) @ w[:, :, None])[..., 0]
 
 
-def _chart_value(S, chart, wf, wd):
-    V = S.transpose(1, 2, 0)
-    return _weighted(V * V, wf) + _weighted(_derived(V, chart["quads"]) ** 2, wd)
+def _column_step(V, k, lam):
+    """Move column k of every climb in V (N, R, 2, 5) to its best feasible corner.
 
-
-def _linear_step(S, cols, chart, wf, wd):
-    """Move local coordinate cols[i] (>= 1) of every restart of vector i to the best end of its interval."""
-    vec = np.arange(len(cols))
-    t = S[cols, vec]
-    S0 = S[0]
-    # quads first, (3, N, R): derived entry k is p[k] * t + q[k]
-    p = chart["sign"][:, cols, None] * (S[chart["partner"][:, cols], vec] / S0)
-    q = _numerators(S, chart) / S0 - p * t
-    nz = p != 0.0
-    pnz = np.where(nz, p, 1.0)
-    b1 = np.where(nz, (-1.0 - q) / pnz, -1.0)
-    b2 = np.where(nz, (1.0 - q) / pnz, 1.0)
-    lo = np.maximum(np.minimum(b1, b2).max(axis=0), -1.0)
-    hi = np.minimum(np.maximum(b1, b2).min(axis=0), 1.0)
-    # the objective along t is A t^2 + B t, summed quad by quad as the
-    # single-vector step did: a regrouped sum can move the last bit
-    wd = wd.T[..., None]
-    pa = wd * p * p
-    pb = 2.0 * wd * p * q
-    A_coef = wf[vec, cols][:, None] + pa[0] + pa[1] + pa[2]
-    B_coef = pb[0] + pb[1] + pb[2]
-    phi_lo = A_coef * lo * lo + B_coef * lo
-    phi_hi = A_coef * hi * hi + B_coef * hi
-    S[cols, vec] = np.where(lo <= hi, np.where(phi_lo >= phi_hi, lo, hi), t)
-
-
-def _pivot_step(S, chart, wf, wd, eps):
-    """Move the pivot; the objective is w0 s + kappa / s in s = pivot^2."""
-    nums = _numerators(S, chart)
-    kappa = _weighted((nums * nums).transpose(1, 2, 0), wd)
-    t_lo = np.maximum(eps, np.abs(nums).max(axis=0))
-    ok = t_lo <= 1.0
-    s_lo = t_lo * t_lo
-    w0 = wf[:, :1]
-    phi_lo = w0 * s_lo + kappa / s_lo
-    phi_hi = w0 + kappa
-    s_new = np.where(phi_lo >= phi_hi, s_lo, 1.0)
-    t = S[0]
-    S[0] = np.where(ok, np.sign(t) * np.sqrt(s_new), t)
-
-
-def _init_chart(rng, R, chart, eps):
-    """Feasible starts: random frames plus relabelings of the equality case.
-
-    Determinant coordinates of any six unit vectors satisfy the relations
-    and the box automatically, so random frames give generic interior
-    starts; relabeled copies of the known value-2 corner probe the tight
-    stratum where a violation would have to live.
+    ``lam`` holds the N vectors' first five weights, shape (N, 5).  A climb
+    moves only when the corner beats its current column value.
     """
-    pivot_pos = chart["free"][0]
-    corner_ok = np.abs(_WITNESS_RELABELED[:, pivot_pos]) >= eps
-    if chart["name"] == "a13":
-        corner_ok &= _WITNESS_RELABELED[:, 0] == 0.0
-    corners = []
-    while len(corners) < R // 2:
-        p = _PERM_ROW[tuple(rng.permutation(5) + 1)]
-        if corner_ok[p]:
-            corners.append(p)
-    out = np.empty((R, len(chart["free"])))
-    out[: len(corners)] = _WITNESS_RELABELED[corners][:, chart["free"]]
-    filled = len(corners)
-    while filled < R:
-        U = rng.normal(size=(R - filled, 6, 3))
-        U /= np.linalg.norm(U, axis=2, keepdims=True)
-        if chart["name"] == "a13":
-            # force a12 = 0: put the second vector in the span of u1, u6
-            ab = rng.normal(size=(R - filled, 2))
-            v = ab[:, :1] * U[:, 0] + ab[:, 1:] * U[:, 5]
-            U[:, 1] = v / np.linalg.norm(v, axis=1, keepdims=True)
-        A = np.einsum("rpk,rk->rp", np.cross(U[:, _PAIR_I], U[:, _PAIR_J]), U[:, 5])
-        take = A[np.abs(A[:, pivot_pos]) >= eps][: R - filled]
-        out[filled : filled + len(take)] = take[:, chart["free"]]
-        filled += len(take)
-    return out
+    X, Y = V[..., 0, :], V[..., 1, :]
+    w = lam[:, :, None]  # (N, 5, 1): weight of column j, broadcast over restarts
+    others = [j for j in range(5) if j != k]
+
+    def minors(x, y):
+        return [x * Y[..., j] - y * X[..., j] for j in others]
+
+    best = w[:, k] * sum(w[:, j] * d * d for j, d in zip(others, minors(X[..., k], Y[..., k])))
+    new_x, new_y = X[..., k].copy(), Y[..., k].copy()
+    for a, b in combinations(others, 2):
+        m = X[..., a] * Y[..., b] - Y[..., a] * X[..., b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in (1.0, -1.0):
+                # m = 0 makes the corner infinite or nan, which fails the box test
+                x, y = (s * X[..., a] - X[..., b]) / m, (s * Y[..., a] - Y[..., b]) / m
+                d = minors(x, y)
+                score = w[:, k] * sum(w[:, j] * dj * dj for j, dj in zip(others, d))
+                win = score > best
+                for dj in d:
+                    win &= np.abs(dj) <= 1.0
+                best = np.where(win, score, best)
+                new_x, new_y = np.where(win, x, new_x), np.where(win, y, new_y)
+    V[..., 0, k], V[..., 1, k] = new_x, new_y
 
 
-def _ascend(W, chart, R, rngs, eps):
-    """Climb R restarts per weight vector on one chart, all vectors in lockstep.
+def _starts(rng, R):
+    """R Gaussian 2x5 matrices, each scaled so that its largest minor has magnitude 1."""
+    V = rng.normal(size=(R, 2, 5))
+    return V / np.sqrt(np.abs(_minors(V)).max(axis=1))[:, None, None]
 
-    ``W`` holds the pair products of N weight vectors, shape (N, 10), and
-    ``rngs`` their streams.  Returns per vector the best value, the set
-    attaining it and the sweeps run.
-    """
-    free, derived = chart["free"], chart["derived"]
-    S = np.stack([_init_chart(rng, R, chart, eps).T for rng in rngs], axis=1)
-    wf, wd = W[:, free], W[:, derived]
-    value = _chart_value(S, chart, wf, wd)
-    best = np.empty(len(W))
-    argmax = np.zeros((len(W), 10))
-    sweeps = np.zeros(len(W), dtype=int)
-    active = np.arange(len(W))
 
-    def leave(done, n_sweeps):
-        v = value[done]
-        rows = S.transpose(1, 2, 0)[done, np.argmax(v, axis=1)]
-        i = active[done]
-        best[i] = v.max(axis=1)
-        argmax[i[:, None], free] = rows
-        argmax[i[:, None], derived] = np.clip(_derived(rows, chart["quads"]), -1.0, 1.0)
-        sweeps[i] = n_sweeps
-
-    sweep = 0
+def _maximize_block(lam, rngs, restarts):
+    """Certificates for checked weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``."""
+    if restarts < 1:
+        raise PreconditionError("restarts must be at least 1")
+    W = lambda_pair_products(lam)
+    V = np.stack([_starts(rng, restarts) for rng in rngs])
+    M = _minors(V)
+    value = _weighted(M * M, W)
+    L = lam[:, :5]
+    best = np.empty(len(lam))
+    argmax = np.empty((len(lam), 10))
+    sweeps = np.zeros(len(lam), dtype=int)
+    active = np.arange(len(lam))
     for sweep in range(1, _MAX_SWEEPS + 1):
-        _pivot_step(S, chart, wf, wd, eps)
-        # random sweep order breaks fixed-cycle stalls
-        order = np.array([rngs[i].permutation(len(S) - 1) + 1 for i in active])
-        for cols in order.T:
-            _linear_step(S, cols, chart, wf, wd)
-        new_value = _chart_value(S, chart, wf, wd)
-        done = np.max(new_value - value, axis=1) < _FTOL
+        for k in range(5):
+            _column_step(V, k, L)
+        M = _minors(V)
+        new_value = _weighted(M * M, W[active])
+        done = (np.max(new_value - value, axis=1) < _FTOL) | (sweep == _MAX_SWEEPS)
         value = new_value
         if done.any():
-            leave(done, sweep)
+            i = active[done]
+            best[i] = value[done].max(axis=1)
+            argmax[i] = M[done, np.argmax(value[done], axis=1)]
+            sweeps[i] = sweep
             keep = ~done
-            S, wf, wd, value, active = S[:, keep], wf[keep], wd[keep], value[keep], active[keep]
+            V, L, value, active = V[keep], L[keep], value[keep], active[keep]
             if not len(active):
                 break
-    if len(active):
-        leave(np.ones(len(active), dtype=bool), sweep)
-    return best, argmax, sweeps
-
-
-def _maximize_block(lam, rngs, restarts, eps):
-    """Certificates for checked weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``."""
-    if not (0.0 < eps < 0.1):
-        raise PreconditionError("eps must lie in (0, 0.1)")
-    W = lambda_pair_products(lam)
-    r_a = max(1, restarts // 2)
-    r_b = max(1, restarts - r_a)
-    # chart B starts only when chart A is done, as for a single vector
-    va, aa, sa = _ascend(W, _CHART_A, r_a, rngs, eps)
-    vb, ab, sb = _ascend(W, _CHART_B, r_b, rngs, eps)
-    certs = []
-    for i in range(len(lam)):
-        if va[i] >= vb[i]:
-            value, a, chart = va[i], aa[i], _CHART_A["name"]
-        else:
-            value, a, chart = vb[i], ab[i], _CHART_B["name"]
-        certs.append(
-            CeilingCertificate(
-                value=float(value),
-                argmax=a,
-                lam=lam[i].copy(),
-                chart=chart,
-                restarts=r_a + r_b,
-                sweeps=int(max(sa[i], sb[i])),
-                boundary=boundary_structure_check(a),
-            )
+    return [
+        CeilingCertificate(
+            value=float(best[i]),
+            argmax=argmax[i],
+            lam=lam[i].copy(),
+            restarts=restarts,
+            sweeps=int(sweeps[i]),
+            boundary=boundary_structure_check(argmax[i]),
         )
-    return certs
+        for i in range(len(lam))
+    ]
 
 
-def maximize_objective(lam, restarts: int = 64, seed=0, eps: float = 1e-3) -> CeilingCertificate:
+def maximize_objective(lam, restarts: int = 64, seed=0) -> CeilingCertificate:
     """Certified-from-below maximum of the objective for one weight vector.
 
-    Runs ``restarts`` coordinate-ascent climbs, split between the two
-    charts of the relation variety, from feasible random frames.  The
-    reported value is a true lower bound for the constrained maximum;
-    the ceiling claim is that it never exceeds 2 (9/5 when the smallest
-    weight is zero).
+    Runs ``restarts`` corner-step climbs on 2x5 matrices from Gaussian
+    starts.  The reported value is attained by an admissible set, so it
+    is a lower bound for the constrained maximum; the ceiling claim is
+    that it never exceeds 2 (9/5 when the smallest weight is zero).
     """
     lam = _as_lambda(lam)[None]
-    return _maximize_block(lam, [np.random.default_rng(seed)], restarts, eps)[0]
+    return _maximize_block(lam, [np.random.default_rng(seed)], restarts)[0]
 
 
 def certify_random(
@@ -351,7 +222,6 @@ def certify_random(
     restarts: int = 64,
     seed: int = 0,
     first_weight_zero: bool = False,
-    eps: float = 1e-3,
     tol: float = 1e-6,
 ) -> dict:
     """Ceiling check over random weight vectors.
@@ -378,7 +248,7 @@ def certify_random(
         ks = range(start, min(start + block, n_lambda))
         lams = [sample_lambda(np.random.default_rng([seed, k]), first_weight_zero) for k in ks]
         rngs = [np.random.default_rng([seed, k, 1]) for k in ks]
-        certs = _maximize_block(_as_lambda(np.array(lams)), rngs, restarts, eps)
+        certs = _maximize_block(_as_lambda(np.array(lams)), rngs, restarts)
         for lam, cert in zip(lams, certs):
             if cert.value > max_value:
                 max_value = cert.value

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -19,10 +19,9 @@ from isokit.admissible import (
     peculiar_from,
     relation_residuals,
 )
+from isokit.bounds import pair_drop_sum, triple_drop_sum
 from isokit.certifier import (
-    _CHART_A,
-    _CHART_B,
-    _derived,
+    _minors,
     CEILING,
     WITNESS_LAMBDA,
     WITNESS_SET,
@@ -61,6 +60,10 @@ def test_equal_weights_attain_ceiling():
     assert cert.restarts == 64
 
 
+def test_restarts_means_climbs():
+    assert maximize_objective([0.5] * 6, restarts=1).restarts == 1
+
+
 def test_zero_weight_tight_case():
     cert = maximize_objective([0.0, 0.6, 0.6, 0.6, 0.6, 0.6], seed=2)
     assert cert.value == pytest.approx(ZERO_WEIGHT_CEILING, abs=1e-9)
@@ -94,7 +97,7 @@ def test_determinism():
     b = maximize_objective([0.5] * 6, seed=42)
     assert a.value == b.value
     assert np.array_equal(a.argmax, b.argmax)
-    assert a.chart == b.chart
+    assert a.sweeps == b.sweeps
 
 
 def test_parameter_validation():
@@ -103,9 +106,7 @@ def test_parameter_validation():
     with pytest.raises(InvariantError):
         maximize_objective([1.0, 0.5, 0.5, 0.5, 0.4, 0.1])  # max not last
     with pytest.raises(PreconditionError):
-        maximize_objective([0.5] * 6, eps=0.5)
-    with pytest.raises(PreconditionError):
-        maximize_objective([0.5] * 6, eps=0.0)
+        maximize_objective([0.5] * 6, restarts=0)
 
 
 def test_certify_random_summary():
@@ -136,18 +137,56 @@ def test_generic_frame_unclassified(rng):
     assert not b["classified"]
 
 
-@pytest.mark.parametrize("chart", [_CHART_A, _CHART_B], ids=lambda c: c["name"])
+#: the two affine charts of the relation variety: pivot pair, free pairs; the
+#: entries neither free nor derived (a_12 on the a_13 chart) are zero
+_CHARTS = {
+    "a12": ((1, 2), ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))),
+    "a13": ((1, 3), ((1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5))),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(_CHARTS))
 def test_charts_obey_the_relation_table(rng, chart):
-    # free coordinates anywhere in the box, the pivot away from zero; the
-    # derived entries must complete a solution of all five relations
-    S = rng.uniform(-1.0, 1.0, size=(500, len(chart["free"])))
+    # every chart point, free coordinates anywhere in the box and the pivot
+    # away from zero, is the minor vector of v_1 = (1, 0), v_j = (0, a_1j),
+    # v_i = (a_ij / a_1j, a_1i): the column parametrization reaches both
+    # charts, gives back their free entries and solves all five relations
+    (_, j), free = _CHARTS[chart]
+    S = rng.uniform(-1.0, 1.0, size=(500, len(free)))
     S[:, 0] = rng.choice([-1.0, 1.0], size=500) * rng.uniform(0.2, 1.0, size=500)
-    a = np.zeros((500, 10))
-    a[:, chart["free"]] = S
-    a[:, chart["derived"]] = _derived(S, chart["quads"])
-    res = relation_residuals(a)
+    entry = {p: S[:, c] for c, p in enumerate(free)}
+
+    def a(i, k):
+        pos, s = pair_pos(i, k)
+        return s * entry.get(PAIRS[pos], np.zeros(500))
+
+    V = np.zeros((500, 2, 5))
+    V[:, 0, 0] = 1.0
+    for i in range(2, 6):
+        V[:, 1, i - 1] = a(1, i)
+        if i != j:
+            V[:, 0, i - 1] = a(i, j) / S[:, 0]
+    m = _minors(V)
+    assert np.max(np.abs(m[:, [pair_pos(*p)[0] for p in free]] - S)) <= 1e-15
+    if (1, 2) not in free:
+        assert not m[:, pair_pos(1, 2)[0]].any()
+    res = relation_residuals(m)
     assert res.shape == (500, 5)
     assert np.max(np.abs(res)) <= 1e-12
+
+
+def test_minors_obey_the_relation_table(rng):
+    # the minors of any 2x5 matrix solve the five relations, and by
+    # Cauchy-Binet det(V diag(lam_1..lam_5) V^T) is the objective
+    V = rng.normal(size=(2000, 2, 5))
+    a = _minors(V)
+    res = relation_residuals(a)
+    assert res.shape == (2000, 5)
+    assert np.max(np.abs(res)) <= 1e-13
+    lam = np.array([sample_lambda(rng) for _ in range(2000)])
+    det = np.linalg.det(V @ (lam[:, :5, None] * V.transpose(0, 2, 1)))
+    value = np.array([objective(ai, li) for ai, li in zip(a, lam)])
+    assert np.max(np.abs(det - value) / value) <= 1e-13
 
 
 def test_peculiar_members_classify_as_peculiar(rng):
@@ -168,7 +207,7 @@ def _same_certificate(a, b):
         a.value == b.value
         and a.argmax.tobytes() == b.argmax.tobytes()
         and a.lam.tobytes() == b.lam.tobytes()
-        and (a.chart, a.restarts, a.sweeps, a.boundary) == (b.chart, b.restarts, b.sweeps, b.boundary)
+        and (a.restarts, a.sweeps, a.boundary) == (b.restarts, b.sweeps, b.boundary)
     )
 
 
@@ -204,20 +243,19 @@ def test_a_block_changes_no_certificate(monkeypatch, n_lambda, restarts, zero_fi
 @pytest.mark.parametrize(
     "zero_first, global_max, argmax_lambda, digest",
     [
-        (False, "0x1.0000000000000p+1", [0.5] * 6, "56ba7b5b8b81ce4f"),
+        (False, "0x1.0000000000000p+1", [0.5] * 6, "fd6bd6ddc16ee078"),
         (
             True,
-            "0x1.ac6f310c81e9cp+0",
+            "0x1.ac6f310c81e9ep+0",
             [0.0, 0.4754030298003722, 0.48224251844123667, 0.6194919378231366, 0.6849865419110396, 0.737875972024215],
-            "c427e6da28a78b5c",
+            "db02f5d8f2d4c96b",
         ),
     ],
 )
 def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, global_max, argmax_lambda, digest):
-    # ``certify --samples 20 --restarts 64 --seed 42`` as the per-vector
-    # ascent that preceded the batched one reported it; the digest covers
-    # every certificate's value, argmax bits, chart and sweeps, which the
-    # report alone does not pin (the maxima are robust to the starts)
+    # ``certify --samples 20 --restarts 64 --seed 42``; the digest covers
+    # every certificate's value, argmax bits and sweeps, which the report
+    # alone does not pin (the maxima are robust to the starts)
     certs = []
 
     def spy(*args):
@@ -236,7 +274,7 @@ def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, glob
     assert out["violations"] == []
     h = hashlib.sha256()
     for c in certs:
-        h.update(np.float64(c.value).tobytes() + c.argmax.tobytes() + f"{c.chart}:{c.sweeps};".encode())
+        h.update(np.float64(c.value).tobytes() + c.argmax.tobytes() + f"{c.sweeps};".encode())
     assert (len(certs), h.hexdigest()[:16]) == (20, digest)
 
 
@@ -306,3 +344,38 @@ def test_tight_families_stay_under_the_ceiling_at_1024_restarts():
         cert = maximize_objective(lam, restarts=1024, seed=[31, k])
         assert cert.value <= CEILING + 1e-9, (lam, cert.value)
     assert cert.restarts == 1024
+
+
+_DISJOINT_PAIRS = [(kl, mn) for kl, mn in combinations(combinations(range(1, 6), 2), 2) if not set(kl) & set(mn)]
+_TRIPLES = list(combinations(range(1, 6), 3))
+
+
+@pytest.mark.parametrize("n_lambda, zero_first", [(1000, False), (200, True)])
+def test_certificates_reach_every_drop_pattern(monkeypatch, n_lambda, zero_first):
+    # criterion 6's runs, checked apart from the solver: each of the 15 pair
+    # drops and 10 triple drops is the value of an admissible set with
+    # columns e1, e2 and (1, 1) (v_k = v_l = e1, v_m = v_n = e2, v_r = (1, 1)
+    # drops kl and mn), so no certificate may fall below the best of them;
+    # and each argmax is an admissible set, within rounding, of that value
+    certs = []
+
+    def spy(*args):
+        block = maximize_block(*args)
+        certs.extend(block)
+        return block
+
+    maximize_block = certifier._maximize_block
+    monkeypatch.setattr(certifier, "_maximize_block", spy)
+    certify_random(n_lambda=n_lambda, restarts=64, seed=42, first_weight_zero=zero_first)
+    assert len(certs) == n_lambda
+    a = np.array([c.argmax for c in certs])
+    assert np.abs(a).max() <= 1.0 + 1e-15
+    assert np.abs(relation_residuals(a)).max() <= 1e-13
+    assert max(abs(objective(c.argmax, c.lam) - c.value) for c in certs) <= 1e-14
+    low = []
+    for k, c in enumerate(certs):
+        drops = [pair_drop_sum(c.lam, kl, mn) for kl, mn in _DISJOINT_PAIRS]
+        drops += [triple_drop_sum(c.lam, t) for t in _TRIPLES]
+        if c.value < max(drops) - 1e-12:
+            low.append((k, c.value, max(drops)))
+    assert low == []
