@@ -23,7 +23,7 @@ from isokit import (
     john_weights,
     mvee_centered,
     normalize,
-    parseval_sum,
+    objective,
     polytope_from_json,
     transform_to_ball,
     witness_triple,
@@ -69,7 +69,7 @@ print(f"guaranteed floor:                1/sqrt(2) = {2**-0.5:.9f}")
 # admissible set whose weighted square sum is exactly 1 — the identity
 # that powers the whole bound.
 S = from_contact_vectors(decomp.u)
-total = parseval_sum(S.as_array(), decomp.lambdas)
+total = objective(S.as_array(), decomp.lambdas)
 print(f"\nsum lambda_i lambda_j a_ij^2 = {total:.12f}  (identity value 1)")
 
 # One call does all of the above.

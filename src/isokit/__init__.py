@@ -29,7 +29,6 @@ from .errors import (
     IsokitError,
     NoConvergence,
     NoDecomposition,
-    NoSignAssignment,
     NotFullDimensional,
     PreconditionError,
     SingularLattice,
@@ -70,7 +69,6 @@ from .admissible import (
     objective,
     omega_contains,
     pair_pos,
-    parseval_sum,
     peculiar_forced,
     peculiar_from,
     peculiar_sweep,

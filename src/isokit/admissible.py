@@ -25,14 +25,12 @@ region bounds over Omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import (
     InfeasibleMagnitudes,
     InvariantError,
-    NoSignAssignment,
     PreconditionError,
     SingularPoint,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "from_contact_vectors",
     "check_relations",
     "relation_residuals",
-    "parseval_sum",
     "objective",
     "peculiar_forced",
     "peculiar_from",
@@ -216,19 +213,12 @@ def from_contact_vectors(u) -> AdmissibleSet:
 def objective(values, L) -> float:
     """Weighted square sum  sum_{i<j<=5} lam_i lam_j a_ij^2.
 
-    Accepts raw ten-entry arrays as well, so hypothetical (inadmissible)
-    configurations can be scored.
+    For any decomposition sum lam_i u_i u_i^T = Id of a contact frame the
+    value is 1.  Accepts raw ten-entry arrays as well, so hypothetical
+    (inadmissible) configurations can be scored.
     """
     a = _as_ten(values)
     return float(np.dot(lambda_pair_products(L), a * a))
-
-
-def parseval_sum(values, L) -> float:
-    """Same weighted square sum, in its role as the contact identity.
-
-    For any decomposition sum lam_i u_i u_i^T = Id the value is 1.
-    """
-    return objective(values, L)
 
 
 # ---------------------------------------------------------------------------
@@ -249,86 +239,62 @@ def peculiar_forced(x: float, y: float) -> dict:
     return {(2, 3): (x + y - 1.0) / (x * y), (2, 5): (1.0 - y) / x, (3, 4): (1.0 - x) / y}
 
 
-# sign candidates: a12 = a13 = +1, every sign pattern on the other eight
-_SIGNS = np.ones((256, 10))
-_SIGNS[:, 2:] = list(product((1.0, -1.0), repeat=8))
-
-# the sign of each of the three terms a_i a_j of each relation, per pattern: (256, 5, 3)
-_TERM_SIGNS = _SIGNS[:, _RELATIONS[:, 0::2]] * _SIGNS[:, _RELATIONS[:, 1::2]]
+#: the members' signs in ``PAIRS`` order: those of the minors of V (see ``peculiar_from``)
+_PECULIAR_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
 
 #: values a sweep block's objective screen may hold (rows x weight vectors)
 _SCREEN_VALUES = 1 << 17
 
-#: rows a sweep block may hold: magnitude pairs for the sign search, points for the Omega screens
+#: rows a sweep block may hold: magnitude pairs for the objective screen, points for the Omega screens
 _BLOCK_ROWS = 1024
 
 
-def _sign_ok(mag: np.ndarray, patterns) -> np.ndarray:
-    """Which patterns ``_SIGNS[patterns]`` satisfy all five relations within 1e-9, per row of ``mag``.
+def _peculiar_members(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The members at feasible pairs (x, y), shape (rows, 10), row for row
+    what ``peculiar_from`` returns.
 
-    Works on the fifteen relation monomials m_i m_j: as (s m_i)(s' m_j)
-    = s s' (m_i m_j) exactly, every residual is bit-identical to
-    ``relation_residuals(_SIGNS[patterns] * mag)``.
+    Each row is the minors of V (see ``peculiar_from``): the
+    magnitudes times one constant sign vector, so no sign is searched.
+    The relations hold identically in V, and are still checked per row
+    as ``AdmissibleSet`` would: the first row with an entry beyond
+    1 + 1e-9 or a relation defect beyond 1e-9 (a NaN fails both) raises
+    InvariantError.
     """
-    terms = mag[:, None, _RELATIONS[:, 0::2]] * mag[:, None, _RELATIONS[:, 1::2]]  # (rows, 1, 5, 3)
-    t = _TERM_SIGNS[patterns] * terms
-    return (np.abs(t[..., 0] - t[..., 1] - t[..., 2]) <= 1e-9).all(axis=2)
-
-
-def _peculiar_members(x: np.ndarray, y: np.ndarray):
-    """Magnitudes and first valid sign pattern of the members at feasible pairs (x, y).
-
-    Returns ``(mag, pick)``; ``_SIGNS[pick] * mag`` are the members, row
-    for row what ``peculiar_from`` returns.  ``_SIGNS`` is scanned in
-    order, 16 patterns at a time, until every row has one.  The first
-    row with no valid pattern raises NoSignAssignment, and the first
-    with an entry above 1 + 1e-9 raises InvariantError, as the
-    per-pair search and ``AdmissibleSet`` would.
-    """
-    mag = np.ones((len(x), 10))  # magnitude one on HEAVY_PAIRS
-    mag[:, _PAIR_POS[(1, 4)]] = x
-    mag[:, _PAIR_POS[(1, 5)]] = y
+    a = np.ones((len(x), 10))  # magnitude one on HEAVY_PAIRS
+    a[:, _PAIR_POS[(1, 4)]] = x
+    a[:, _PAIR_POS[(1, 5)]] = y
     for p, m in peculiar_forced(x, y).items():
-        mag[:, _PAIR_POS[p]] = m
-    pick = np.full(len(mag), -1)
-    todo = np.arange(len(mag))
-    for start in range(0, len(_SIGNS), 16):
-        ok = _sign_ok(mag[todo], slice(start, start + 16))
-        hit = ok.any(axis=1)
-        pick[todo[hit]] = start + ok[hit].argmax(axis=1)
-        todo = todo[~hit]
-        if not len(todo):
-            break
-    bad = (pick < 0) | (np.abs(mag).max(axis=1) > 1.0 + 1e-9)
+        a[:, _PAIR_POS[p]] = m
+    a *= _PECULIAR_SIGNS
+    res = np.abs(relation_residuals(a)).max(axis=1)
+    out_of_box = ~(np.abs(a).max(axis=1) <= 1.0 + 1e-9)
+    bad = out_of_box | ~(res <= 1e-9)
     if bad.any():
         r = int(bad.argmax())
-        if pick[r] < 0:
-            raise NoSignAssignment(f"no sign pattern satisfies the relations for ({float(x[r])}, {float(y[r])})")
-        raise InvariantError("entries must lie in [-1, 1]")
-    return mag, pick
+        if out_of_box[r]:
+            raise InvariantError("entries must lie in [-1, 1]")
+        raise InvariantError(f"relations violated by {res[r]:.3e}")
+    return a
 
 
-def peculiar_from(a14_abs: float, a15_abs: float, sign_seed=None) -> AdmissibleSet:
+def peculiar_from(a14_abs: float, a15_abs: float) -> AdmissibleSet:
     """Member of the boundary family with prescribed |a14|, |a15|.
 
     The entries on ``HEAVY_PAIRS`` (a12, a13, a24, a35, a45) have
     magnitude one and ``peculiar_forced`` gives |a23|, |a25| and |a34|,
     which requires |a14| + |a15| >= 1 (InfeasibleMagnitudes otherwise).
-    Signs are found by exhaustive search with a12 = a13 = +1 fixed (a
-    global sign symmetry); pass ``sign_seed`` to rotate the search order
-    among valid assignments.
+    The member is the minors det(v_i, v_j) of the 2x5 matrix
+    V = [[1, 0, p, -1, s], [0, 1, 1, x, y]], p = (1 - x - y)/(xy),
+    s = (1 - y)/x: those magnitudes signed by ``_PECULIAR_SIGNS``, with
+    a12 = a13 = +1.  The other seven valid sign patterns with a12 = a13
+    = +1 are a_ij -> g e_i e_j a_ij for column signs e and a global sign g.
     """
     x, y = float(a14_abs), float(a15_abs)
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise InfeasibleMagnitudes("|a14|, |a15| must lie in (0, 1]")
     if x + y < 1.0:
         raise InfeasibleMagnitudes("|a14| + |a15| must be at least 1")
-    mag, pick = _peculiar_members(np.array([x]), np.array([y]))
-    pick = pick[0]
-    if sign_seed is not None:
-        ok = np.flatnonzero(_sign_ok(mag, slice(None))[0])
-        pick = ok[int(np.random.default_rng(sign_seed).integers(0, len(ok)))]
-    return AdmissibleSet(_SIGNS[pick] * mag[0])
+    return AdmissibleSet(_peculiar_members(np.array([x]), np.array([y]))[0])
 
 
 def _accepted_blocks(rng, low: float, accept, n: int, rows: int):
@@ -378,10 +344,10 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     The pairs are drawn and taken in blocks of at most ``_SCREEN_VALUES
     // n_lambda`` rows (and ``_BLOCK_ROWS``), the region points in blocks
     of ``_BLOCK_ROWS``, so memory follows a block.
-    Each block builds its members at once (``_peculiar_members``: every
-    pair still needs a sign pattern meeting the relations within 1e-9
-    and entries within 1 + 1e-9) and screens the objective with one
-    matmul.  A matmul sums in another order than the per-pair product,
+    Each block builds its members at once (``_peculiar_members``: the
+    minors of V, signed by one constant vector, every row still checked
+    against the relations within 1e-9 and entries within 1 + 1e-9) and
+    screens the objective with one matmul.  A matmul sums in another order than the per-pair product,
     and numpy's ``** 2`` is not Python's, so screens only select rows:
     every row within 1e-12 relative of the running maximum or of its
     bound + ``tol`` is recomputed by the per-pair expression (the
@@ -400,8 +366,7 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     rows = min(_BLOCK_ROWS, max(1, _SCREEN_VALUES // n_lambda))
     for pairs in _accepted_blocks(np.random.default_rng([seed, 101]), 0.0, _feasible, n, rows):
         x, y = pairs.T
-        mag, pick = _peculiar_members(x, y)
-        a = _SIGNS[pick] * mag
+        a = _peculiar_members(x, y)
         screen = (a**2 @ products.T).max(axis=1)
         for r in np.flatnonzero(_near(screen, max(obj_max, screen.max())) | _near(screen, limit)):
             worst = float((products @ a[r] ** 2).max())

@@ -25,13 +25,6 @@ class InfeasibleMagnitudes(IsokitError):
     """Requested entry magnitudes violate the feasibility constraints."""
 
 
-class NoSignAssignment(IsokitError):
-    """No sign pattern makes the requested magnitudes satisfy the relations.
-
-    For feasible magnitudes this should never happen; treat it as a bug signal.
-    """
-
-
 class SingularPoint(IsokitError):
     """Evaluation requested at a point where the formula is undefined."""
 

@@ -152,10 +152,7 @@ def _hull_exact(H):
     each oriented so that the hull lies on its negative side.  Every
     facet stores its integer plane once, when it is made, so a point is
     tested against a facet by the sign of one integer dot product; points
-    on a facet plane are never treated as outside it.  Horizon edges
-    collinear with the inserted point force the adjacent coplanar facet
-    into the visible region, which keeps every created facet
-    non-degenerate.
+    on a facet plane are never treated as outside it.
     """
     seed = list(_initial_simplex(H))
     a, b, c, d = seed
@@ -181,29 +178,20 @@ def _hull_exact(H):
         if not visible:
             continue  # inside or on the boundary: not extreme
 
-        while True:
-            horizon = []
-            for fid in visible:
-                x, y, z = facets[fid]
-                for u, v in ((x, y), (y, z), (z, x)):
-                    nb = edge_owner[(v, u)]
-                    if nb not in visible:
-                        horizon.append((u, v, nb, _plane(H[u], H[v], p)))
-            # the neighbour across a collinear horizon edge is coplanar
-            # with p; absorb it so no zero-area facet gets created
-            bad = [nb for _, _, nb, L in horizon if not any(L)]
-            if not bad:
-                break
-            visible.update(bad)
-            if len(visible) == len(facets):
-                raise DegenerateInput("hull insertion saw every facet")
+        # no horizon plane is zero: a facet seeing p strictly holds uv, so p on line uv would be in its plane
+        horizon = []
+        for fid in visible:
+            x, y, z = facets[fid]
+            for u, v in ((x, y), (y, z), (z, x)):
+                if edge_owner[(v, u)] not in visible:
+                    horizon.append((u, v, _plane(H[u], H[v], p)))
 
         for fid in visible:
             x, y, z = facets.pop(fid)
             del planes[fid]
             for u, v in ((x, y), (y, z), (z, x)):
                 del edge_owner[(u, v)]
-        for u, v, _, L in horizon:
+        for u, v, L in horizon:
             fid = next_id
             next_id += 1
             facets[fid] = (u, v, ip)

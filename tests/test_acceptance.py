@@ -25,7 +25,7 @@ from isokit.admissible import (
     five_square_max,
     from_contact_vectors,
     g_map,
-    parseval_sum,
+    objective,
     peculiar_from,
 )
 from isokit.bounds import (
@@ -118,7 +118,7 @@ def test_criterion_3_parseval_identity(theorem_sweep):
     results, _ = theorem_sweep
     worst = max(
         abs(
-            parseval_sum(
+            objective(
                 from_contact_vectors(r.decomposition.u).as_array(),
                 r.decomposition.lambdas,
             )

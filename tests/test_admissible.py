@@ -1,6 +1,7 @@
 """Determinant coordinates of contact frames and the peculiar family."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -23,7 +24,6 @@ from isokit.admissible import (
     lambda_pair_products,
     objective,
     omega_contains,
-    parseval_sum,
     peculiar_forced,
     peculiar_from,
     peculiar_sweep,
@@ -34,7 +34,6 @@ from isokit.admissible import (
 from isokit.errors import (
     InfeasibleMagnitudes,
     InvariantError,
-    NoSignAssignment,
     PreconditionError,
     SingularPoint,
 )
@@ -120,7 +119,7 @@ def test_tetra_frame_is_value2_case():
     mags = np.sort(np.abs(S.as_array()))
     assert np.allclose(mags[:2], 0.0, atol=1e-9)
     assert np.allclose(mags[2:], 1.0 / SQRT2, atol=1e-9)
-    assert parseval_sum(S.as_array(), res.decomposition.lambdas) == pytest.approx(1.0, abs=1e-12)
+    assert objective(S.as_array(), res.decomposition.lambdas) == pytest.approx(1.0, abs=1e-12)
     scaled = SQRT2 * S.as_array()
     assert objective(scaled, res.decomposition.lambdas) == pytest.approx(2.0, abs=1e-9)
     assert check_relations(scaled, tol=1e-9)
@@ -132,7 +131,7 @@ def test_parseval_identity_pipeline(rng):
     for _ in range(10):
         res = normalize(Polytope(random_polytope_vertices(rng)))
         S = from_contact_vectors(res.decomposition.u)
-        total = parseval_sum(S.as_array(), res.decomposition.lambdas)
+        total = objective(S.as_array(), res.decomposition.lambdas)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -182,45 +181,72 @@ def test_peculiar_infeasible():
         peculiar_from(0.0, 1.0)
 
 
-def test_peculiar_sign_seed():
-    a = peculiar_from(0.8, 0.7)
-    b = peculiar_from(0.8, 0.7, sign_seed=5)
-    assert np.allclose(np.abs(a.as_array()), np.abs(b.as_array()), atol=1e-12)
-    assert check_relations(b.as_array())
+# every sign pattern with a12 = a13 = +1, + before - in each later position
+_ALL_SIGNS = np.array([(1.0, 1.0) + rest for rest in itertools.product((1.0, -1.0), repeat=8)])
 
 
-def _first_valid_member(x, y):
-    # the exhaustive search: every pattern's full relation_residuals, first hit
+def _magnitudes(x, y):
     mag = np.ones(10)
     mag[PAIRS.index((1, 4))], mag[PAIRS.index((1, 5))] = x, y
     for pair, m in peculiar_forced(x, y).items():
         mag[PAIRS.index(pair)] = m
-    cand = admissible._SIGNS * mag
-    return cand[np.flatnonzero(np.max(np.abs(relation_residuals(cand)), axis=1) <= 1e-9)[0]]
+    return mag
 
 
-def test_batched_members_match_peculiar_from():
+def _valid_patterns(x, y):
+    # the exhaustive search: every pattern's full relation_residuals
+    cand = _ALL_SIGNS * _magnitudes(x, y)
+    return np.flatnonzero(np.max(np.abs(relation_residuals(cand)), axis=1) <= 1e-9)
+
+
+def _feasible_pairs_and_edges():
     rng = np.random.default_rng(8)
     pairs = rng.uniform(0.0, 1.0, size=(4000, 2))
     pairs = pairs[(pairs.sum(axis=1) >= 1.0) & (pairs > 0.0).all(axis=1)][:2000]
-    edge = np.arange(1, 64) / 64.0  # x + y = 1 exactly
-    pairs = np.vstack([pairs, [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5)], np.column_stack([edge, 1.0 - edge])])
-    assert len(pairs) == 2066 and (pairs[-63:].sum(axis=1) == 1.0).all()
-    mag, pick = admissible._peculiar_members(pairs[:, 0], pairs[:, 1])
-    members = admissible._SIGNS[pick] * mag
+    edge = np.arange(1, 64) / 64.0
+    one = np.ones_like(edge)
+    # the edges x + y = 1, x = 1 and y = 1, where one forced magnitude is 0, and their corner
+    edges = [np.column_stack([edge, 1.0 - edge]), np.column_stack([one, edge]), np.column_stack([edge, one])]
+    pairs = np.vstack([pairs, *edges, [(1.0, 1.0)]])
+    assert len(pairs) == 2190 and (pairs[-190:-127].sum(axis=1) == 1.0).all()
+    return pairs
+
+
+def test_peculiar_members_are_the_minors_of_v():
+    # V = [[1, 0, p, -1, s], [0, 1, 1, x, y]]: the Plucker relations hold
+    # identically in its minors, which is why no sign needs searching
+    x, y = _feasible_pairs_and_edges().T
+    p, s = (1.0 - x - y) / (x * y), (1.0 - y) / x
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    V = np.array([[one, zero, p, -one, s], [zero, one, one, x, y]])  # (2, 5, rows)
+    minors = np.stack([V[0, i - 1] * V[1, j - 1] - V[0, j - 1] * V[1, i - 1] for i, j in PAIRS], axis=1)
+    assert np.abs(minors - admissible._peculiar_members(x, y)).max() <= 1e-14
+
+
+def test_batched_members_match_peculiar_from():
+    pairs = _feasible_pairs_and_edges()
+    members = admissible._peculiar_members(pairs[:, 0], pairs[:, 1])
     for (x, y), a in zip(pairs, members):
-        assert a.tobytes() == peculiar_from(float(x), float(y)).a.tobytes(), (x, y)
-        assert a.tobytes() == _first_valid_member(float(x), float(y)).tobytes(), (x, y)
+        valid = _valid_patterns(float(x), float(y))
+        # compared by value: where a forced magnitude is 0 the search may sign it +0.0
+        assert np.array_equal(a, _ALL_SIGNS[valid[0]] * _magnitudes(float(x), float(y))), (x, y)
+        assert np.array_equal(a, peculiar_from(float(x), float(y)).a), (x, y)
+        if (a != 0.0).all():
+            # a_ij -> g e_i e_j a_ij (column signs e, global sign g), the constant vector first
+            assert len(valid) == 8, (x, y)
+            assert np.array_equal(_ALL_SIGNS[valid[0]], admissible._PECULIAR_SIGNS), (x, y)
 
 
 def test_batched_members_refuse_as_the_per_pair_search():
     # the first faulty row decides, as when each pair was built alone: an
-    # entry beyond 1 fails AdmissibleSet, a NaN leaves no sign pattern
+    # entry beyond 1 fails AdmissibleSet, and so does a NaN
     x, y = np.array([0.9, 0.3, np.nan]), np.array([0.9, 0.3, 0.5])
     with pytest.raises(InvariantError, match="entries must lie in"):
         admissible._peculiar_members(x, y)
-    with pytest.raises(NoSignAssignment, match=r"\(nan, 0.5\)"):
+    with pytest.raises(InvariantError):
         admissible._peculiar_members(x[[0, 2, 1]], y[[0, 2, 1]])
+    with pytest.raises(InvariantError):
+        admissible._peculiar_members(x[[2]], y[[2]])
 
 
 @pytest.mark.parametrize(

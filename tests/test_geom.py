@@ -196,6 +196,13 @@ def lattice_basis_image(rng):
     return ys, basis.transform(Polytope([tuple(_dot3(row, y) for row in basis.rows) for y in ys], mode="rational"))
 
 
+def small_grid_points(rng):
+    # repeated, collinear and coplanar draws from {0, 1, 2}^3: many inserted
+    # points lie on facet planes and on the lines of horizon edges
+    pts = [tuple(int(c) for c in rng.integers(0, 3, size=3)) for _ in range(30)]
+    return pts, Polytope(pts, mode="rational")
+
+
 def rational_difference_body(rng):
     K = Polytope(_rational_body(rng, 5, np.arange(2, 30)), mode="rational")
     return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_body(K)
@@ -208,6 +215,7 @@ def rational_difference_body(rng):
         integers_and_fractions,
         cube_with_edge_and_face_points,
         lattice_basis_image,
+        small_grid_points,
         rational_difference_body,
     ],
     ids=lambda f: f.__name__,
