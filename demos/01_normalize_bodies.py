@@ -9,31 +9,31 @@ normalization pipeline on a few bodies and checks the guarantee.
 
 import json
 import math
-import os
+from pathlib import Path
 
 import numpy as np
 
 from isokit import Polytope, diameter, normalize, polytope_from_json, volume
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA = Path(__file__).parent / "data"
 BOUND = math.sqrt(2.0) / 12.0
 
 print(f"guaranteed lower bound: sqrt(2)/12 = {BOUND:.9f}\n")
 
 # The regular tetrahedron attains the bound exactly: the isodiametric
 # quotient vol / diam^3 of its normalized image equals sqrt(2)/12.
-tetra = polytope_from_json(open(os.path.join(DATA, "tetrahedron.json")).read())
+tetra = polytope_from_json((DATA / "tetrahedron.json").read_text())
 res = normalize(tetra)
 print(f"regular tetrahedron: idq = {res.idq:.9f}  (gap {res.idq - BOUND:+.2e})")
 
 # The cube normalizes to itself up to scale; its quotient 3^(-3/2) sits
 # comfortably above the bound.
-cube = polytope_from_json(open(os.path.join(DATA, "cube.json")).read())
+cube = polytope_from_json((DATA / "cube.json").read_text())
 res = normalize(cube)
 print(f"unit cube:           idq = {res.idq:.9f}  (3^-1.5 = {3.0**-1.5:.9f})")
 
 # A nearly flat slab starts far below the bound...
-slab = polytope_from_json(open(os.path.join(DATA, "flat_slab.json")).read())
+slab = polytope_from_json((DATA / "flat_slab.json").read_text())
 raw = volume(slab) / diameter(slab) ** 3
 res = normalize(slab)
 print(f"flat slab:           raw quotient = {raw:.2e}, normalized idq = {res.idq:.9f}")

@@ -13,7 +13,7 @@ The weights need no second solve: the ellipsoid solver's optimal design
 already is this decomposition (Kiefer-Wolfowitz).
 """
 
-import os
+from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from isokit import (
     witness_triple,
 )
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA = Path(__file__).parent / "data"
 
-body = polytope_from_json(open(os.path.join(DATA, "random_12.json")).read())
+body = polytope_from_json((DATA / "random_12.json").read_text())
 
 # Step 1: the difference body K - K is centrally symmetric, so its MVEE
 # is centered and can be written {x : x^T M x <= 1}.  The solver returns

@@ -8,19 +8,13 @@ entries in [-1, 1] never exceeds 2.  A hard-coded set attains 2 at equal
 weights; multistart ascent probes the ceiling everywhere else.  Every
 admissible set is the ten 2x2 minors det(v_i, v_j) of a 2x5 matrix, and
 the ascent moves one column at a time to the best corner of its feasible
-polygon.
+polygon.  Every maximum found is a {0, +-1} pattern of minors whose
+value is one of the weight-product drop sums; the certificate names it.
 """
 
 import numpy as np
 
-from isokit import (
-    AdmissibleSet,
-    boundary_structure_check,
-    certify_random,
-    maximize_objective,
-    objective,
-    witness_value,
-)
+from isokit import AdmissibleSet, certify_random, maximize_objective, witness_value
 from isokit.certifier import WITNESS_LAMBDA, WITNESS_SET
 
 # The equality case: entries 0 or +-1, objective exactly 2 at lambda = (1/2,...).
@@ -33,12 +27,9 @@ cert = maximize_objective(WITNESS_LAMBDA, restarts=64, seed=0)
 print(f"\nmaximize at (1/2,...): value = {cert.value:.15f} ({cert.sweeps} sweeps)")
 print("minors of the best 2x5 matrix:", np.round(cert.argmax, 12).tolist())
 
-# ...and classifies the structure of what it found: near-maximal sets
-# either contain a zero entry or match the boundary family's magnitude
-# pattern after relabeling.
-diag = boundary_structure_check(cert.argmax)
-print("zero pairs in maximizer:", diag["zero_pairs"])
-print("boundary-family relabeling found:", diag["peculiar_permutation"] is not None)
+# ...and names the drop family whose pattern the maximizer forms: its
+# minors are 0 on the pairs the family instance drops and +-1 elsewhere.
+print("drop pattern of the maximizer:", cert.pattern)
 
 # Away from equal weights the maximum drops strictly below 2.
 rng = np.random.default_rng(5)
@@ -57,7 +48,8 @@ print(f"\nzero-pinned tight case {lam0.tolist()}: max = {cert.value:.12f} (9/5 =
 summary = certify_random(n_lambda=50, restarts=32, seed=42)
 print(f"\n50 random weight vectors: global max = {summary['max_value']:.12f} <= 2")
 print("violations:", summary["violations"])
-print("maximizer structure counts:", summary["boundary_kinds"])
+print("drop patterns of the maximizers:", summary["boundary_kinds"])
 
 summary = certify_random(n_lambda=20, restarts=32, seed=42, first_weight_zero=True)
 print(f"20 zero-pinned weight vectors: global max = {summary['max_value']:.12f} <= 9/5")
+print("drop patterns of the maximizers:", summary["boundary_kinds"])

@@ -11,8 +11,8 @@ rational arithmetic.  The normalization theorem yields the corollary
 with equality for one particular simplex.
 """
 
-import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from isokit import (
     width_in_direction,
 )
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA = Path(__file__).parent / "data"
 
 # The extremal simplex conv{0, (1,1/2,1/2), (1/2,1,1/2), (1/2,1/2,1)}.
 simplex = polytope_from_json(
-    open(os.path.join(DATA, "extremal_simplex.json")).read(), mode="rational"
+    (DATA / "extremal_simplex.json").read_text(), mode="rational"
 )
 res = lattice_width(simplex)
 print(f"extremal simplex: width = {res.value} in direction {res.direction}")

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .geom import (
     Polytope,
-    convex_hull,
     diameter,
     difference_body,
     polytope_from_json,
@@ -83,6 +82,7 @@ from .bounds import (
     TRIPLE_DROP_BOUND,
     WEIGHTED_BOUND,
     ZERO_DROP_BOUND,
+    drop_patterns,
     grid_verify_all,
     ignore_term_bound,
     pair_drop_sum,
@@ -94,7 +94,6 @@ from .certifier import (
     CEILING,
     ZERO_WEIGHT_CEILING,
     CeilingCertificate,
-    boundary_structure_check,
     certify_random,
     maximize_objective,
     witness_value,

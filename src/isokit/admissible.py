@@ -123,10 +123,10 @@ class AdmissibleSet:
         a = np.asarray(values, dtype=float)
         if a.shape != (10,):
             raise InvariantError("an admissible set has 10 entries")
-        if np.max(np.abs(a)) > 1.0 + 1e-9:
+        if not np.max(np.abs(a)) <= 1.0 + 1e-9:  # a NaN fails too
             raise InvariantError("entries must lie in [-1, 1]")
         res = relation_residuals(a)
-        if np.max(np.abs(res)) > rel_tol:
+        if not np.max(np.abs(res)) <= rel_tol:
             raise InvariantError(f"relations violated by {np.max(np.abs(res)):.3e}")
         self.a = a
 

@@ -39,6 +39,7 @@ __all__ = [
     "weighted_sum",
     "ignore_term_bound",
     "grid_verify_all",
+    "drop_patterns",
     "PAIR_DROP_BOUND",
     "TRIPLE_DROP_BOUND",
     "ZERO_DROP_BOUND",
@@ -185,6 +186,18 @@ _FAMILIES = (
 _COEFF = np.vstack([f.coeff for f in _FAMILIES]).astype(float)
 _ROWS = [slice(end - len(f.labels), end) for f, end in zip(_FAMILIES, accumulate(len(f.labels) for f in _FAMILIES))]
 _FIRST, _SECOND = (np.array(ix) - 1 for ix in zip(*PAIRS))
+
+
+def drop_patterns() -> dict:
+    """The drop families' instances by their dropped pairs.
+
+    Maps the PAIRS positions an instance drops (the zero entries of its
+    coefficient row) to the family's name: 15 pair drops, 10 triple drops
+    and 6 zero-weight drops.  An instance's sum is the objective of the
+    admissible sets whose minors are 0 on its dropped pairs and +-1 on
+    the rest.
+    """
+    return {frozenset(np.flatnonzero(row == 0).tolist()): f.name for f in _FAMILIES for row in f.coeff if not row.all()}
 
 
 def _grid_lambda(k, n: int) -> list:

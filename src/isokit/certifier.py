@@ -38,26 +38,23 @@ certificate is the one a block of one produces.  Weighted sums go through
 one matrix-vector product per vector, as for a single vector.
 ``certify_random`` runs blocks of at most ``_BLOCK_ROWS`` rows, so memory
 does not grow with the number of weight vectors.
+
+A column of weight 0 scores 0 at every corner and never moves, so a
+certificate sets its minors, and any other minor of weight 0, to 0; the
+value does not change.  Each certificate then names the drop family
+(``bounds.drop_patterns``) whose pattern its live minors form: 0 on the
+family instance's dropped pairs and +-1 on the others, or "other".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
-from .admissible import (
-    CEILING,
-    HEAVY_PAIRS,
-    PAIRS,
-    _as_lambda,
-    lambda_pair_products,
-    objective,
-    pair_pos,
-    peculiar_forced,
-    sample_lambda,
-)
+from .admissible import CEILING, PAIRS, _as_lambda, lambda_pair_products, objective, sample_lambda
+from .bounds import drop_patterns
 from .errors import PreconditionError
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
     "witness_value",
     "maximize_objective",
     "certify_random",
-    "boundary_structure_check",
 ]
 
 ZERO_WEIGHT_CEILING = 9.0 / 5.0
@@ -84,26 +80,22 @@ _BLOCK_ROWS = 4096
 #: sweep cap and gain threshold of every climb
 _MAX_SWEEPS, _FTOL = 200, 1e-13
 
-#: the relabelings of indices 1..5 in ``itertools.permutations`` order;
-#: entry k of ``a`` relabeled by permutation p has magnitude
-#: ``|a[_RELABEL_POS[p, k]]|``
-_PERMS = list(permutations(range(1, 6)))
-_RELABEL_POS = np.array([[pair_pos(s[i - 1], s[j - 1])[0] for i, j in PAIRS] for s in _PERMS])
 #: PAIRS as 0-based column pairs (i - 1, j - 1)
 _COLUMN_PAIRS = [(i - 1, j - 1) for i, j in PAIRS]
-_HEAVY_POS = [pair_pos(i, j)[0] for i, j in HEAVY_PAIRS]
+#: the drop families' patterns: dropped PAIRS positions -> family name
+_PATTERNS = drop_patterns()
 
 
 @dataclass(frozen=True)
 class CeilingCertificate:
-    """Best value found for one weight vector, with the attaining set."""
+    """Best value found for one weight vector, with the attaining set and its drop pattern."""
 
     value: float
     argmax: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     restarts: int
     sweeps: int
-    boundary: dict = field(repr=False)
+    pattern: str
 
 
 def witness_value() -> float:
@@ -157,10 +149,38 @@ def _column_step(V, k, lam):
     V[..., 0, k], V[..., 1, k] = new_x, new_y
 
 
-def _starts(rng, R):
-    """R Gaussian 2x5 matrices, each scaled so that its largest minor has magnitude 1."""
-    V = rng.normal(size=(R, 2, 5))
-    return V / np.sqrt(np.abs(_minors(V)).max(axis=1))[:, None, None]
+def _starts(rngs, R):
+    """R Gaussian 2x5 matrices from each stream, each scaled so that its largest minor has magnitude 1.
+
+    Returns the starts (N, R, 2, 5) and their minors (N, R, 10).  The
+    scaling rounds, so a start whose computed minors still exceed 1 is
+    shrunk, by 1 - 2^-52 and then by a step that doubles, until none does:
+    the box holds with no slack.  The step must grow, because each shrink
+    rounds the entries apart: a minor that cancels two products larger
+    than itself can drift away from the box under a fixed step of 2^-52.
+    """
+    V = np.stack([rng.normal(size=(R, 2, 5)) for rng in rngs])
+    V /= np.sqrt(np.abs(_minors(V)).max(axis=-1))[..., None, None]
+    M = _minors(V)
+    step = 2.0**-52
+    while (over := np.abs(M).max(axis=-1) > 1.0).any():
+        V[over] *= 1.0 - step
+        M[over] = _minors(V[over])
+        step *= 2.0
+    return V, M
+
+
+def _pattern(a, live) -> str:
+    """The drop family whose pattern the ``live`` minors of ``a`` form, or "other".
+
+    Every live minor must be 0 or +-1 within 1e-9, and its zero set must be
+    the dropped pairs of a family instance.
+    """
+    mag = np.abs(a[live])
+    zero = mag <= 1e-9
+    if not (zero | (np.abs(mag - 1.0) <= 1e-9)).all():
+        return "other"
+    return _PATTERNS.get(frozenset(np.flatnonzero(live)[zero].tolist()), "other")
 
 
 def _maximize_block(lam, rngs, restarts):
@@ -168,8 +188,7 @@ def _maximize_block(lam, rngs, restarts):
     if restarts < 1:
         raise PreconditionError("restarts must be at least 1")
     W = lambda_pair_products(lam)
-    V = np.stack([_starts(rng, restarts) for rng in rngs])
-    M = _minors(V)
+    V, M = _starts(rngs, restarts)
     value = _weighted(M * M, W)
     L = lam[:, :5]
     best = np.empty(len(lam))
@@ -192,6 +211,8 @@ def _maximize_block(lam, rngs, restarts):
             V, L, value, active = V[keep], L[keep], value[keep], active[keep]
             if not len(active):
                 break
+    live = W != 0.0
+    argmax[~live] = 0.0  # a column of weight 0 never moves from its start
     return [
         CeilingCertificate(
             value=float(best[i]),
@@ -199,7 +220,7 @@ def _maximize_block(lam, rngs, restarts):
             lam=lam[i].copy(),
             restarts=restarts,
             sweeps=int(sweeps[i]),
-            boundary=boundary_structure_check(argmax[i]),
+            pattern=_pattern(argmax[i], live[i]),
         )
         for i in range(len(lam))
     ]
@@ -234,15 +255,15 @@ def certify_random(
     """
     bound = ZERO_WEIGHT_CEILING if first_weight_zero else CEILING
     if first_weight_zero:
-        max_value, argmax_lam, argmax_set = -np.inf, None, None
+        witness, max_value, argmax_lam, argmax_set = None, -np.inf, None, None
     else:
         # the frozen equality case always participates in the global max,
         # so a witness-only run (n_lambda=0) reports exactly 2.0
-        max_value = witness_value()
+        witness = max_value = witness_value()
         argmax_lam = WITNESS_LAMBDA
         argmax_set = WITNESS_SET
     violations = []
-    kinds = {"zero_entry": 0, "peculiar": 0, "unclassified": 0}
+    kinds = dict.fromkeys([*_PATTERNS.values(), "other"], 0)
     block = max(1, _BLOCK_ROWS // max(restarts, 1))
     for start in range(0, n_lambda, block):
         ks = range(start, min(start + block, n_lambda))
@@ -256,13 +277,7 @@ def certify_random(
                 argmax_set = cert.argmax
             if cert.value > bound + tol:
                 violations.append({"lambda": [float(v) for v in lam], "value": cert.value})
-            b = cert.boundary
-            if b["zero_pairs"]:
-                kinds["zero_entry"] += 1
-            elif b["peculiar_permutation"] is not None:
-                kinds["peculiar"] += 1
-            else:
-                kinds["unclassified"] += 1
+            kinds[cert.pattern] += 1
     return {
         "n_lambda": n_lambda,
         "restarts": restarts,
@@ -272,33 +287,7 @@ def certify_random(
         "argmax_lambda": None if argmax_lam is None else [float(v) for v in argmax_lam],
         "argmax_set": None if argmax_set is None else [float(v) for v in argmax_set],
         "violations": violations,
-        "witness_value": witness_value() if not first_weight_zero else None,
+        "witness_value": witness,
         "boundary_kinds": kinds,
     }
 
-
-def boundary_structure_check(a, tol: float = 1e-4) -> dict:
-    """Classify the structure of a maximizing admissible set.
-
-    Reports near-zero entries and, when some relabeling of indices 1..5
-    matches the peculiar family's magnitude pattern, the permutation
-    that does it (the first in ``itertools.permutations`` order).
-    """
-    arr = np.asarray(a, float)
-    mag = np.abs(arr)
-    zero_pairs = [PAIRS[k] for k in range(10) if mag[k] <= tol]
-    # magnitudes of every relabeling at once, one row per permutation
-    M = mag[_RELABEL_POS]
-    x, y = M[:, pair_pos(1, 4)[0]], M[:, pair_pos(1, 5)[0]]
-    heavy_ok = ~(np.abs(M[:, _HEAVY_POS] - 1.0) > tol).any(axis=1)
-    cand = np.flatnonzero(heavy_ok & ~((x <= tol) | (y <= tol) | (x + y < 1.0 - tol)))
-    match = np.ones(len(cand), dtype=bool)
-    for (i, j), f in peculiar_forced(x[cand], y[cand]).items():
-        match &= np.abs(M[cand, pair_pos(i, j)[0]] - f) <= 10.0 * tol
-    hits = cand[match]
-    peculiar_perm = list(_PERMS[hits[0]]) if len(hits) else None
-    return {
-        "zero_pairs": zero_pairs,
-        "peculiar_permutation": peculiar_perm,
-        "classified": bool(zero_pairs) or peculiar_perm is not None,
-    }

@@ -29,7 +29,6 @@ from .errors import DegenerateInput, NotFullDimensional, PreconditionError
 
 __all__ = [
     "Polytope",
-    "convex_hull",
     "volume",
     "diameter",
     "difference_body",
@@ -317,11 +316,6 @@ def _hull_float(pts):
     except QhullError as exc:
         raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
     return sorted(hull.vertices.tolist()), [tuple(s) for s in hull.simplices.tolist()]
-
-
-def convex_hull(points, mode: str = "float") -> Polytope:
-    """Convex hull of a finite point set; returns the extreme points only."""
-    return Polytope(points, mode=mode)
 
 
 def volume(P: Polytope):

@@ -85,6 +85,12 @@ def test_admissible_validation():
         AdmissibleSet(broken)
 
 
+def test_admissible_set_refuses_nan():
+    # NaN compares False with every bound, so the box check must fail it
+    with pytest.raises(InvariantError, match="entries must lie in"):
+        AdmissibleSet([np.nan] * 10)
+
+
 def test_lambda_vector_validation():
     L = LambdaVector(np.array(HALF))
     assert L[5] == 0.5

@@ -1,17 +1,19 @@
 """Weight-product inequalities: tight cases, random sweeps, grid harness."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
-from isokit.admissible import HEAVY_PAIRS
+from isokit.admissible import HEAVY_PAIRS, PAIRS, lambda_pair_products, sample_lambda
 from isokit.bounds import (
     PAIR_DROP_BOUND,
     TRIPLE_DROP_BOUND,
     WEIGHTED_BOUND,
     ZERO_DROP_BOUND,
+    drop_patterns,
     grid_verify_all,
     ignore_term_bound,
     pair_drop_sum,
@@ -216,6 +218,25 @@ def test_grid_memory_follows_a_block_not_the_grid():
         tracemalloc.stop()
     assert rep["n_points"] == 189509 and rep["violations"] == []
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_drop_patterns_are_the_drop_instances():
+    # each key is the set of pairs an instance drops, and the objective of
+    # a pattern that is 0 there and +-1 elsewhere is that instance's sum
+    table = drop_patterns()
+    assert Counter(table.values()) == {"pair_drop": 15, "triple_drop": 10, "zero_lambda": 6}
+    rng = np.random.default_rng(4)
+    lam, lam0 = sample_lambda(rng), sample_lambda(rng, True)
+    for zero, name in table.items():
+        dropped = [PAIRS[k] for k in zero]
+        if name == "pair_drop":
+            L, want = lam, pair_drop_sum(lam, *dropped)
+        elif name == "triple_drop":
+            L, want = lam, triple_drop_sum(lam, sorted({i for pair in dropped for i in pair}))
+        else:
+            L, want = lam0, zero_lambda_drop(lam0, *dropped)
+        p = lambda_pair_products(L)
+        assert p.sum() - p[sorted(zero)].sum() == pytest.approx(want, abs=1e-15), (name, dropped)
 
 
 #: the twelve relabelings of the 3/5 pattern, as heavy pairs, in order of first appearance

@@ -2,31 +2,31 @@
 
 import hashlib
 import json
+import signal
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import isokit.certifier as certifier
 from isokit.admissible import (
-    HEAVY_PAIRS,
     PAIRS,
     AdmissibleSet,
+    from_contact_vectors,
     objective,
     pair_pos,
-    peculiar_forced,
     peculiar_from,
     relation_residuals,
 )
-from isokit.bounds import pair_drop_sum, triple_drop_sum
+from isokit.bounds import pair_drop_sum, triple_drop_sum, zero_lambda_drop
 from isokit.certifier import (
     _minors,
+    _pattern,
     CEILING,
     WITNESS_LAMBDA,
     WITNESS_SET,
     ZERO_WEIGHT_CEILING,
-    boundary_structure_check,
     certify_random,
     maximize_objective,
     witness_value,
@@ -47,10 +47,30 @@ def test_witness_is_exact():
     assert witness_value() == 2.0
     AdmissibleSet(WITNESS_SET)  # relations and box hold exactly
     assert objective(WITNESS_SET, WITNESS_LAMBDA) == 2.0
-    b = boundary_structure_check(WITNESS_SET)
-    assert b["classified"]
-    assert len(b["zero_pairs"]) == 2
-    assert b["peculiar_permutation"] is not None
+    # zero on the disjoint pairs 13 and 24, +-1 elsewhere
+    assert _pattern(WITNESS_SET, np.ones(10, dtype=bool)) == "pair_drop"
+
+
+def test_pattern_names_drop_families_only(rng):
+    live = np.ones(10, dtype=bool)
+    # three parallel columns and two independent ones drop a triple
+    V = np.array([[[1.0, 1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]]])
+    assert _pattern(_minors(V)[0], live) == "triple_drop"
+    assert _pattern(-WITNESS_SET, live) == "pair_drop"
+    off = WITNESS_SET.copy()
+    off[0] -= 1e-8
+    assert _pattern(off, live) == "other"
+    # the peculiar family and a generic frame form no drop pattern
+    assert _pattern(peculiar_from(0.6, 0.7).a, live) == "other"
+    U = rng.normal(size=(6, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    assert _pattern(from_contact_vectors(U).a, live) == "other"
+    # the minors of a weight-zero column are left out
+    a = WITNESS_SET.copy()
+    a[:4] = rng.uniform(-1.0, 1.0, size=4)
+    assert _pattern(a, live) == "other"
+    live[:4] = False
+    assert _pattern(a, live) == "zero_lambda"
 
 
 def test_equal_weights_attain_ceiling():
@@ -128,15 +148,6 @@ def test_certify_random_zero_first():
     assert all(v["lambda"][0] == 0.0 for v in rep["violations"])
 
 
-def test_generic_frame_unclassified(rng):
-    from isokit.admissible import from_contact_vectors
-
-    U = rng.normal(size=(6, 3))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    b = boundary_structure_check(from_contact_vectors(U).as_array())
-    assert not b["classified"]
-
-
 #: the two affine charts of the relation variety: pivot pair, free pairs; the
 #: entries neither free nor derived (a_12 on the a_13 chart) are zero
 _CHARTS = {
@@ -189,25 +200,12 @@ def test_minors_obey_the_relation_table(rng):
     assert np.max(np.abs(det - value) / value) <= 1e-13
 
 
-def test_peculiar_members_classify_as_peculiar(rng):
-    # the constructor and the classifier share one magnitude pattern, so
-    # every member away from the tol edges is found unpermuted
-    checked = 0
-    while checked < 200:
-        x, y = rng.uniform(0.01, 1.0, size=2)
-        if x + y < 1.0:
-            continue
-        b = boundary_structure_check(peculiar_from(x, y).a)
-        assert b["peculiar_permutation"] == [1, 2, 3, 4, 5], (x, y)
-        checked += 1
-
-
 def _same_certificate(a, b):
     return (
         a.value == b.value
         and a.argmax.tobytes() == b.argmax.tobytes()
         and a.lam.tobytes() == b.lam.tobytes()
-        and (a.restarts, a.sweeps, a.boundary) == (b.restarts, b.sweeps, b.boundary)
+        and (a.restarts, a.sweeps, a.pattern) == (b.restarts, b.sweeps, b.pattern)
     )
 
 
@@ -241,18 +239,19 @@ def test_a_block_changes_no_certificate(monkeypatch, n_lambda, restarts, zero_fi
 
 
 @pytest.mark.parametrize(
-    "zero_first, global_max, argmax_lambda, digest",
+    "zero_first, global_max, argmax_lambda, kinds, digest",
     [
-        (False, "0x1.0000000000000p+1", [0.5] * 6, "fd6bd6ddc16ee078"),
+        (False, "0x1.0000000000000p+1", [0.5] * 6, {"pair_drop": 11, "triple_drop": 9}, "aa5869f284fd605f"),
         (
             True,
-            "0x1.ac6f310c81e9ep+0",
+            "0x1.ac6f310c81e9dp+0",
             [0.0, 0.4754030298003722, 0.48224251844123667, 0.6194919378231366, 0.6849865419110396, 0.737875972024215],
-            "db02f5d8f2d4c96b",
+            {"zero_lambda": 20},
+            "61930fce4da41a39",
         ),
     ],
 )
-def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, global_max, argmax_lambda, digest):
+def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, global_max, argmax_lambda, kinds, digest):
     # ``certify --samples 20 --restarts 64 --seed 42``; the digest covers
     # every certificate's value, argmax bits and sweeps, which the report
     # alone does not pin (the maxima are robust to the starts)
@@ -270,12 +269,33 @@ def test_certify_seeded_streams_are_pinned(capsys, monkeypatch, zero_first, glob
     out = json.loads(capsys.readouterr().out)
     assert float(out["global_max"]).hex() == global_max
     assert out["argmax_lambda"] == argmax_lambda
-    assert out["boundary_kinds"] == {"zero_entry": 20, "peculiar": 0, "unclassified": 0}
+    assert out["boundary_kinds"] == {"pair_drop": 0, "triple_drop": 0, "zero_lambda": 0, "other": 0} | kinds
     assert out["violations"] == []
     h = hashlib.sha256()
     for c in certs:
         h.update(np.float64(c.value).tobytes() + c.argmax.tobytes() + f"{c.sweeps};".encode())
     assert (len(certs), h.hexdigest()[:16]) == (20, digest)
+
+
+def test_starts_settle_in_the_box():
+    # vector 40 of ``certify --seed 1253616351``: its start 38 has a minor
+    # of -1 - 9e-16 that cancels two products of about 6, and a fixed
+    # shrink of 2^-52 rounds it further from the box on every round, so the
+    # rescaling must end by a growing step (the alarm turns a hang into a
+    # failure)
+    def hang(*_):
+        raise TimeoutError("start rescaling did not settle")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        V, M = certifier._starts([np.random.default_rng([1253616351, 40, 1])], 64)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(M, _minors(V))
+    assert np.abs(M).max() <= 1.0
+    assert np.abs(M).max(axis=-1).min() >= 1.0 - 1e-12  # each start still touches the box
 
 
 def test_certify_memory_follows_a_block(monkeypatch):
@@ -292,43 +312,6 @@ def test_certify_memory_follows_a_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 120 * 1024
-
-
-def _relabeled(a, sigma):
-    return np.array([s * a[k] for k, s in (pair_pos(sigma[i - 1], sigma[j - 1]) for i, j in PAIRS)])
-
-
-def _reference_peculiar_permutation(a, tol=1e-4):
-    # one permutation at a time, in itertools order
-    mag = np.abs(np.asarray(a, float))
-
-    def m(i, j, perm):
-        return mag[pair_pos(perm[i - 1], perm[j - 1])[0]]
-
-    for perm in permutations(range(1, 6)):
-        if any(abs(m(i, j, perm) - 1.0) > tol for i, j in HEAVY_PAIRS):
-            continue
-        x, y = m(1, 4, perm), m(1, 5, perm)
-        if x <= tol or y <= tol or x + y < 1.0 - tol:
-            continue
-        if all(abs(m(i, j, perm) - f) <= 10.0 * tol for (i, j), f in peculiar_forced(x, y).items()):
-            return list(perm)
-    return None
-
-
-def test_boundary_check_matches_the_permutation_loop(rng):
-    sets = [_relabeled(WITNESS_SET, sigma) for sigma in permutations(range(1, 6))]
-    while len(sets) < 120 + 400:
-        x, y = rng.uniform(0.01, 1.0, size=2)
-        if x + y >= 1.0:
-            a = peculiar_from(x, y).a
-            sets += [a, _relabeled(a, tuple(rng.permutation(5) + 1))]
-    found = set()
-    for a in sets:
-        b = boundary_structure_check(a)
-        assert b["peculiar_permutation"] == _reference_peculiar_permutation(a), a
-        found.add(tuple(b["peculiar_permutation"] or ()))
-    assert len(found) > 10  # the relabelings reach many different first matches
 
 
 def test_tight_families_stay_under_the_ceiling_at_1024_restarts():
@@ -350,13 +333,29 @@ _DISJOINT_PAIRS = [(kl, mn) for kl, mn in combinations(combinations(range(1, 6),
 _TRIPLES = list(combinations(range(1, 6), 3))
 
 
+def _instance_sum(pattern, lam, dropped):
+    """The named drop instance's sum, from the pairs it drops, by the bound functions."""
+    if pattern == "pair_drop":
+        return pair_drop_sum(lam, *dropped)
+    if pattern == "triple_drop":
+        return triple_drop_sum(lam, sorted({i for pair in dropped for i in pair}))
+    return zero_lambda_drop(lam, *dropped)
+
+
+#: the patterns of criterion 6's certificates, by ``zero_first``
+_CENSUS = {False: {"pair_drop": 611, "triple_drop": 389}, True: {"zero_lambda": 200}}
+
+
 @pytest.mark.parametrize("n_lambda, zero_first", [(1000, False), (200, True)])
 def test_certificates_reach_every_drop_pattern(monkeypatch, n_lambda, zero_first):
     # criterion 6's runs, checked apart from the solver: each of the 15 pair
     # drops and 10 triple drops is the value of an admissible set with
     # columns e1, e2 and (1, 1) (v_k = v_l = e1, v_m = v_n = e2, v_r = (1, 1)
     # drops kl and mn), so no certificate may fall below the best of them;
-    # and each argmax is an admissible set, within rounding, of that value
+    # each argmax is an admissible set, within rounding, of that value; and
+    # each names the drop instance it attains: its zero minors, those of the
+    # weight-zero column 1 left out, are the instance's dropped pairs, and
+    # its value is the instance's sum
     certs = []
 
     def spy(*args):
@@ -366,10 +365,13 @@ def test_certificates_reach_every_drop_pattern(monkeypatch, n_lambda, zero_first
 
     maximize_block = certifier._maximize_block
     monkeypatch.setattr(certifier, "_maximize_block", spy)
-    certify_random(n_lambda=n_lambda, restarts=64, seed=42, first_weight_zero=zero_first)
+    rep = certify_random(n_lambda=n_lambda, restarts=64, seed=42, first_weight_zero=zero_first)
     assert len(certs) == n_lambda
+    assert rep["boundary_kinds"] == {"pair_drop": 0, "triple_drop": 0, "zero_lambda": 0, "other": 0} | _CENSUS[zero_first]
     a = np.array([c.argmax for c in certs])
-    assert np.abs(a).max() <= 1.0 + 1e-15
+    assert np.abs(a).max() <= 1.0
+    if zero_first:
+        assert not a[:, :4].any()  # the minors of column 1, of weight 0
     assert np.abs(relation_residuals(a)).max() <= 1e-13
     assert max(abs(objective(c.argmax, c.lam) - c.value) for c in certs) <= 1e-14
     low = []
@@ -378,4 +380,7 @@ def test_certificates_reach_every_drop_pattern(monkeypatch, n_lambda, zero_first
         drops += [triple_drop_sum(c.lam, t) for t in _TRIPLES]
         if c.value < max(drops) - 1e-12:
             low.append((k, c.value, max(drops)))
+        assert c.pattern != "other", k
+        dropped = [PAIRS[p] for p in np.flatnonzero(np.abs(c.argmax) <= 1e-9) if PAIRS[p][0] != 1 or not zero_first]
+        assert abs(c.value - _instance_sum(c.pattern, c.lam, dropped)) <= 1e-12, k
     assert low == []

@@ -14,7 +14,6 @@ from isokit.geom import (
     Polytope,
     _homogeneous,
     _initial_simplex,
-    convex_hull,
     det3,
     diameter,
     difference_body,
@@ -44,17 +43,17 @@ def in_convex_hull_lp(point, others):
     return res.status == 0
 
 
-# -- convex_hull -------------------------------------------------------------
+# -- Polytope ----------------------------------------------------------------
 
 
 def test_hull_cube_with_center_point():
-    P = convex_hull(UNIT_CUBE + [(0.5, 0.5, 0.5)])
+    P = Polytope(UNIT_CUBE + [(0.5, 0.5, 0.5)])
     assert len(P) == 8
     assert set(P.vertices) == {tuple(map(float, v)) for v in UNIT_CUBE}
 
 
 def test_hull_of_simplex_is_identity():
-    P = convex_hull(REGULAR_TETRA)
+    P = Polytope(REGULAR_TETRA)
     assert sorted(P.vertices) == sorted(REGULAR_TETRA)
 
 
@@ -62,7 +61,7 @@ def test_hull_extremality_against_lp_oracle(rng):
     pts = rng.normal(size=(100, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.0, 1.0, size=(100, 1)) ** (1 / 3)
-    P = convex_hull(pts)
+    P = Polytope(pts)
     verts = P.as_array()
     for i in range(len(verts)):
         others = np.delete(verts, i, axis=0)
@@ -75,7 +74,7 @@ def test_hull_extremality_against_lp_oracle(rng):
 
 def test_hull_extremality_rational_mode(rng):
     pts = [tuple(Fraction(int(c), 8) for c in row) for row in rng.integers(-12, 13, size=(40, 3))]
-    P = convex_hull(pts, mode="rational")
+    P = Polytope(pts, mode="rational")
     verts = P.as_array()
     for i in range(len(verts)):
         others = np.delete(verts, i, axis=0)
@@ -91,20 +90,20 @@ def test_hull_collinear_and_midface_points_dropped():
         (0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (3, 3, 0), (3, 0, 3), (0, 3, 3), (3, 3, 3),
         (1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 3), (1, 2, 2),
     ]
-    P = convex_hull(pts, mode="rational")
+    P = Polytope(pts, mode="rational")
     assert len(P) == 8
     assert volume(P) == 27
 
 
 def test_hull_degenerate_inputs():
     with pytest.raises(DegenerateInput):
-        convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], mode="rational")
+        Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], mode="rational")
     with pytest.raises(DegenerateInput):
-        convex_hull([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+        Polytope([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
     with pytest.raises(DegenerateInput):
-        convex_hull([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], mode="rational")
+        Polytope([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], mode="rational")
     with pytest.raises(DegenerateInput):
-        convex_hull([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], mode="rational")
+        Polytope([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], mode="rational")
 
 
 # -- exact hull against a brute-force oracle ----------------------------------
@@ -268,7 +267,7 @@ def test_exact_hull_of_distinct_six_digit_denominators_in_budget():
 
 
 def test_volume_cube():
-    assert volume(convex_hull(UNIT_CUBE)) == pytest.approx(1.0, abs=1e-12)
+    assert volume(Polytope(UNIT_CUBE)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_volume_regular_tetrahedron():
@@ -276,7 +275,7 @@ def test_volume_regular_tetrahedron():
     a, b, c, d = (np.array(v) for v in REGULAR_TETRA)
     expected = abs(np.linalg.det(np.array([b - a, c - a, d - a]))) / 6.0
     assert expected == pytest.approx(math.sqrt(2) / 12, rel=1e-12)
-    assert volume(convex_hull(REGULAR_TETRA)) == pytest.approx(expected, rel=1e-12)
+    assert volume(Polytope(REGULAR_TETRA)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_volume_extremal_simplex_exact():
@@ -287,16 +286,16 @@ def test_volume_extremal_simplex_exact():
 def test_volume_matches_qhull_oracle(rng):
     for _ in range(10):
         pts = random_polytope_vertices(rng)
-        assert volume(convex_hull(pts)) == pytest.approx(ConvexHull(pts).volume, rel=1e-10)
+        assert volume(Polytope(pts)) == pytest.approx(ConvexHull(pts).volume, rel=1e-10)
 
 
 def test_volume_scales_by_det(rng):
     pts = random_polytope_vertices(rng)
-    v0 = volume(convex_hull(pts))
+    v0 = volume(Polytope(pts))
     T = rng.normal(size=(3, 3))
     while abs(np.linalg.det(T)) < 0.1:
         T = rng.normal(size=(3, 3))
-    v1 = volume(convex_hull(pts @ T.T))
+    v1 = volume(Polytope(pts @ T.T))
     assert v1 == pytest.approx(abs(np.linalg.det(T)) * v0, rel=1e-9)
 
 
@@ -304,8 +303,8 @@ def test_volume_scales_by_det(rng):
 
 
 def test_diameter_reference_bodies():
-    assert diameter(convex_hull(UNIT_CUBE)) == pytest.approx(math.sqrt(3), rel=1e-12)
-    assert diameter(convex_hull(REGULAR_TETRA)) == pytest.approx(1.0, rel=1e-12)
+    assert diameter(Polytope(UNIT_CUBE)) == pytest.approx(math.sqrt(3), rel=1e-12)
+    assert diameter(Polytope(REGULAR_TETRA)) == pytest.approx(1.0, rel=1e-12)
     # oracle for the extremal simplex: brute force over the 6 vertex pairs
     vs = np.array([[float(c) for c in v] for v in EXTREMAL_SIMPLEX])
     expected = max(
@@ -317,23 +316,23 @@ def test_diameter_reference_bodies():
 
 def test_diameter_orthogonal_invariance(rng):
     pts = random_polytope_vertices(rng)
-    d0 = diameter(convex_hull(pts))
+    d0 = diameter(Polytope(pts))
     for _ in range(5):
         Q = random_rotation(rng)
-        assert diameter(convex_hull(pts @ Q.T)) == pytest.approx(d0, rel=1e-9)
+        assert diameter(Polytope(pts @ Q.T)) == pytest.approx(d0, rel=1e-9)
 
 
 # -- difference_body ---------------------------------------------------------
 
 
 def test_difference_body_cube():
-    D = difference_body(convex_hull(UNIT_CUBE))
+    D = difference_body(Polytope(UNIT_CUBE))
     assert len(D) == 8
     assert set(D.vertices) == {(float(x), float(y), float(z)) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)}
 
 
 def test_difference_body_tetrahedron():
-    D = difference_body(convex_hull(REGULAR_TETRA))
+    D = difference_body(Polytope(REGULAR_TETRA))
     assert len(D) == 12
     # Rogers-Shephard equality for a simplex: vol(K-K) = 20 vol(K)
     assert volume(D) == pytest.approx(20 * math.sqrt(2) / 12, rel=1e-9)
@@ -341,7 +340,7 @@ def test_difference_body_tetrahedron():
 
 def test_difference_body_invariants(rng):
     for _ in range(5):
-        P = convex_hull(random_polytope_vertices(rng))
+        P = Polytope(random_polytope_vertices(rng))
         D = difference_body(P)
         vs = set(D.vertices)
         assert all(tuple(-c for c in v) in vs for v in vs), "not origin-symmetric"
