@@ -333,8 +333,8 @@ def _near(screen: np.ndarray, level: float) -> np.ndarray:
 def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     """Ceiling checks over the peculiar family and over the region Omega.
 
-    Scores ``peculiar_from(x, y)`` at ``n`` random feasible magnitude
-    pairs against ``n_lambda`` random weight vectors.  Then, at ``n``
+    Scores the family's members at ``n`` random feasible magnitude pairs
+    (x, y) against ``n_lambda`` random weight vectors.  Then, at ``n``
     random points of Omega, checks the five-square bound 9/16 and the
     total f_eval + (products on ``HEAVY_PAIRS``) against the ceiling,
     pairing point k with weight vector k mod ``n_lambda``.  Every value

@@ -16,8 +16,9 @@ every instance is 9/(5 n^2) times an integer combination of the products
 k_i k_j, which one matrix product per block computes without rounding,
 so maxima, ties and violations are decided in integers and each reported
 value is rounded once.  It streams the grid one block per prefix
-(k1, k2): memory grows as n^3 while the grid grows as n^5, so the finest
-step, 0.01, runs in about 210 MB.
+(k1, k2), listing each block's nondecreasing (k3, k4, k5) directly as
+the columns of one float array: memory grows as n^3 while the grid grows
+as n^5, so the finest step, 0.01, runs in about 200 MB.
 """
 
 from __future__ import annotations
@@ -129,19 +130,35 @@ def ignore_term_bound(a: float, b: float, c: float, x: float, y: float, z: float
 # ---------------------------------------------------------------------------
 
 
+def _ramps(lo, hi):
+    """The integers lo[g]..hi[g], group g after group g, and the g of each."""
+    count = hi - lo + 1
+    group = np.repeat(np.arange(len(count)), count)
+    return group, np.arange(len(group)) + (lo - np.cumsum(count) + count)[group]
+
+
 def _grid_blocks(n: int):
     """Nondecreasing integer 6-tuples summing to n, in lexicographic order.
 
-    Yields ``(k1, block)``, one block per prefix (k1, k2): every tuple
-    with that prefix, about (n - k1 - k2)^3 / 144 rows of the grid's
-    n^5 / 86400, so memory follows the block, not the grid.
+    Yields ``(k1, K)``, one block per prefix (k1, k2): K is a float array
+    of shape (6, rows) whose columns are the tuples with that prefix,
+    about (n - k1 - k2)^3 / 144 of the grid's n^5 / 86400, so memory
+    follows the block, not the grid.  With j = k - k2 a block's tuples are
+    the triples j3 <= j4 <= j5 with j3 + j4 + 2 j5 <= s = n - k1 - 5 k2
+    (k5 <= k6), listed directly: first the pairs with j3 + 3 j4 <= s, then
+    each pair's j5 from j4 to (s - j3 - j4) // 2.
     """
     for k1 in range(n // 6 + 1):
         for k2 in range(k1, (n - k1) // 5 + 1):
-            r = n - k1 - k2
-            a, b, c = np.ogrid[k2 : r // 4 + 1, k2 : r // 3 + 1, k2 : r // 2 + 1]
-            k3, k4, k5 = (k2 + i for i in np.nonzero((a <= b) & (b <= c) & (a + b + 2 * c <= r)))
-            yield k1, np.column_stack([np.full_like(k3, k1), np.full_like(k3, k2), k3, k4, k5, r - k3 - k4 - k5])
+            s = n - k1 - 5 * k2
+            j3 = np.arange(s // 4 + 1)
+            g, j4 = _ramps(j3, (s - j3) // 3)  # the (j3, j4) pairs
+            j3 = j3[g]
+            g, j5 = _ramps(j4, (s - j3 - j4) // 2)  # each pair's j5
+            K = np.empty((6, len(g)))
+            K[0], K[1], K[2], K[3], K[4] = k1, k2, j3[g] + k2, j4[g] + k2, j5 + k2
+            K[5] = n - K[:5].sum(axis=0)
+            yield k1, K
 
 
 def _weighted_patterns() -> list:
@@ -232,26 +249,27 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
     n_points = 0
 
     for k1, K in _grid_blocks(n):
-        n_points += len(K)
-        Kt = np.ascontiguousarray(K.T, dtype=float)
+        n_points += K.shape[1]
         # V is a sum of nonnegative integer terms no larger than 5 sum_{i<j<=5} k_i k_j
         # <= 5 n^2 / 2 <= 225,000 (n <= 300): every partial sum is an integer
         # below 2^53, so any BLAS summation order gives V exactly
-        V = _COEFF @ (Kt[_FIRST] * Kt[_SECOND])
+        V = _COEFF @ (K[_FIRST] * K[_SECOND])
         for f, (fam, rows, limit) in enumerate(zip(_FAMILIES, _ROWS, limits)):
             if fam.zero_first and k1:
                 continue
             Vf = V[rows]
-            m = int(Vf.max())
+            col = Vf.max(axis=0)
+            j = col.argmax()
+            m = int(col[j])
             if m > top[f]:  # the first strict maximum in row-major order
-                top[f], argmax[f] = m, _grid_lambda(K[Vf.max(axis=0).argmax()], n)
+                top[f], argmax[f] = m, _grid_lambda(K[:, j], n)
             if m <= limit or len(bad[f]) == 100:
                 continue  # no violation in this block, or the family's list is full
             for r, c in np.argwhere(Vf.T > limit)[: 100 - len(bad[f])]:
                 bad[f].append(
                     {
                         "family": fam.name,
-                        "lambda": _grid_lambda(K[r], n),
+                        "lambda": _grid_lambda(K[:, r], n),
                         "indices": fam.labels[c],
                         "value": float(Fraction(9 * int(Vf[c, r]), scale)),
                         "bound": float(fam.bound),

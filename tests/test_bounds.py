@@ -1,5 +1,6 @@
 """Weight-product inequalities: tight cases, random sweeps, grid harness."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -21,6 +22,7 @@ from isokit.bounds import (
     weighted_sum,
     zero_lambda_drop,
 )
+from isokit.cli import render_json
 from isokit.errors import PreconditionError
 
 HALF = [0.5] * 6
@@ -153,15 +155,35 @@ _SCALAR_FAMILIES = {
 }
 
 
+def _reference_blocks(n):
+    """The prefix blocks by masking a box of (k3, k4, k5) candidates, as (k1, rows x 6 ints)."""
+    for k1 in range(n // 6 + 1):
+        for k2 in range(k1, (n - k1) // 5 + 1):
+            r = n - k1 - k2
+            a, b, c = np.ogrid[k2 : r // 4 + 1, k2 : r // 3 + 1, k2 : r // 2 + 1]
+            k3, k4, k5 = (k2 + i for i in np.nonzero((a <= b) & (b <= c) & (a + b + 2 * c <= r)))
+            yield k1, np.column_stack([np.full_like(k3, k1), np.full_like(k3, k2), k3, k4, k5, r - k3 - k4 - k5])
+
+
 @pytest.mark.parametrize("n", [6, 7, 12, 25])
 def test_grid_blocks_enumerate_the_sorted_grid_in_order(n):
     from isokit.bounds import _grid_blocks
 
     blocks = list(_grid_blocks(n))
-    assert np.concatenate([K for _, K in blocks]).tolist() == _sorted_grid(n)
-    for k1, K in blocks:  # one block per (k1, k2) prefix
-        assert (K[:, 0] == k1).all() and (K[:, 1] == K[0, 1]).all()
-    assert len({tuple(K[0, :2]) for _, K in blocks}) == len(blocks)
+    assert np.concatenate([K for _, K in blocks], axis=1).T.tolist() == _sorted_grid(n)
+    for k1, K in blocks:  # one block per (k1, k2) prefix, one grid point per column
+        assert K.shape[0] == 6 and (K[0] == k1).all() and (K[1] == K[1, 0]).all()
+    assert len({tuple(K[:2, 0]) for _, K in blocks}) == len(blocks)
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 25, 60, 150])
+def test_grid_blocks_match_the_masked_box(n):
+    from isokit.bounds import _grid_blocks
+
+    got, want = list(_grid_blocks(n)), list(_reference_blocks(n))
+    assert len(got) == len(want)
+    for (k1, K), (ref_k1, ref) in zip(got, want):
+        assert k1 == ref_k1 and K.dtype == float and np.array_equal(K.T, ref)
 
 
 def test_grid_violations_are_the_first_100_in_row_major_order():
@@ -298,3 +320,11 @@ def test_grid_maxima_are_exact_at_step_0_02():
     assert rep["max_value"] == 0.0 and rep["worst_family"] == "pair_drop"
     assert rep["argmax_lambda"] == [0.5] * 6
     assert rep["violations"] == [] and rep["n_points"] == 1229120
+
+
+def test_grid_report_at_step_0_02_is_pinned():
+    # 400 violations, each family's first 100 in row-major order, rounded once
+    rep = grid_verify_all(0.02, tol=-0.32)
+    assert len(rep["violations"]) == 400
+    digest = hashlib.sha256(render_json(rep).encode()).hexdigest()
+    assert digest == "2cbf8b1eb9fb403ef1fbae0a070cf240a4cc9fab856652ec85e116a640852720"
