@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from isokit import (
-    difference_body,
     from_contact_vectors,
     john_weights,
     mvee_centered,
@@ -34,19 +33,23 @@ DATA = Path(__file__).parent / "data"
 body = polytope_from_json((DATA / "random_12.json").read_text())
 
 # Step 1: the difference body K - K is centrally symmetric, so its MVEE
-# is centered and can be written {x : x^T M x <= 1}.  The solver returns
-# M together with its optimal design: one weight per vertex of K - K.
-D = difference_body(body).as_array()
+# is centered and can be written {x : x^T M x <= 1}.  A point set and its
+# hull share their MVEE, so the solver needs no hull of K - K: it takes
+# one difference v_i - v_j per vertex pair, as normalize does, and returns
+# M together with its optimal design, one weight per difference.
+V = body.as_array()
+i, j = np.triu_indices(len(V), 1)
+D = V[i] - V[j]
 E = mvee_centered(D)
 print("MVEE matrix M:")
 print(np.array2string(E.M, precision=4))
 
-# Step 2: the vertices carrying weight lie on the ellipsoid boundary; the
-# normalizing map T = M^(1/2) sends them to unit contact vectors.
+# Step 2: the differences carrying weight lie on the ellipsoid boundary;
+# the normalizing map T = M^(1/2) sends them to unit contact vectors.
 support = E.weights > 0.0
 T = transform_to_ball(E)
 TS = D[support] @ T.T
-print(f"\n{len(TS)} of {len(D)} vertices carry weight; |T s| - 1 on them:",
+print(f"\n{len(TS)} of {len(D)} differences carry weight; |T s| - 1 on them:",
       np.array2string(np.linalg.norm(TS, axis=1) - 1.0, precision=1))
 
 # Step 3: 3 u_i on the unit vectors T s_i / |T s_i| reproduce the identity

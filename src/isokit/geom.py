@@ -353,13 +353,10 @@ def diameter(P: Polytope) -> float:
     return math.sqrt(float(np.max(d2)))
 
 
-def difference_body(P: Polytope, mode: str | None = None) -> Polytope:
-    """Hull of all pairwise vertex differences v_i - v_j (origin-symmetric).
-
-    ``mode`` is the arithmetic of the result, P's own by default; a float
-    difference body of a rational polytope skips its exact hull.
-    """
-    if (mode or P.mode) == "rational":
+def difference_body(P: Polytope) -> Polytope:
+    """Hull of all pairwise vertex differences v_i - v_j (origin-symmetric),
+    in P's arithmetic."""
+    if P.mode == "rational":
         diffs = [_sub(a, b) for a in P.vertices for b in P.vertices]
         return Polytope(diffs, mode="rational")
     arr = P.as_array()

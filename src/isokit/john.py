@@ -1,8 +1,10 @@
 """Contact-point decompositions and the normalizing transform.
 
-Pipeline: for a polytope K, take the difference body K - K, compute its
-minimum-volume enclosing ellipsoid {x : x^T M x <= 1}, and map by
-T = M^(1/2).  Then T(K - K) has the unit ball as its enclosing ellipsoid,
+Pipeline: for a polytope K, compute the minimum-volume enclosing
+ellipsoid {x : x^T M x <= 1} of the difference body K - K, and map by
+T = M^(1/2).  A point set and its hull share that ellipsoid, so the solver
+runs on the vertex differences of K and no hull of K - K is built.  Then
+T(K - K) has the unit ball as its enclosing ellipsoid,
 the contact directions u_i admit nonnegative weights with
 
     sum_i lam_i u_i u_i^T = Id,      sum_i lam_i = 3,
@@ -23,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
-from .geom import Polytope, difference_body, volume
+from .geom import Polytope, volume
 from .mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 __all__ = [
@@ -43,6 +45,11 @@ WITNESS_LOWER_BOUND = float(1.0 / np.sqrt(2.0))
 
 #: |sum lam_i u_i u_i^T - Id| above this is no decomposition
 RESIDUAL_BOUND = 1e-7
+
+#: normalize refuses bodies with more vertices: it holds n(n - 1)/2 vertex
+#: differences, and 3,000 vertices (4.5 M differences) already take about
+#: 760 MB
+MAX_VERTICES = 3000
 
 #: the kept directions' outer products count as dependent when their
 #: smallest singular value is at most this times the largest
@@ -189,24 +196,32 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
 
     Computes the MVEE of the difference body, T = M^(1/2), the
     isodiametric quotient of TK, and the contact decomposition whose
-    witness triple certifies idq >= sqrt(2)/12 - 10 * tol.
+    witness triple certifies idq >= sqrt(2)/12 - 10 * tol.  Only K's own
+    hull is built: the MVEE of K - K is that of the differences D, one row
+    v_i - v_j per vertex pair i < j (the solver takes them up to sign).
 
     The problem is linearly invariant, so everything is solved in the
-    whitened frame Y = D L of the vertices D of K - K, where the shape
-    matrix M_Y is well conditioned however thin K is.  With T_Y = M_Y^(1/2),
-    the polar decomposition T_Y L^T = U T gives T (M = L M_Y L^T = T^2),
+    whitened frame Y = D L, where the shape matrix M_Y is well conditioned
+    however thin K is.  With T_Y = M_Y^(1/2), the polar decomposition
+    T_Y L^T = U T gives T (M = L M_Y L^T = T^2),
     and T s_i = U^T T_Y y_i.  The solver's optimal design u is the John
     decomposition (Kiefer-Wolfowitz): lam_i is proportional to
     u_i |T_Y y_i|^2, scaled to sum 3, on the direction of T s_i.
+
+    Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices.
     """
-    D = difference_body(P, mode="float").as_array()
+    if len(P) > MAX_VERTICES:
+        raise PreconditionError(f"normalize takes at most {MAX_VERTICES} vertices, got {len(P)}")
+    A = P.as_array()
+    i, j = np.triu_indices(len(A), 1)
+    D = A[i] - A[j]
     Y, L = whiten(D)
     E = mvee_centered(Y, tol=tol)
     T_Y = transform_to_ball(E)
     W, sigma, Vt = np.linalg.svd(T_Y @ L.T)
     T = (Vt.T * sigma) @ Vt
     # vol(TK) = |det T| vol(K), and diam(TK) is the longest T-image of a
-    # vertex of K - K: no hull of TK is needed
+    # vertex difference: no hull of TK is needed
     TD = D @ T.T
     diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
     idq = float(abs(np.linalg.det(T)) * float(volume(P)) / diam**3)

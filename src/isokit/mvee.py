@@ -58,11 +58,14 @@ class Ellipsoid:
     ``weights`` is the solver's design u, one weight per input point,
     zero off the support: the points with u_i > 0 lie on the boundary
     within the gap, and they carry the contact decomposition.
+    ``fw_steps`` counts the Frank-Wolfe steps among the ``iterations``:
+    nonzero only once a Newton polish has failed.
     """
 
     M: np.ndarray
     iterations: int = 0
     gap: float = 0.0
+    fw_steps: int = 0
     weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -231,8 +234,9 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     Parameters
     ----------
     points : (m, 3) array-like
-        One representative per antipodal pair is enough; duplicates and
-        explicit negatives are harmless.
+        One representative per antipodal pair is enough; duplicates,
+        explicit negatives and points inside the hull of the others are
+        harmless (a point set and its hull share their MVEE).
     tol : float
         Relative duality gap at exit: all points satisfy s^T M s <= 1 + tol
         and the support satisfies s^T M s >= 1 - tol.
@@ -277,7 +281,7 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
         if gap <= tol:
             M_Y = Vinv / kp if kp > 3.0 else Vinv / 3.0
             weights = np.where(u > _SUPPORT_EPS, u, 0.0)
-            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, weights=weights)
+            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, fw_steps=fw_steps, weights=weights)
         if it >= max_iter:
             raise NoConvergence(
                 f"ellipsoid solver did not reach tol={tol} in {max_iter} iterations: "

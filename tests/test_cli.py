@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import LATTICE_CATALOGUE, REGULAR_TETRA, UNIT_CUBE
 
@@ -150,6 +151,17 @@ def test_degenerate_input_exits_2(files):
     r = run_cli("normalize", files["coplanar"])
     assert r.returncode == 2
     assert "DegenerateInput" in r.stderr
+    assert r.stdout == ""
+
+
+def test_normalize_refuses_more_than_3000_vertices(tmp_path):
+    # every point of a unit-sphere body is a vertex
+    x = np.random.default_rng(0).normal(size=(3001, 3))
+    path = tmp_path / "sphere3001.json"
+    path.write_text(json.dumps({"vertices": (x / np.linalg.norm(x, axis=1, keepdims=True)).tolist()}))
+    r = run_cli("normalize", str(path))
+    assert r.returncode == 2
+    assert "PreconditionError" in r.stderr and "at most 3000 vertices, got 3001" in r.stderr
     assert r.stdout == ""
 
 

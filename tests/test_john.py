@@ -1,13 +1,15 @@
 """Contact decompositions, witness triples, and the normalization pipeline."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FLAT_SLAB, REGULAR_TETRA, UNIT_CUBE, random_polytope_vertices, random_rotation
+from conftest import EXTREMAL_SIMPLEX, FLAT_SLAB, REGULAR_TETRA, UNIT_CUBE, random_polytope_vertices, random_rotation
 
+from isokit import geom
 from isokit.errors import InvariantError, NoDecomposition
-from isokit.geom import Polytope, difference_body
+from isokit.geom import Polytope, difference_body, polytope_from_json
 from isokit.john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,
@@ -17,9 +19,10 @@ from isokit.john import (
     transform_to_ball,
     witness_triple,
 )
-from isokit.mvee import Ellipsoid
+from isokit.mvee import Ellipsoid, mvee_centered
 
 SQRT2 = math.sqrt(2.0)
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def test_bound_constants():
@@ -236,3 +239,38 @@ def test_certificate_directions_are_contacts(rng, scale):
                 i = int(np.argmin(dist))
                 assert dist[i] <= 1e-9
                 assert abs(norms[i] - 1.0) <= 1e-9
+
+
+def test_normalize_builds_no_hull(monkeypatch):
+    # once K is built, the MVEE runs on K's vertex differences, not on a hull of K - K
+    bodies = [Polytope(UNIT_CUBE), Polytope(FLAT_SLAB), Polytope(EXTREMAL_SIMPLEX, mode="rational")]
+    calls = []
+    for name in ("_hull_float", "_hull_exact"):
+        def counting(*args, hull=getattr(geom, name), name=name):
+            calls.append(name)
+            return hull(*args)
+
+        monkeypatch.setattr(geom, name, counting)
+    for P in bodies:
+        normalize(P)
+    assert calls == []
+
+
+def slab_vertices(rng):
+    """A turned slab of 8 to 40 points, thickness 1e-3 to 1e-1 of its width."""
+    n = int(rng.integers(8, 41))
+    eps = 10.0 ** rng.uniform(-3.0, -1.0)
+    pts = np.column_stack([rng.uniform(-1, 1, (n, 2)), rng.uniform(-eps, eps, n)])
+    return pts @ random_rotation(rng).T
+
+
+def test_vertex_differences_share_the_mvee_of_the_difference_body(rng):
+    bodies = [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
+    bodies += [Polytope(random_polytope_vertices(rng)) for _ in range(10)]
+    bodies += [Polytope(slab_vertices(rng)) for _ in range(10)]
+    for P in bodies:
+        A = P.as_array()
+        i, j = np.triu_indices(len(A), 1)
+        M = mvee_centered(A[i] - A[j]).M
+        ref = mvee_centered(difference_body(P).as_array()).M
+        assert np.abs(M - ref).max() <= 1e-7 * np.abs(ref).max()

@@ -185,9 +185,33 @@ def test_frank_wolfe_fallback_converges(monkeypatch, rng):
     trace = []
     E = mvee_centered(pts, tol=1e-10, trace=trace)
     det_v = np.array([t[0] for t in trace])
-    assert E.iterations == len(trace) - 1  # one entry per Frank-Wolfe step
+    assert E.iterations == len(trace) - 1 == E.fw_steps  # one entry per Frank-Wolfe step
     assert np.all(np.diff(det_v) >= -1e-12 * det_v[:-1])
     assert np.allclose(E.M, M, atol=1e-7 * np.abs(M).max())
+
+
+def noisy_prism(n, seed):
+    """The regular n-prism of height 2, each coordinate moved by Gaussian noise of deviation 1e-9."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    pts = np.vstack([np.column_stack([ring, np.full(n, z)]) for z in (-1.0, 1.0)])
+    return pts + 1e-9 * np.random.default_rng(seed).normal(size=pts.shape)
+
+
+def test_frank_wolfe_fallback_is_reached():
+    # near-ties among the prism's contacts make some Newton polishes fail
+    # (the pentagonal prism with seed 4 among them), so the fallback is
+    # needed; how many fail depends on rounding, hence "at least one"
+    fw_steps = []
+    for n in range(3, 16):
+        for seed in range(6):
+            K = noisy_prism(n, seed)
+            i, j = np.triu_indices(len(K), 1)
+            for pts in (K, K[i] - K[j]):
+                E = mvee_centered(pts)
+                assert E.gap <= 1e-9
+                fw_steps.append(E.fw_steps)
+    assert max(fw_steps) > 0
 
 
 @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1e-6, 1e6), (1.0, 1.0, 1e-8)])
