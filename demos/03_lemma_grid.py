@@ -7,11 +7,8 @@ over six nonnegative weights that sum to 3.  Each is verified over a
 full grid of weight vectors, and each is attained at a known witness.
 """
 
-import numpy as np
-
 from isokit import (
     grid_verify_all,
-    ignore_term_bound,
     pair_drop_sum,
     triple_drop_sum,
     weighted_sum,
@@ -41,18 +38,3 @@ for name, fam in rep["families"].items():
 rep = grid_verify_all(0.05)
 print(f"\ngrid step {rep['step']}: {rep['n_points']} weight vectors, "
       f"{len(rep['violations'])} violations, worst excess {rep['max_value']:+.2e}")
-
-# The scalar helper behind several of these proofs: for nonnegative
-# a, b, c and x + y + z = 0 with |x|,|y|,|z| <= 1, the quadratic form
-# a x^2 + b y^2 + c z^2 never exceeds a + b + c - min(a, b, c).
-val, bound = ignore_term_bound(1.0, 2.0, 3.0, 0.5, 0.5, -1.0)
-print(f"\nignore_term_bound example: value {val} <= bound {bound}")
-
-rng = np.random.default_rng(0)
-worst = -np.inf
-for _ in range(2000):
-    a, b, c = rng.uniform(0, 2, 3)
-    x, y = rng.uniform(-0.5, 0.5, 2)
-    v, t = ignore_term_bound(a, b, c, x, y, -(x + y))
-    worst = max(worst, v - t)
-print(f"2000 random instances: max value-bound gap = {worst:+.3e} (never positive)")

@@ -14,42 +14,31 @@ value is one of the weight-product drop sums; the certificate names it.
 
 import numpy as np
 
-from isokit import AdmissibleSet, certify_random, maximize_objective, witness_value
-from isokit.certifier import WITNESS_LAMBDA, WITNESS_SET
+from isokit import AdmissibleSet, certify_random, witness_value
+from isokit.certifier import WITNESS_SET
 
 # The equality case: entries 0 or +-1, objective exactly 2 at lambda = (1/2,...).
 print("witness set:", WITNESS_SET.astype(int).tolist())
 print("objective at equal weights:", witness_value())
 AdmissibleSet(WITNESS_SET)  # passes the determinant-relation validator
 
-# The maximizer search reproduces the ceiling at equal weights...
-cert = maximize_objective(WITNESS_LAMBDA, restarts=64, seed=0)
-print(f"\nmaximize at (1/2,...): value = {cert.value:.15f} ({cert.sweeps} sweeps)")
-print("minors of the best 2x5 matrix:", np.round(cert.argmax, 12).tolist())
+# A run with no random weight vectors reports the equality case alone.
+summary = certify_random(n_lambda=0)
+print(f"witness-only run: global max = {summary['global_max']} at lambda = {summary['argmax_lambda']}")
 
-# ...and names the drop family whose pattern the maximizer forms: its
-# minors are 0 on the pairs the family instance drops and +-1 elsewhere.
-print("drop pattern of the maximizer:", cert.pattern)
-
-# Away from equal weights the maximum drops strictly below 2.
-rng = np.random.default_rng(5)
-for _ in range(3):
-    lam = np.sort(rng.dirichlet(np.ones(6)) * 3.0)
-    cert = maximize_objective(lam, restarts=32, seed=1)
-    print(f"lambda = {np.round(lam, 3)} -> max = {cert.value:.9f}")
-
-# Pinning the smallest weight to zero caps the ceiling at 9/5.
-lam0 = np.array([0.0, 0.6, 0.6, 0.6, 0.6, 0.6])
-cert = maximize_objective(lam0, restarts=64, seed=2)
-print(f"\nzero-pinned tight case {lam0.tolist()}: max = {cert.value:.12f} (9/5 = 1.8)")
-
-# Randomized end-to-end certification (small run; the acceptance suite
-# does 1000 x 64).
+# Randomized certification (small run; the acceptance suite does
+# 1000 x 64).  Each weight vector climbs from its own restarts, and the
+# report counts the drop families its maximizer's pattern names: minors
+# 0 on the pairs the family instance drops and +-1 elsewhere.
 summary = certify_random(n_lambda=50, restarts=32, seed=42)
-print(f"\n50 random weight vectors: global max = {summary['max_value']:.12f} <= 2")
+print(f"\n50 random weight vectors: global max = {summary['global_max']:.12f} <= 2")
 print("violations:", summary["violations"])
 print("drop patterns of the maximizers:", summary["boundary_kinds"])
 
+# Pinning the smallest weight to zero caps the ceiling at 9/5; the best
+# maximizer's minors form a {0, +-1} pattern.
 summary = certify_random(n_lambda=20, restarts=32, seed=42, first_weight_zero=True)
-print(f"20 zero-pinned weight vectors: global max = {summary['max_value']:.12f} <= 9/5")
+print(f"\n20 zero-pinned weight vectors: global max = {summary['global_max']:.12f} <= 9/5")
+print("attained at lambda =", np.round(summary["argmax_lambda"], 3).tolist())
+print("minors of the best 2x5 matrix:", np.round(summary["argmax_set"], 12).tolist())
 print("drop patterns of the maximizers:", summary["boundary_kinds"])

@@ -17,10 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from isokit import (
-    LatticeBasis,
     Polytope,
-    density,
-    is_nonseparable_unit_lattice,
+    is_nonseparable_width,
     lattice_width,
     polytope_from_json,
     verify_width_volume_corollary,
@@ -50,18 +48,14 @@ print("width in (2,0,0):", width_in_direction(simplex, (2, 0, 0)))
 # A body of width >= 1 cannot be separated from the lattice by slabs:
 cube = Polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
                 mode="rational")
-print(f"\nunit cube: width = {lattice_width(cube).value}, "
-      f"nonseparable = {is_nonseparable_unit_lattice(cube)}, density = {density(cube)}")
+rep = verify_width_volume_corollary(cube)
+print(f"\nunit cube: width = {rep['omega']}, nonseparable = {rep['nonseparable']}, "
+      f"density vol/width^3 = {rep['volume'] / rep['omega'] ** 3}")
 
 half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in simplex.vertices],
                 mode="rational")
-print(f"half-scale simplex: width = {lattice_width(half).value}, "
-      f"nonseparable = {is_nonseparable_unit_lattice(half)}")
-
-# Width is measured against a lattice; changing the lattice basis
-# changes the answer predictably.
-doubled_x = LatticeBasis([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-print(f"cube against the 2Z x Z x Z lattice: width = {doubled_x.width(cube).value}")
+w = lattice_width(half).value
+print(f"half-scale simplex: width = {w}, nonseparable = {is_nonseparable_width(w, half.mode)}")
 
 # Random integer-vertex polytopes: the corollary holds with exact
 # rational slack every time.

@@ -31,18 +31,9 @@ from .errors import (
     NoDecomposition,
     NotFullDimensional,
     PreconditionError,
-    SingularLattice,
     SingularPoint,
 )
-from .geom import (
-    Polytope,
-    diameter,
-    difference_body,
-    polytope_from_json,
-    polytope_to_json,
-    simplex_volume_lower_bound,
-    volume,
-)
+from .geom import Polytope, polytope_from_json, volume
 from .mvee import Ellipsoid, mvee_centered
 from .john import (
     IDQ_LOWER_BOUND,
@@ -55,12 +46,12 @@ from .john import (
     witness_triple,
 )
 from .admissible import (
+    CEILING,
+    HEAVY_PAIRS,
     NINE_SIXTEENTHS,
     PAIRS,
     AdmissibleSet,
-    LambdaVector,
     check_relations,
-    f_eval,
     five_square_max,
     from_contact_vectors,
     g_map,
@@ -73,37 +64,24 @@ from .admissible import (
     peculiar_sweep,
     relation_residuals,
     sample_lambda,
-    sample_omega,
 )
 from .bounds import (
-    HEAVY_PAIRS,
     LIGHT_PAIRS,
-    PAIR_DROP_BOUND,
-    TRIPLE_DROP_BOUND,
-    WEIGHTED_BOUND,
-    ZERO_DROP_BOUND,
     drop_patterns,
     grid_verify_all,
-    ignore_term_bound,
     pair_drop_sum,
     triple_drop_sum,
     weighted_sum,
     zero_lambda_drop,
 )
 from .certifier import (
-    CEILING,
     ZERO_WEIGHT_CEILING,
     CeilingCertificate,
     certify_random,
-    maximize_objective,
     witness_value,
 )
 from .lattice import (
-    LatticeBasis,
-    LatticeDirection,
     WidthResult,
-    density,
-    is_nonseparable_unit_lattice,
     is_nonseparable_width,
     lattice_width,
     verify_width_volume_corollary,

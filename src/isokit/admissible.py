@@ -17,14 +17,12 @@ This module is the one home of that algebra: the pair index (``PAIRS``,
 ``pair_pos``), the relation table behind ``relation_residuals``, the
 weight sampler, the peculiar boundary family (its magnitude-one pairs
 ``HEAVY_PAIRS`` and the forced magnitudes ``peculiar_forced``), the
-planar region Omega with its sampler and self-map g, and
+planar region Omega with its self-map g, and
 ``peculiar_sweep``, which checks the ceiling over the family and the
 region bounds over Omega.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +40,6 @@ __all__ = [
     "CEILING",
     "NINE_SIXTEENTHS",
     "AdmissibleSet",
-    "LambdaVector",
     "pair_pos",
     "lambda_pair_products",
     "sample_lambda",
@@ -54,10 +51,8 @@ __all__ = [
     "peculiar_from",
     "peculiar_sweep",
     "omega_contains",
-    "sample_omega",
     "g_map",
     "five_square_max",
-    "f_eval",
 ]
 
 #: index pairs (i, j), 1-based, in storage order
@@ -142,26 +137,8 @@ class AdmissibleSet:
         return f"AdmissibleSet({np.array2string(self.a, precision=6, suppress_small=True)})"
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    """Six nonnegative weights summing to 3, the largest stored last."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (6,):
-            raise InvariantError("need six weights")
-        object.__setattr__(self, "values", _as_lambda(v))
-
-    def __getitem__(self, k):
-        return float(self.values[k])
-
-
 def _as_lambda(L) -> np.ndarray:
     """Checked weights over a trailing axis of 6, clipped at zero."""
-    if isinstance(L, LambdaVector):
-        return L.values
     v = np.asarray(L, dtype=float)
     if v.shape[-1:] != (6,):
         raise InvariantError("need six weights")
@@ -336,7 +313,8 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     Scores the family's members at ``n`` random feasible magnitude pairs
     (x, y) against ``n_lambda`` random weight vectors.  Then, at ``n``
     random points of Omega, checks the five-square bound 9/16 and the
-    total f_eval + (products on ``HEAVY_PAIRS``) against the ceiling,
+    total f + (products on ``HEAVY_PAIRS``) against the ceiling (f is
+    ``_f_value``),
     pairing point k with weight vector k mod ``n_lambda``.  Every value
     above its bound by more than ``tol`` is listed as a violation.
     Counts above 10^6 samples or 10^4 weight vectors are refused.
@@ -351,7 +329,7 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     and numpy's ``** 2`` is not Python's, so screens only select rows:
     every row within 1e-12 relative of the running maximum or of its
     bound + ``tol`` is recomputed by the per-pair expression (the
-    objective) or by ``five_square_max`` and ``f_eval`` (the region), and
+    objective) or by ``five_square_max`` and ``_f_value`` (the region), and
     only recomputed values are reported.
     """
     if not (1 <= n <= 10**6 and 1 <= n_lambda <= 10**4):
@@ -388,7 +366,7 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
             fsq_max = max(fsq_max, five_square_max(float(x[r]), float(y[r])))
         screen = _f_value(lam[k], x, y) + heavy[k]
         for r in np.flatnonzero(_near(screen, max(total_max, screen.max()))):
-            total_max = max(total_max, f_eval(lam[k[r]], float(x[r]), float(y[r])) + float(heavy[k[r]]))
+            total_max = max(total_max, float(_f_value(lam[k[r]], float(x[r]), float(y[r]))) + float(heavy[k[r]]))
     if fsq_max > NINE_SIXTEENTHS + tol:
         violations.append({"kind": "five_square", "value": fsq_max})
     if total_max > CEILING + tol:
@@ -428,11 +406,6 @@ def _in_omega(cand: np.ndarray) -> np.ndarray:
     return omega_contains(cand[:, 0], cand[:, 1])
 
 
-def sample_omega(rng, n: int) -> np.ndarray:
-    """n uniform points of Omega, shape (n, 2), by rejection from [1/2, 1)^2."""
-    return np.concatenate([np.empty((0, 2)), *_accepted_blocks(rng, 0.5, _in_omega, n, _BLOCK_ROWS)])
-
-
 def g_map(x: float, y: float):
     """The substitution map g(x, y) = ((1 - x)/(1 - xy), 1 - xy).
 
@@ -460,26 +433,17 @@ def _five_squares(x, y) -> tuple:
     return x * x, y * y, d * d, ((1.0 - x) / d) ** 2, ((1.0 - y) / d) ** 2
 
 
-def f_eval(L, x: float, y: float) -> float:
+def _f_value(lam: np.ndarray, x, y):
     """The two-variable envelope of the objective over the peculiar family.
 
         f = l1 l5 ((y-1)/(xy-1))^2 + l1 l4 ((x-1)/(xy-1))^2
           + l2 l3 (1-xy)^2 + l2 l5 y^2 + l3 l4 x^2
 
-    Defined for (x, y) in [0,1]^2 away from (1, 1).  Adding the five
-    untouched products l1l2 + l1l3 + l2l4 + l3l5 + l4l5 keeps the total
-    at most 2 for any valid weight vector.
+    Defined for (x, y) in [0,1]^2 away from (1, 1); elementwise on arrays,
+    weights (..., 6).  Adding the five untouched products l1l2 + l1l3 +
+    l2l4 + l3l5 + l4l5 keeps the total at most 2 for any valid weight
+    vector.
     """
-    lam = _as_lambda(L)
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise PreconditionError("(x, y) must lie in the unit square")
-    if x * y - 1.0 == 0.0:
-        raise SingularPoint("f is undefined at (1, 1)")
-    return float(_f_value(lam, x, y))
-
-
-def _f_value(lam: np.ndarray, x, y):
-    """The formula of ``f_eval``, unchecked; elementwise on arrays, weights (..., 6)."""
     d = x * y - 1.0
     return (
         lam[..., 0] * lam[..., 4] * ((y - 1.0) / d) ** 2

@@ -34,23 +34,14 @@ from .admissible import HEAVY_PAIRS, PAIRS, _as_lambda, lambda_pair_products, pa
 from .errors import PreconditionError
 
 __all__ = [
+    "LIGHT_PAIRS",
     "pair_drop_sum",
     "triple_drop_sum",
     "zero_lambda_drop",
     "weighted_sum",
-    "ignore_term_bound",
     "grid_verify_all",
     "drop_patterns",
-    "PAIR_DROP_BOUND",
-    "TRIPLE_DROP_BOUND",
-    "ZERO_DROP_BOUND",
-    "WEIGHTED_BOUND",
 ]
-
-PAIR_DROP_BOUND = 2.0
-TRIPLE_DROP_BOUND = 9.0 / 5.0
-ZERO_DROP_BOUND = 9.0 / 5.0
-WEIGHTED_BOUND = 2.0
 
 #: the 3/5-weighted pattern: full weight on the peculiar family's
 #: magnitude-one pairs ``HEAVY_PAIRS``, weight 3/5 on the other five
@@ -104,25 +95,6 @@ def weighted_sum(L) -> float:
     heavy = sum(p[pair_pos(*pair)[0]] for pair in HEAVY_PAIRS)
     light = sum(p[pair_pos(*pair)[0]] for pair in LIGHT_PAIRS)
     return float(heavy + 0.6 * light)
-
-
-def ignore_term_bound(a: float, b: float, c: float, x: float, y: float, z: float):
-    """Quadratic bound on the zero-sum slice of the cube.
-
-    For a, b, c >= 0 and (x, y, z) in [-1, 1]^3 with x + y + z = 0:
-
-        a x^2 + b y^2 + c z^2  <=  a + b + c - min(a, b, c).
-
-    Returns (value, bound).
-    """
-    if min(a, b, c) < 0:
-        raise PreconditionError("coefficients must be nonnegative")
-    if max(abs(x), abs(y), abs(z)) > 1.0 + 1e-12:
-        raise PreconditionError("(x, y, z) must lie in [-1, 1]^3")
-    if abs(x + y + z) > 1e-9:
-        raise PreconditionError("coordinates must sum to zero")
-    value = a * x * x + b * y * y + c * z * z
-    return float(value), float(a + b + c - min(a, b, c))
 
 
 # ---------------------------------------------------------------------------

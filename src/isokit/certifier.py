@@ -64,7 +64,6 @@ __all__ = [
     "WITNESS_LAMBDA",
     "CeilingCertificate",
     "witness_value",
-    "maximize_objective",
     "certify_random",
 ]
 
@@ -226,18 +225,6 @@ def _maximize_block(lam, rngs, restarts):
     ]
 
 
-def maximize_objective(lam, restarts: int = 64, seed=0) -> CeilingCertificate:
-    """Certified-from-below maximum of the objective for one weight vector.
-
-    Runs ``restarts`` corner-step climbs on 2x5 matrices from Gaussian
-    starts.  The reported value is attained by an admissible set, so it
-    is a lower bound for the constrained maximum; the ceiling claim is
-    that it never exceeds 2 (9/5 when the smallest weight is zero).
-    """
-    lam = _as_lambda(lam)[None]
-    return _maximize_block(lam, [np.random.default_rng(seed)], restarts)[0]
-
-
 def certify_random(
     n_lambda: int = 1000,
     restarts: int = 64,
@@ -245,14 +232,18 @@ def certify_random(
     first_weight_zero: bool = False,
     tol: float = 1e-6,
 ) -> dict:
-    """Ceiling check over random weight vectors.
+    """Ceiling check over random weight vectors: the ``certify`` command's report.
 
     Draws ``n_lambda`` weight vectors (optionally with the smallest
     weight pinned to zero), maximizes the objective for each, and
-    reports the worst case against the applicable ceiling.  Vector k
-    is drawn from ``default_rng([seed, k])`` and climbs from
-    ``default_rng([seed, k, 1])``, whichever block it runs in.
+    reports the worst case against the applicable ceiling, in print
+    order.  Vector k is drawn from ``default_rng([seed, k])`` and climbs
+    from ``default_rng([seed, k, 1])``, whichever block it runs in.
+    Counts outside [0, 10^5] are refused: 10^5 weight vectors take
+    about ten minutes at 64 restarts.
     """
+    if not 0 <= n_lambda <= 10**5:
+        raise PreconditionError("samples must lie in [0, 10^5]")
     bound = ZERO_WEIGHT_CEILING if first_weight_zero else CEILING
     if first_weight_zero:
         witness, max_value, argmax_lam, argmax_set = None, -np.inf, None, None
@@ -283,11 +274,10 @@ def certify_random(
         "restarts": restarts,
         "bound": bound,
         "tol": tol,
-        "max_value": None if argmax_lam is None else float(max_value),
+        "global_max": None if argmax_lam is None else float(max_value),
         "argmax_lambda": None if argmax_lam is None else [float(v) for v in argmax_lam],
         "argmax_set": None if argmax_set is None else [float(v) for v in argmax_set],
-        "violations": violations,
         "witness_value": witness,
         "boundary_kinds": kinds,
+        "violations": violations,
     }
-

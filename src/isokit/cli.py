@@ -41,7 +41,7 @@ from .certifier import certify_random
 from .errors import DegenerateInput, IsokitError, PreconditionError
 from .geom import polytope_from_json
 from .john import IDQ_LOWER_BOUND, WITNESS_LOWER_BOUND, normalize
-from .lattice import is_nonseparable_width, verify_width_volume_corollary
+from .lattice import verify_width_volume_corollary
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +58,8 @@ class Config:
     mode: str = "float"
 
     def __post_init__(self):
-        if not (isinstance(self.tolerance, float) and self.tolerance > 0.0):
-            raise PreconditionError("tolerance must be a positive real")
+        if not (isinstance(self.tolerance, float) and 0.0 < self.tolerance < math.inf):
+            raise PreconditionError("tolerance must be a positive finite real")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a 64-bit unsigned integer")
         if not (isinstance(self.restarts, int) and 1 <= self.restarts <= 10**4):
@@ -180,20 +180,9 @@ def cmd_normalize(args, cfg: Config):
 
 
 def cmd_width(args, cfg: Config):
-    P = _load_polytope(args.file, cfg.mode)
-    rep = verify_width_volume_corollary(P)
-    payload = {
-        "omega": rep["width"],
-        "direction": list(rep["direction"]),
-        "volume": rep["volume"],
-        "bound": rep["bound"],
-        "slack": rep["slack"],
-        "exact": rep["exact"],
-        "holds": rep["holds"],
-        "nonseparable": is_nonseparable_width(rep["width"], P.mode),
-    }
-    if not rep["holds"]:
-        return payload, _alarm("volume", rep["volume"], rep["bound"], note=" (bound omega^3/12)")
+    payload = verify_width_volume_corollary(_load_polytope(args.file, cfg.mode))
+    if not payload["holds"]:
+        return payload, _alarm("volume", payload["volume"], payload["bound"], note=" (bound omega^3/12)")
     return payload, 0
 
 
@@ -207,31 +196,10 @@ def cmd_verify_lemmas(args, cfg: Config):
 
 
 def cmd_certify(args, cfg: Config):
-    # bounded time: 10^5 weight vectors take about ten minutes at 64 restarts
-    if not 0 <= args.samples <= 10**5:
-        raise PreconditionError("samples must lie in [0, 10^5]")
-    summary = certify_random(
-        n_lambda=args.samples,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        first_weight_zero=args.zero_first,
-        tol=cfg.tolerance,
-    )
-    payload = {
-        "n_lambda": summary["n_lambda"],
-        "restarts": summary["restarts"],
-        "bound": summary["bound"],
-        "tol": summary["tol"],
-        "global_max": summary["max_value"],
-        "argmax_lambda": summary["argmax_lambda"],
-        "argmax_set": summary["argmax_set"],
-        "witness_value": summary["witness_value"],
-        "boundary_kinds": summary["boundary_kinds"],
-        "violations": summary["violations"],
-    }
-    if summary["violations"]:
-        note = f" ({len(summary['violations'])} of {summary['n_lambda']} weight vectors)"
-        return payload, _alarm("objective", summary["max_value"], summary["bound"] + summary["tol"], True, note)
+    payload = certify_random(args.samples, cfg.restarts, cfg.seed, args.zero_first, cfg.tolerance)
+    if payload["violations"]:
+        note = f" ({len(payload['violations'])} of {payload['n_lambda']} weight vectors)"
+        return payload, _alarm("objective", payload["global_max"], payload["bound"] + payload["tol"], True, note)
     return payload, 0
 
 

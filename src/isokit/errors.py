@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "IsokitError",
+    "DegenerateInput",
+    "NotFullDimensional",
+    "NoConvergence",
+    "NoDecomposition",
+    "InfeasibleMagnitudes",
+    "SingularPoint",
+    "PreconditionError",
+    "InvariantError",
+]
+
 
 class IsokitError(Exception):
     """Base class for all package-specific errors."""
@@ -27,10 +39,6 @@ class InfeasibleMagnitudes(IsokitError):
 
 class SingularPoint(IsokitError):
     """Evaluation requested at a point where the formula is undefined."""
-
-
-class SingularLattice(IsokitError):
-    """Lattice basis matrix is singular."""
 
 
 class PreconditionError(IsokitError):

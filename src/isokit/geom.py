@@ -1,4 +1,4 @@
-"""Convex polytopes in R^3: hulls, volume, diameter, difference bodies.
+"""Convex polytopes in R^3: hulls, volume and JSON input.
 
 Two arithmetic modes are supported and carried by every ``Polytope``:
 
@@ -30,11 +30,7 @@ from .errors import DegenerateInput, NotFullDimensional, PreconditionError
 __all__ = [
     "Polytope",
     "volume",
-    "diameter",
-    "difference_body",
-    "simplex_volume_lower_bound",
     "polytope_from_json",
-    "polytope_to_json",
     "det3",
 ]
 
@@ -338,42 +334,8 @@ def volume(P: Polytope):
     return total / 6.0
 
 
-def diameter(P: Polytope) -> float:
-    """Largest pairwise vertex distance (the Euclidean diameter)."""
-    if P.mode == "rational":
-        best = Fraction(0)
-        vs = P.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                d = _sub(vs[i], vs[j])
-                best = max(best, _dot(d, d))
-        return math.sqrt(best)
-    arr = P.as_array()
-    d2 = np.sum((arr[:, None, :] - arr[None, :, :]) ** 2, axis=-1)
-    return math.sqrt(float(np.max(d2)))
-
-
-def difference_body(P: Polytope) -> Polytope:
-    """Hull of all pairwise vertex differences v_i - v_j (origin-symmetric),
-    in P's arithmetic."""
-    if P.mode == "rational":
-        diffs = [_sub(a, b) for a in P.vertices for b in P.vertices]
-        return Polytope(diffs, mode="rational")
-    arr = P.as_array()
-    diffs = (arr[:, None, :] - arr[None, :, :]).reshape(-1, 3)
-    return Polytope(diffs, mode="float")
-
-
-def simplex_volume_lower_bound(y1, y2, y3):
-    """Volume of the simplex conv{0, y1, y2, y3}: |det(y1, y2, y3)| / 6."""
-    d = det3(tuple(y1), tuple(y2), tuple(y3))
-    if isinstance(d, Fraction):
-        return abs(d) / 6
-    return abs(float(d)) / 6.0
-
-
 # ---------------------------------------------------------------------------
-# JSON wire format
+# JSON input
 # ---------------------------------------------------------------------------
 
 
@@ -411,12 +373,3 @@ def polytope_from_json(data, mode: str = "float") -> Polytope:
         pts.append(tuple(_coord_from_json(c, mode) for c in v))
     return Polytope(pts, mode=mode)
 
-
-def polytope_to_json(P: Polytope) -> dict:
-    if P.mode == "rational":
-        return {
-            "vertices": [
-                [f"{c.numerator}/{c.denominator}" for c in v] for v in P.vertices
-            ]
-        }
-    return {"vertices": [[float(c) for c in v] for v in P.vertices]}

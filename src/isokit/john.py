@@ -29,6 +29,8 @@ from .geom import Polytope, volume
 from .mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 __all__ = [
+    "IDQ_LOWER_BOUND",
+    "WITNESS_LOWER_BOUND",
     "JohnDecomposition",
     "NormalizationResult",
     "transform_to_ball",

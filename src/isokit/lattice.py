@@ -22,52 +22,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, SingularLattice
+from .errors import PreconditionError
 from .geom import Polytope, _homogeneous, _initial_simplex, _sub, volume
 
 __all__ = [
-    "LatticeDirection",
-    "LatticeBasis",
     "WidthResult",
     "width_in_direction",
     "lattice_width",
-    "is_nonseparable_unit_lattice",
     "is_nonseparable_width",
-    "density",
     "verify_width_volume_corollary",
 ]
-
-
-def _canonical_primitive(u) -> tuple:
-    try:
-        a, b, c = (int(x) for x in u)
-    except (TypeError, ValueError):
-        raise PreconditionError("direction must be three integers")
-    if (a, b, c) != tuple(int(x) for x in u) or any(x != int(x) for x in u):
-        raise PreconditionError("direction must be three integers")
-    if a == b == c == 0:
-        raise PreconditionError("direction must be nonzero")
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    a, b, c = a // g, b // g, c // g
-    for x in (a, b, c):
-        if x != 0:
-            if x < 0:
-                a, b, c = -a, -b, -c
-            break
-    return (a, b, c)
-
-
-@dataclass(frozen=True)
-class LatticeDirection:
-    """Primitive integer direction, gcd-reduced, first nonzero positive."""
-
-    u: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _canonical_primitive(self.u))
-
-    def as_tuple(self) -> tuple:
-        return self.u
 
 
 @dataclass(frozen=True)
@@ -83,18 +47,14 @@ def width_in_direction(P: Polytope, u) -> object:
     """max dot - min dot over the vertices; exact in rational mode.
 
     The direction is used verbatim (no gcd reduction), so a doubled
-    direction reports a doubled width; pass a LatticeDirection for the
-    canonical primitive representative.
+    direction reports a doubled width.
     """
-    if isinstance(u, LatticeDirection):
-        d = u.u
-    else:
-        d = tuple(u)
-        if len(d) != 3 or any(x != int(x) for x in d):
-            raise PreconditionError("direction must be three integers")
-        d = tuple(int(x) for x in d)
-        if d == (0, 0, 0):
-            raise PreconditionError("direction must be nonzero")
+    d = tuple(u)
+    if len(d) != 3 or any(x != int(x) for x in d):
+        raise PreconditionError("direction must be three integers")
+    d = tuple(int(x) for x in d)
+    if d == (0, 0, 0):
+        raise PreconditionError("direction must be nonzero")
     dots = [vx * d[0] + vy * d[1] + vz * d[2] for (vx, vy, vz) in P.vertices]
     return max(dots) - min(dots)
 
@@ -210,26 +170,15 @@ def is_nonseparable_width(w, mode: str) -> bool:
     return float(w) > 1.0
 
 
-def is_nonseparable_unit_lattice(P: Polytope) -> bool:
-    """Whether the lattice width is at least 1 (see is_nonseparable_width)."""
-    return is_nonseparable_width(lattice_width(P).value, P.mode)
-
-
-def density(P: Polytope):
-    """vol(K) / width(K)^3; at least 1/12 for every convex polytope."""
-    w = lattice_width(P).value
-    v = volume(P)
-    if P.mode == "rational":
-        return Fraction(v) / Fraction(w) ** 3
-    return float(v) / float(w) ** 3
-
-
 def verify_width_volume_corollary(P: Polytope) -> dict:
-    """Check vol(K) >= width(K)^3 / 12, exactly when possible.
+    """Check vol(K) >= omega(K)^3 / 12, exactly when possible.
 
-    Returns volume, width, the attaining direction, the bound, the slack
-    vol - width^3/12, and whether the inequality holds.  In rational mode
-    every field is an exact Fraction and ``exact`` is True.
+    Returns the ``width`` command's report, in print order: the lattice
+    width omega, its attaining direction, the volume, the bound
+    omega^3/12, the slack vol - omega^3/12, whether the check was exact,
+    whether the inequality holds, and whether omega >= 1
+    (``is_nonseparable_width``, which refuses a float width too close to
+    1).  In rational mode every number is an exact Fraction.
     """
     res = lattice_width(P)
     v = volume(P)
@@ -241,55 +190,12 @@ def verify_width_volume_corollary(P: Polytope) -> dict:
         bound = float(res.value) ** 3 / 12.0
         slack = float(v) - bound
     return {
+        "omega": res.value,
+        "direction": list(res.direction),
         "volume": v,
-        "width": res.value,
-        "direction": res.direction,
         "bound": bound,
         "slack": slack,
-        "holds": slack >= (0 if exact else -1e-9),
         "exact": exact,
+        "holds": slack >= (0 if exact else -1e-9),
+        "nonseparable": is_nonseparable_width(res.value, P.mode),
     }
-
-
-class LatticeBasis:
-    """Integer basis B of a sublattice; widths are measured against it.
-
-    The width of K with respect to the lattice B Z^3 equals the standard
-    lattice width of B^(-1) K, computed exactly through the adjugate.
-    """
-
-    def __init__(self, rows):
-        B = [[int(x) for x in row] for row in rows]
-        if len(B) != 3 or any(len(r) != 3 for r in B):
-            raise PreconditionError("basis must be a 3x3 integer matrix")
-        (a, b, c), (d, e, f), (g, h, i) = B
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if det == 0:
-            raise SingularLattice("basis vectors are linearly dependent")
-        self.rows = tuple(tuple(r) for r in B)
-        self.det = det
-        # adjugate / det = exact inverse
-        self._inv = [
-            [Fraction(e * i - f * h, det), Fraction(c * h - b * i, det), Fraction(b * f - c * e, det)],
-            [Fraction(f * g - d * i, det), Fraction(a * i - c * g, det), Fraction(c * d - a * f, det)],
-            [Fraction(d * h - e * g, det), Fraction(b * g - a * h, det), Fraction(a * e - b * d, det)],
-        ]
-
-    def transform(self, P: Polytope) -> Polytope:
-        """B^(-1) K as a new polytope (exact in rational mode)."""
-        inv = self._inv
-        if P.mode == "rational":
-            verts = [
-                tuple(inv[r][0] * x + inv[r][1] * y + inv[r][2] * z for r in range(3))
-                for (x, y, z) in P.vertices
-            ]
-        else:
-            fi = [[float(q) for q in row] for row in inv]
-            verts = [
-                tuple(fi[r][0] * x + fi[r][1] * y + fi[r][2] * z for r in range(3))
-                for (x, y, z) in P.vertices
-            ]
-        return Polytope(verts, mode=P.mode)
-
-    def width(self, P: Polytope) -> WidthResult:
-        return lattice_width(self.transform(P))

@@ -88,24 +88,24 @@ def svec(points) -> np.ndarray:
     return np.array([a * a, b * b, c * c, r2 * a * b, r2 * a * c, r2 * b * c])
 
 
-def caratheodory(C, lam, rtol: float | None = None, protect: int | None = None):
+def caratheodory(C, lam, rtol: float, protect: int | None = None):
     """Caratheodory elimination on the nonnegative combination ``C @ lam``.
 
     Each step moves the weights along a null vector gamma of the support
     columns (C gamma ~ 0, so C @ lam stays put) until the first weight
     reaches zero (the ratio test), and drops that column.  Steps run while
     more than six columns carry weight (the columns of ``svec`` live in a
-    6-dimensional space, so such a support always has a null vector) and,
-    given ``rtol``, while the smallest singular value of the support
-    columns is at most ``rtol`` times the largest.  The weight at index
-    ``protect`` does not decrease when the null vector allows it.
+    6-dimensional space, so such a support always has a null vector) and
+    while the smallest singular value of the support columns is at most
+    ``rtol`` times the largest.  The weight at index ``protect`` does not
+    decrease when the null vector allows it.
 
     Returns (support, weights): the indices still carrying weight above
     1e-15 and the new weight vector.
     """
     lam = np.array(lam, dtype=float)
     support = np.flatnonzero(lam > 0.0)
-    while len(support) > 6 or (rtol is not None and len(support)):
+    while len(support):
         _, s, vh = np.linalg.svd(C[:, support])
         if len(support) <= 6 and s[-1] > rtol * s[0]:
             break

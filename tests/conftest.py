@@ -98,6 +98,27 @@ def random_lattice_polytope(rng, lo=0, hi=3, n_max=10):
             return Polytope([tuple(int(c) for c in p) for p in pts], mode="rational")
 
 
+def difference_hull(P):
+    """The hull of K - K: all pairwise vertex differences of P, in P's arithmetic."""
+    from isokit.geom import Polytope
+
+    return Polytope([tuple(a - b for a, b in zip(p, q)) for p in P.vertices for q in P.vertices], mode=P.mode)
+
+
+def unimodular_image(points, U):
+    """The exact images U p of ``points`` under an integer matrix U of determinant +-1."""
+    assert round(abs(np.linalg.det(np.array(U, dtype=float)))) == 1
+    return [tuple(sum(u * c for u, c in zip(row, p)) for row in U) for p in points]
+
+
+def maximize_one(lam, restarts=64, seed=0):
+    """One weight vector's ceiling certificate: a block of one climb from ``default_rng(seed)``."""
+    from isokit.admissible import _as_lambda
+    from isokit.certifier import _maximize_block
+
+    return _maximize_block(_as_lambda(lam)[None], [np.random.default_rng(seed)], restarts)[0]
+
+
 def random_polytope_vertices(rng, n_min=4, n_max=20):
     """Vertices of a random full-dimensional polytope in [-1, 1]^3."""
     while True:

@@ -15,9 +15,8 @@ from isokit.admissible import (
     HEAVY_PAIRS,
     PAIRS,
     AdmissibleSet,
-    LambdaVector,
+    _f_value,
     check_relations,
-    f_eval,
     five_square_max,
     from_contact_vectors,
     g_map,
@@ -29,12 +28,10 @@ from isokit.admissible import (
     peculiar_sweep,
     relation_residuals,
     sample_lambda,
-    sample_omega,
 )
 from isokit.errors import (
     InfeasibleMagnitudes,
     InvariantError,
-    PreconditionError,
     SingularPoint,
 )
 from isokit.geom import Polytope
@@ -92,14 +89,11 @@ def test_admissible_set_refuses_nan():
 
 
 def test_lambda_vector_validation():
-    L = LambdaVector(np.array(HALF))
-    assert L[5] == 0.5
-    with pytest.raises(InvariantError):
-        LambdaVector(np.array([0.5] * 5 + [0.6]))
-    with pytest.raises(InvariantError):
-        LambdaVector(np.array([-0.1, 0.5, 0.5, 0.5, 0.5, 1.1]))
-    with pytest.raises(InvariantError):
-        LambdaVector(np.array([1.0, 0.5, 0.5, 0.5, 0.4, 0.1]))
+    # weights are checked where they enter: six, nonnegative, summing to 3, the largest last
+    assert lambda_pair_products(HALF)[-1] == 0.25
+    for bad in ([0.5] * 5, [0.5] * 5 + [0.6], [-0.1, 0.5, 0.5, 0.5, 0.5, 1.1], [1.0, 0.5, 0.5, 0.5, 0.4, 0.1]):
+        with pytest.raises(InvariantError):
+            lambda_pair_products(bad)
 
 
 def test_pair_products_order():
@@ -312,10 +306,17 @@ def test_peculiar_sweep_matches_the_per_pair_loop(seed):
     assert (out["objective_max"], out["argmax_pair"]) == (worst[k], pairs[k].tolist())
     expected = [[float(x), float(y), w] for (x, y), w in zip(pairs[:n], worst) if w > 2.0 + tol]
     assert [v["pair"] + [v["value"]] for v in out["violations"] if v["kind"] == "objective"] == expected
-    omega = sample_omega(np.random.default_rng([seed, 103]), n)
+    rng = np.random.default_rng([seed, 103])
+    omega = np.empty((0, 2))
+    while omega.shape[0] < n:
+        cand = rng.uniform(0.5, 1.0, size=(2 * n, 2))
+        omega = np.vstack([omega, cand[omega_contains(cand[:, 0], cand[:, 1])]])
+    omega = omega[:n]
     heavy = sum(products[:, PAIRS.index(p)] for p in HEAVY_PAIRS)
     assert out["five_square_max"] == max(five_square_max(float(x), float(y)) for x, y in omega)
-    totals = (f_eval(lam[j % n_lambda], x, y) + float(heavy[j % n_lambda]) for j, (x, y) in enumerate(omega.tolist()))
+    totals = (
+        float(_f_value(lam[j % n_lambda], x, y)) + float(heavy[j % n_lambda]) for j, (x, y) in enumerate(omega.tolist())
+    )
     assert out["region_total_max"] == max(totals)
 
 
@@ -377,12 +378,9 @@ def test_five_square_max_on_omega(rng):
 
 
 def test_f_eval_values_and_total(rng):
-    assert f_eval(HALF, 1.0, 0.0) == pytest.approx(0.75, abs=1e-15)
-    assert f_eval(HALF, 0.0, 0.0) == pytest.approx(0.75, abs=1e-15)
-    with pytest.raises(PreconditionError):
-        f_eval(HALF, 1.2, 0.0)
-    with pytest.raises(SingularPoint):
-        f_eval(HALF, 1.0, 1.0)
+    # the region sweep's envelope f (``_f_value``)
+    assert _f_value(np.array(HALF), 1.0, 0.0) == pytest.approx(0.75, abs=1e-15)
+    assert _f_value(np.array(HALF), 0.0, 0.0) == pytest.approx(0.75, abs=1e-15)
     # adding the five untouched products keeps any weight vector at or
     # below the value-2 ceiling
     heavy = [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
@@ -393,7 +391,7 @@ def test_f_eval_values_and_total(rng):
         if x * y == 1.0:
             continue
         rest = sum(lam[i - 1] * lam[j - 1] for i, j in heavy)
-        assert f_eval(lam, x, y) + rest <= 2.0 + 1e-9
+        assert _f_value(lam, x, y) + rest <= 2.0 + 1e-9
 
 
 def test_f_eval_consistent_with_peculiar(rng):

@@ -10,13 +10,8 @@ import pytest
 
 from isokit.admissible import HEAVY_PAIRS, PAIRS, lambda_pair_products, sample_lambda
 from isokit.bounds import (
-    PAIR_DROP_BOUND,
-    TRIPLE_DROP_BOUND,
-    WEIGHTED_BOUND,
-    ZERO_DROP_BOUND,
     drop_patterns,
     grid_verify_all,
-    ignore_term_bound,
     pair_drop_sum,
     triple_drop_sum,
     weighted_sum,
@@ -67,38 +62,16 @@ def test_random_sweep_all_instances(rng):
     for _ in range(200):
         lam = random_lambda(rng)
         for kl, mn in pair_instances:
-            assert pair_drop_sum(lam, kl, mn) <= PAIR_DROP_BOUND + 1e-9
+            assert pair_drop_sum(lam, kl, mn) <= 2.0 + 1e-9
         for klm in combinations(range(1, 6), 3):
-            assert triple_drop_sum(lam, klm) <= TRIPLE_DROP_BOUND + 1e-9
-        assert weighted_sum(lam) <= WEIGHTED_BOUND + 1e-9
+            assert triple_drop_sum(lam, klm) <= 9.0 / 5.0 + 1e-9
+        assert weighted_sum(lam) <= 2.0 + 1e-9
         lam0 = lam.copy()
         lam0[1] += lam0[0]
         lam0[0] = 0.0
         lam0 = np.sort(lam0)
         for kl in combinations(range(2, 6), 2):
-            assert zero_lambda_drop(lam0, kl) <= ZERO_DROP_BOUND + 1e-9
-
-
-def test_ignore_term_examples():
-    assert ignore_term_bound(1, 1, 1, 1, -1, 0) == (2.0, 2.0)
-    assert ignore_term_bound(2, 3, 5, 1, 0, -1) == (7.0, 8.0)
-    with pytest.raises(PreconditionError):
-        ignore_term_bound(-1, 1, 1, 1, -1, 0)
-    with pytest.raises(PreconditionError):
-        ignore_term_bound(1, 1, 1, 1.5, -1.5, 0)
-    with pytest.raises(PreconditionError):
-        ignore_term_bound(1, 1, 1, 1, -0.5, 0)  # does not sum to zero
-
-
-def test_ignore_term_property(rng):
-    for _ in range(500):
-        a, b, c = rng.uniform(0.0, 5.0, size=3)
-        while True:
-            x, y = rng.uniform(-1.0, 1.0, size=2)
-            if abs(x + y) <= 1.0:
-                break
-        value, bound = ignore_term_bound(a, b, c, x, y, -(x + y))
-        assert value <= bound + 1e-12
+            assert zero_lambda_drop(lam0, kl) <= 9.0 / 5.0 + 1e-9
 
 
 def test_grid_coarse_tight_at_half():
@@ -149,9 +122,9 @@ def _sorted_grid(n):
 _DISJOINT = [(kl, mn) for kl, mn in combinations(combinations(range(1, 6), 2), 2) if not set(kl) & set(mn)]
 #: name -> (bound, index instances, scalar reference, rows it covers)
 _SCALAR_FAMILIES = {
-    "pair_drop": (PAIR_DROP_BOUND, _DISJOINT, lambda lam, ix: pair_drop_sum(lam, *ix), lambda lam: True),
-    "triple_drop": (TRIPLE_DROP_BOUND, list(combinations(range(1, 6), 3)), triple_drop_sum, lambda lam: True),
-    "zero_lambda": (ZERO_DROP_BOUND, list(combinations(range(2, 6), 2)), zero_lambda_drop, lambda lam: lam[0] == 0),
+    "pair_drop": (2.0, _DISJOINT, lambda lam, ix: pair_drop_sum(lam, *ix), lambda lam: True),
+    "triple_drop": (9.0 / 5.0, list(combinations(range(1, 6), 3)), triple_drop_sum, lambda lam: True),
+    "zero_lambda": (9.0 / 5.0, list(combinations(range(2, 6), 2)), zero_lambda_drop, lambda lam: lam[0] == 0),
 }
 
 
@@ -192,7 +165,7 @@ def test_grid_violations_are_the_first_100_in_row_major_order():
     assert rep["n_points"] == len(grid) == 58
     got = rep["violations"]
     assert len(got) == 4 * 100
-    families = dict(_SCALAR_FAMILIES, weighted=(WEIGHTED_BOUND, [f"pattern_{i}" for i in range(12)], None, None))
+    families = dict(_SCALAR_FAMILIES, weighted=(2.0, [f"pattern_{i}" for i in range(12)], None, None))
     for f, (name, (bound, labels, value, covers)) in enumerate(families.items()):
         want = [(lam, ix) for lam in grid if covers is None or covers(lam) for ix in labels][:100]
         for v, (lam, ix) in zip(got[100 * f : 100 * (f + 1)], want):

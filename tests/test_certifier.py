@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import maximize_one
 
 import isokit.certifier as certifier
 from isokit.admissible import (
@@ -28,7 +29,6 @@ from isokit.certifier import (
     WITNESS_SET,
     ZERO_WEIGHT_CEILING,
     certify_random,
-    maximize_objective,
     witness_value,
 )
 from isokit.cli import main
@@ -74,18 +74,18 @@ def test_pattern_names_drop_families_only(rng):
 
 
 def test_equal_weights_attain_ceiling():
-    cert = maximize_objective([0.5] * 6, seed=1)
+    cert = maximize_one([0.5] * 6, seed=1)
     assert cert.value == pytest.approx(2.0, abs=1e-9)
     assert cert.value <= CEILING + 1e-9
     assert cert.restarts == 64
 
 
 def test_restarts_means_climbs():
-    assert maximize_objective([0.5] * 6, restarts=1).restarts == 1
+    assert maximize_one([0.5] * 6, restarts=1).restarts == 1
 
 
 def test_zero_weight_tight_case():
-    cert = maximize_objective([0.0, 0.6, 0.6, 0.6, 0.6, 0.6], seed=2)
+    cert = maximize_one([0.0, 0.6, 0.6, 0.6, 0.6, 0.6], seed=2)
     assert cert.value == pytest.approx(ZERO_WEIGHT_CEILING, abs=1e-9)
     assert cert.value <= ZERO_WEIGHT_CEILING + 1e-9
 
@@ -93,28 +93,28 @@ def test_zero_weight_tight_case():
 def test_random_lambdas_below_ceiling(rng):
     for k in range(30):
         lam = sample_lambda(rng)
-        cert = maximize_objective(lam, seed=[11, k], restarts=32)
+        cert = maximize_one(lam, seed=[11, k], restarts=32)
         assert cert.value <= CEILING + 1e-6
 
 
 def test_zero_first_below_reduced_ceiling(rng):
     for k in range(10):
         lam = sample_lambda(rng, zero_first=True)
-        cert = maximize_objective(lam, seed=[13, k], restarts=32)
+        cert = maximize_one(lam, seed=[13, k], restarts=32)
         assert cert.value <= ZERO_WEIGHT_CEILING + 1e-6
 
 
 def test_argmax_is_admissible(rng):
     for k in range(5):
         lam = sample_lambda(rng)
-        cert = maximize_objective(lam, seed=[17, k], restarts=16)
+        cert = maximize_one(lam, seed=[17, k], restarts=16)
         S = AdmissibleSet(cert.argmax, rel_tol=1e-8)
         assert objective(S.as_array(), cert.lam) == pytest.approx(cert.value, abs=1e-12)
 
 
 def test_determinism():
-    a = maximize_objective([0.5] * 6, seed=42)
-    b = maximize_objective([0.5] * 6, seed=42)
+    a = maximize_one([0.5] * 6, seed=42)
+    b = maximize_one([0.5] * 6, seed=42)
     assert a.value == b.value
     assert np.array_equal(a.argmax, b.argmax)
     assert a.sweeps == b.sweeps
@@ -122,11 +122,11 @@ def test_determinism():
 
 def test_parameter_validation():
     with pytest.raises(InvariantError):
-        maximize_objective([1.0] * 6)  # weights sum to 6
+        maximize_one([1.0] * 6)  # weights sum to 6
     with pytest.raises(InvariantError):
-        maximize_objective([1.0, 0.5, 0.5, 0.5, 0.4, 0.1])  # max not last
+        maximize_one([1.0, 0.5, 0.5, 0.5, 0.4, 0.1])  # max not last
     with pytest.raises(PreconditionError):
-        maximize_objective([0.5] * 6, restarts=0)
+        maximize_one([0.5] * 6, restarts=0)
 
 
 def test_certify_random_summary():
@@ -134,7 +134,7 @@ def test_certify_random_summary():
     assert rep["n_lambda"] == 5
     assert rep["bound"] == CEILING
     assert rep["violations"] == []
-    assert rep["max_value"] <= CEILING + 1e-6
+    assert rep["global_max"] <= CEILING + 1e-6
     assert rep["witness_value"] == 2.0
     assert sum(rep["boundary_kinds"].values()) == 5
     assert len(rep["argmax_lambda"]) == 6 and len(rep["argmax_set"]) == 10
@@ -234,7 +234,7 @@ def test_a_block_changes_no_certificate(monkeypatch, n_lambda, restarts, zero_fi
     assert len(certs) == n_lambda
     assert len(blocks) == (1 if budget is None else -(-n_lambda // 2))
     for k, cert in enumerate(certs):
-        alone = maximize_objective(cert.lam, restarts=restarts, seed=[9, k, 1])
+        alone = maximize_one(cert.lam, restarts=restarts, seed=[9, k, 1])
         assert _same_certificate(cert, alone), k
 
 
@@ -324,7 +324,7 @@ def test_tight_families_stay_under_the_ceiling_at_1024_restarts():
         d = rng.uniform(-1.0, 1.0, size=6)
         lams.append(np.sort(0.5 + eps * (d - d.mean())))
     for k, lam in enumerate(lams):
-        cert = maximize_objective(lam, restarts=1024, seed=[31, k])
+        cert = maximize_one(lam, restarts=1024, seed=[31, k])
         assert cert.value <= CEILING + 1e-9, (lam, cert.value)
     assert cert.restarts == 1024
 

@@ -178,6 +178,9 @@ def test_bad_config_exits_2(files):
     assert run_cli("verify-lemmas", "--grid-step", "0.6").returncode == 2
     assert run_cli("verify-lemmas", "--grid-step", "0").returncode == 2
     assert run_cli("normalize", files["tetra"], "--tol", "0").returncode == 2
+    assert run_cli("normalize", files["tetra"], "--tol", "inf").returncode == 2
+    assert run_cli("certify", "--samples", "3", "--tol", "inf").returncode == 2
+    assert run_cli("peculiar", "--tol", "inf").returncode == 2
     assert run_cli("certify", "--samples", "-1").returncode == 2
     assert run_cli("certify", "--samples", "1", "--restarts", "10001").returncode == 2
     assert run_cli("certify", "--samples", "100001").returncode == 2
@@ -333,7 +336,7 @@ def test_normalize_alarms_name_the_bound(files, monkeypatch, capsys, field, valu
         (
             ["certify", "--samples", "2", "--restarts", "4", "--tol", "0.0009765625"],
             "certify_random",
-            {"max_value": 2.5, "violations": [{}]},
+            {"global_max": 2.5, "violations": [{}]},
             "alarm: objective 2.5 above ceiling 2.0009765625 by 4.990e-01 (1 of 2 weight vectors)",
         ),
         (

@@ -15,22 +15,18 @@ from isokit.geom import (
     _homogeneous,
     _initial_simplex,
     det3,
-    diameter,
-    difference_body,
     polytope_from_json,
-    polytope_to_json,
-    simplex_volume_lower_bound,
     volume,
 )
-from isokit.lattice import LatticeBasis
 
 from conftest import (
     EXTREMAL_SIMPLEX,
     LATTICE_CATALOGUE,
     REGULAR_TETRA,
     UNIT_CUBE,
+    difference_hull,
     random_polytope_vertices,
-    random_rotation,
+    unimodular_image,
 )
 
 
@@ -189,10 +185,9 @@ def cube_with_edge_and_face_points(rng):
 
 
 def lattice_basis_image(rng):
-    # transform maps B y back to y
-    basis = LatticeBasis([[1, 1, 0], [0, 1, 1], [1, 0, 3]])
-    ys = _rational_body(rng, 9, np.arange(2, 40))
-    return ys, basis.transform(Polytope([tuple(_dot3(row, y) for row in basis.rows) for y in ys], mode="rational"))
+    # a rational body sheared by a unimodular basis of Z^3
+    pts = unimodular_image(_rational_body(rng, 9, np.arange(2, 40)), [[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+    return pts, Polytope(pts, mode="rational")
 
 
 def small_grid_points(rng):
@@ -204,7 +199,7 @@ def small_grid_points(rng):
 
 def rational_difference_body(rng):
     K = Polytope(_rational_body(rng, 5, np.arange(2, 30)), mode="rational")
-    return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_body(K)
+    return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_hull(K)
 
 
 @pytest.mark.parametrize(
@@ -299,40 +294,17 @@ def test_volume_scales_by_det(rng):
     assert v1 == pytest.approx(abs(np.linalg.det(T)) * v0, rel=1e-9)
 
 
-# -- diameter ----------------------------------------------------------------
-
-
-def test_diameter_reference_bodies():
-    assert diameter(Polytope(UNIT_CUBE)) == pytest.approx(math.sqrt(3), rel=1e-12)
-    assert diameter(Polytope(REGULAR_TETRA)) == pytest.approx(1.0, rel=1e-12)
-    # oracle for the extremal simplex: brute force over the 6 vertex pairs
-    vs = np.array([[float(c) for c in v] for v in EXTREMAL_SIMPLEX])
-    expected = max(
-        np.linalg.norm(vs[i] - vs[j]) for i in range(4) for j in range(i + 1, 4)
-    )
-    P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
-    assert diameter(P) == pytest.approx(expected, rel=1e-12)
-
-
-def test_diameter_orthogonal_invariance(rng):
-    pts = random_polytope_vertices(rng)
-    d0 = diameter(Polytope(pts))
-    for _ in range(5):
-        Q = random_rotation(rng)
-        assert diameter(Polytope(pts @ Q.T)) == pytest.approx(d0, rel=1e-9)
-
-
-# -- difference_body ---------------------------------------------------------
+# -- hulls of K - K (conftest.difference_hull): many repeated and inner points
 
 
 def test_difference_body_cube():
-    D = difference_body(Polytope(UNIT_CUBE))
+    D = difference_hull(Polytope(UNIT_CUBE))
     assert len(D) == 8
     assert set(D.vertices) == {(float(x), float(y), float(z)) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)}
 
 
 def test_difference_body_tetrahedron():
-    D = difference_body(Polytope(REGULAR_TETRA))
+    D = difference_hull(Polytope(REGULAR_TETRA))
     assert len(D) == 12
     # Rogers-Shephard equality for a simplex: vol(K-K) = 20 vol(K)
     assert volume(D) == pytest.approx(20 * math.sqrt(2) / 12, rel=1e-9)
@@ -341,29 +313,16 @@ def test_difference_body_tetrahedron():
 def test_difference_body_invariants(rng):
     for _ in range(5):
         P = Polytope(random_polytope_vertices(rng))
-        D = difference_body(P)
+        D = difference_hull(P)
         vs = set(D.vertices)
         assert all(tuple(-c for c in v) in vs for v in vs), "not origin-symmetric"
         assert volume(D) >= 8 * volume(P) - 1e-9
-        assert diameter(P) == pytest.approx(max(np.linalg.norm(D.as_array(), axis=1)), rel=1e-9)
 
 
 def test_difference_body_exact_simplex():
     P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
-    D = difference_body(P)
+    D = difference_hull(P)
     assert volume(D) == Fraction(20, 12)
-
-
-# -- simplex_volume_lower_bound ----------------------------------------------
-
-
-def test_simplex_volume_lower_bound():
-    assert simplex_volume_lower_bound((1, 0, 0), (0, 1, 0), (0, 0, 1)) == pytest.approx(1 / 6)
-    y = [(Fraction(1), Fraction(1, 2), Fraction(1, 2)),
-         (Fraction(1, 2), Fraction(1), Fraction(1, 2)),
-         (Fraction(1, 2), Fraction(1, 2), Fraction(1))]
-    assert simplex_volume_lower_bound(*y) == Fraction(1, 12)
-    assert simplex_volume_lower_bound((1, 0, 0), (0, 1, 0), (1, 1, 0)) == 0
 
 
 def test_det3_matches_numpy(rng):
@@ -380,7 +339,7 @@ def test_polytope_json_roundtrip_rational():
                                          ["1/2", "1/1", "1/2"], ["1/2", "1/2", "1/1"]]},
                            mode="rational")
     assert volume(P) == Fraction(1, 12)
-    Q = polytope_from_json(polytope_to_json(P), mode="rational")
+    Q = polytope_from_json({"vertices": [[str(c) for c in v] for v in P.vertices]}, mode="rational")
     assert Q.vertices == P.vertices
 
 

@@ -5,11 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import EXTREMAL_SIMPLEX, FLAT_SLAB, REGULAR_TETRA, UNIT_CUBE, random_polytope_vertices, random_rotation
+from conftest import (
+    EXTREMAL_SIMPLEX,
+    FLAT_SLAB,
+    REGULAR_TETRA,
+    UNIT_CUBE,
+    difference_hull,
+    random_polytope_vertices,
+    random_rotation,
+)
 
 from isokit import geom
 from isokit.errors import InvariantError, NoDecomposition
-from isokit.geom import Polytope, difference_body, polytope_from_json
+from isokit.geom import Polytope, polytope_from_json
 from isokit.john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,
@@ -231,7 +239,7 @@ def test_certificate_directions_are_contacts(rng, scale):
     for pts in bodies:
         P = Polytope(pts)
         res = normalize(P, tol=1e-9)
-        TD = difference_body(P).as_array() @ res.T.T
+        TD = difference_hull(P).as_array() @ res.T.T
         norms = np.linalg.norm(TD, axis=1)
         for lam, u in zip(res.decomposition.lambdas, res.decomposition.u):
             if lam > 0.0:
@@ -272,5 +280,5 @@ def test_vertex_differences_share_the_mvee_of_the_difference_body(rng):
         A = P.as_array()
         i, j = np.triu_indices(len(A), 1)
         M = mvee_centered(A[i] - A[j]).M
-        ref = mvee_centered(difference_body(P).as_array()).M
+        ref = mvee_centered(difference_hull(P).as_array()).M
         assert np.abs(M - ref).max() <= 1e-7 * np.abs(ref).max()

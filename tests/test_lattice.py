@@ -5,15 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, random_lattice_polytope
+from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, difference_hull, random_lattice_polytope, unimodular_image
 
-from isokit.errors import PreconditionError, SingularLattice
-from isokit.geom import Polytope, difference_body
+from isokit.errors import PreconditionError
+from isokit.geom import Polytope
 from isokit.lattice import (
-    LatticeBasis,
-    LatticeDirection,
-    density,
-    is_nonseparable_unit_lattice,
+    is_nonseparable_width,
     lattice_width,
     verify_width_volume_corollary,
     width_in_direction,
@@ -22,21 +19,10 @@ from isokit.lattice import (
 CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 
 
-def test_direction_canonicalization():
-    assert LatticeDirection((-2, 4, 0)).u == (1, -2, 0)
-    assert LatticeDirection((0, -3, 6)).u == (0, 1, -2)
-    assert LatticeDirection((4, 6, 10)).u == (2, 3, 5)
-    with pytest.raises(PreconditionError):
-        LatticeDirection((0, 0, 0))
-    with pytest.raises(PreconditionError):
-        LatticeDirection((1.5, 0, 0))
-
-
 def test_width_in_direction_verbatim():
     P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
     assert width_in_direction(P, (1, 0, 0)) == Fraction(1)
     assert width_in_direction(P, (2, 0, 0)) == Fraction(2)  # no gcd reduction
-    assert width_in_direction(P, LatticeDirection((2, 0, 0))) == Fraction(1)
     assert width_in_direction(P, (1, 1, 1)) == Fraction(2)
     with pytest.raises(PreconditionError):
         width_in_direction(P, (0, 0, 0))
@@ -60,16 +46,18 @@ def test_cube_width_and_density():
     res = lattice_width(Q)
     assert res.value == Fraction(1)
     assert res.direction == (1, 0, 0)
-    assert density(Q) == Fraction(1)
-    assert is_nonseparable_unit_lattice(Q) is True
+    rep = verify_width_volume_corollary(Q)
+    assert rep["volume"] / rep["omega"] ** 3 == Fraction(1)  # the density
+    assert rep["nonseparable"] is True
 
 
 def test_sub_threshold_width():
     half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in EXTREMAL_SIMPLEX], mode="rational")
     res = lattice_width(half)
     assert res.value == Fraction(1, 2)
-    assert is_nonseparable_unit_lattice(half) is False
+    assert is_nonseparable_width(res.value, "rational") is False
     rep = verify_width_volume_corollary(half)
+    assert rep["nonseparable"] is False
     assert rep["slack"] == 0  # scaling preserves equality
     assert rep["volume"] == Fraction(1, 96)
 
@@ -78,9 +66,11 @@ def test_float_knife_edge_refused():
     Qf = Polytope([(float(x), float(y), float(z)) for x, y, z in CUBE])
     assert Qf.mode == "float"
     with pytest.raises(PreconditionError):
-        is_nonseparable_unit_lattice(Qf)
+        is_nonseparable_width(lattice_width(Qf).value, "float")
+    with pytest.raises(PreconditionError):
+        verify_width_volume_corollary(Qf)  # the width report refuses it as well
     big = Polytope([(1.5 * x, 1.5 * y, 1.5 * z) for x, y, z in CUBE])
-    assert is_nonseparable_unit_lattice(big) is True
+    assert verify_width_volume_corollary(big)["nonseparable"] is True
 
 
 def test_translation_invariance(rng):
@@ -95,21 +85,13 @@ def test_unimodular_invariance(rng):
     U = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]  # det 1
     for _ in range(5):
         P = random_lattice_polytope(rng)
-        img = Polytope(
-            [
-                (x * U[0][0] + y * U[0][1] + z * U[0][2],
-                 x * U[1][0] + y * U[1][1] + z * U[1][2],
-                 x * U[2][0] + y * U[2][1] + z * U[2][2])
-                for x, y, z in P.vertices
-            ],
-            mode="rational",
-        )
+        img = Polytope(unimodular_image(P.vertices, U), mode="rational")
         assert lattice_width(img).value == lattice_width(P).value
 
 
 def test_width_equals_difference_body_support(rng):
     P = random_lattice_polytope(rng)
-    D = difference_body(P)
+    D = difference_hull(P)
     for u in [(1, 0, 0), (1, 1, -1), (2, -1, 3), (0, 1, 1)]:
         w = width_in_direction(P, u)
         h = max(vx * u[0] + vy * u[1] + vz * u[2] for vx, vy, vz in D.vertices)
@@ -122,18 +104,8 @@ def test_corollary_random_lattice_polytopes(rng):
         rep = verify_width_volume_corollary(P)
         assert rep["exact"] and rep["holds"]
         assert rep["slack"] >= 0
-        assert density(P) >= Fraction(1, 12)
+        assert rep["volume"] / rep["omega"] ** 3 >= Fraction(1, 12)  # the density
 
-
-def test_lattice_basis():
-    Q = Polytope(CUBE, mode="rational")
-    assert LatticeBasis(np.eye(3, dtype=int)).width(Q).value == Fraction(1)
-    assert LatticeBasis([[2, 0, 0], [0, 1, 0], [0, 0, 1]]).width(Q).value == Fraction(1, 2)
-    assert LatticeBasis([[1, 1, 0], [0, 1, 0], [0, 0, 1]]).width(Q).value == Fraction(1)
-    with pytest.raises(SingularLattice):
-        LatticeBasis([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    with pytest.raises(PreconditionError):
-        LatticeBasis([[1, 0], [0, 1]])
 
 def _brute_force_width(vertices, W0):
     """Minimum width over every canonical primitive direction in [-W0, W0]^3,
@@ -141,7 +113,8 @@ def _brute_force_width(vertices, W0):
     best, best_u = None, None
     r = range(-W0, W0 + 1)
     for u in ((a, b, c) for a in r for b in r for c in r):
-        if u == (0, 0, 0) or math.gcd(*u) != 1 or LatticeDirection(u).u != u:
+        # canonical: primitive, its first nonzero entry positive
+        if u == (0, 0, 0) or math.gcd(*u) != 1 or next(x for x in u if x) < 0:
             continue
         dots = [x * u[0] + y * u[1] + z * u[2] for x, y, z in vertices]
         w = max(dots) - min(dots)
@@ -184,9 +157,9 @@ def test_lattice_width_builds_no_hull(rng, monkeypatch):
 
     P = random_lattice_polytope(rng)
     Pf = Polytope([tuple(float(c) for c in v) for v in P.vertices])
-    box = Polytope([(7 * x, 3 * y, 3 * z) for x, y, z in CUBE], mode="rational")
-    # columns of B span 13Z x Z x Z, sheared by a unimodular map: width 7/13
-    img = LatticeBasis([[13, 26, 0], [0, 1, 0], [1, 1, 1]]).transform(box)
+    # a box of width 7/13 along e1, sheared by a unimodular map: width 7/13
+    box = [(Fraction(7, 13) * x, 3 * y, 3 * z) for x, y, z in CUBE]
+    img = Polytope(unimodular_image(box, [[1, 2, 0], [0, 1, 0], [1, 1, 1]]), mode="rational")
     expected = lattice_width(P)
 
     def no_hull(*args, **kwargs):

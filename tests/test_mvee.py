@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_polytope_vertices, random_rotation
+from conftest import difference_hull, random_polytope_vertices, random_rotation
 
 from isokit import mvee
 from isokit.errors import InvariantError, NoConvergence, NotFullDimensional
-from isokit.geom import Polytope, difference_body
+from isokit.geom import Polytope
 from isokit.mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 CUBE_CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
@@ -138,14 +138,13 @@ def test_dodecahedron_returns_the_ball():
 
 def test_caratheodory_keeps_the_sum():
     # ten equally weighted pairs reproduce 10/3 Id; the elimination keeps
-    # that sum on six pairs, and on independent outer products given rtol
+    # that sum on six pairs with independent outer products
     C = svec(DODECAHEDRON[DODECAHEDRON[:, 0] + 1e-9 * DODECAHEDRON[:, 1] > 0])
     lam = np.full(10, 1.0 / 3.0)
-    for rtol in (None, 1e-7):
-        support, out = caratheodory(C, lam, rtol=rtol)
-        assert len(support) <= 6 and np.all(out >= 0.0)
-        assert np.count_nonzero(out > 1e-15) == len(support)
-        assert np.allclose(C @ out, C @ lam, atol=1e-12)
+    support, out = caratheodory(C, lam, rtol=1e-7)
+    assert len(support) <= 6 and np.all(out >= 0.0)
+    assert np.count_nonzero(out > 1e-15) == len(support)
+    assert np.allclose(C @ out, C @ lam, atol=1e-12)
     s = np.linalg.svd(C[:, support], compute_uv=False)
     assert s[-1] > 1e-7 * s[0]
 
@@ -167,7 +166,7 @@ def test_polish_reduces_a_support_of_seven(monkeypatch):
 
     monkeypatch.setattr(mvee, "caratheodory", counting)
     monkeypatch.setattr(mvee, "_polish", checked)
-    D = difference_body(Polytope(random_polytope_vertices(np.random.default_rng(18)))).as_array()
+    D = difference_hull(Polytope(random_polytope_vertices(np.random.default_rng(18)))).as_array()
     E = mvee_centered(D)
     assert max(sizes) == 7
     assert not any(failed)
