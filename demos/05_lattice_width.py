@@ -18,7 +18,6 @@ import numpy as np
 
 from isokit import (
     Polytope,
-    is_nonseparable_width,
     lattice_width,
     polytope_from_json,
     verify_width_volume_corollary,
@@ -54,8 +53,15 @@ print(f"\nunit cube: width = {rep['omega']}, nonseparable = {rep['nonseparable']
 
 half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in simplex.vertices],
                 mode="rational")
-w = lattice_width(half).value
-print(f"half-scale simplex: width = {w}, nonseparable = {is_nonseparable_width(w, half.mode)}")
+rep = verify_width_volume_corollary(half)
+print(f"half-scale simplex: width = {rep['omega']}, nonseparable = {rep['nonseparable']}")
+
+# A float body gets the same exact report, read at the exact binary value
+# of its vertices: the float unit cube has width exactly 1.
+cube_f = Polytope([(float(x), float(y), float(z)) for x, y, z in cube.vertices])
+rep = verify_width_volume_corollary(cube_f)
+print(f"float unit cube: width = {rep['omega']}, slack = {rep['slack']}, "
+      f"nonseparable = {rep['nonseparable']} (exact: {rep['exact']})")
 
 # Random integer-vertex polytopes: the corollary holds with exact
 # rational slack every time.

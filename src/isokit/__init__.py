@@ -82,7 +82,6 @@ from .certifier import (
 )
 from .lattice import (
     WidthResult,
-    is_nonseparable_width,
     lattice_width,
     verify_width_volume_corollary,
     width_in_direction,

@@ -184,8 +184,6 @@ def _pattern(a, live) -> str:
 
 def _maximize_block(lam, rngs, restarts):
     """Certificates for checked weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``."""
-    if restarts < 1:
-        raise PreconditionError("restarts must be at least 1")
     W = lambda_pair_products(lam)
     V, M = _starts(rngs, restarts)
     value = _weighted(M * M, W)
@@ -240,10 +238,12 @@ def certify_random(
     order.  Vector k is drawn from ``default_rng([seed, k])`` and climbs
     from ``default_rng([seed, k, 1])``, whichever block it runs in.
     Counts outside [0, 10^5] are refused: 10^5 weight vectors take
-    about ten minutes at 64 restarts.
+    about ten minutes at 64 restarts.  So are restarts outside [1, 10^4].
     """
     if not 0 <= n_lambda <= 10**5:
         raise PreconditionError("samples must lie in [0, 10^5]")
+    if not 1 <= restarts <= 10**4:
+        raise PreconditionError("restarts must lie in [1, 10^4]")
     bound = ZERO_WEIGHT_CEILING if first_weight_zero else CEILING
     if first_weight_zero:
         witness, max_value, argmax_lam, argmax_set = None, -np.inf, None, None
@@ -255,7 +255,7 @@ def certify_random(
         argmax_set = WITNESS_SET
     violations = []
     kinds = dict.fromkeys([*_PATTERNS.values(), "other"], 0)
-    block = max(1, _BLOCK_ROWS // max(restarts, 1))
+    block = max(1, _BLOCK_ROWS // restarts)
     for start in range(0, n_lambda, block):
         ks = range(start, min(start + block, n_lambda))
         lams = [sample_lambda(np.random.default_rng([seed, k]), first_weight_zero) for k in ks]

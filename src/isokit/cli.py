@@ -2,15 +2,17 @@
 
 Subcommands, each with only the flags it reads
 ----------------------------------------------
-normalize FILE [--tol] [--mode]   normalization certificate for a polytope
-width FILE [--mode]               lattice width and width-volume report
+normalize FILE [--tol]            normalization certificate for a polytope
+width FILE                        exact lattice width and width-volume report
 verify-lemmas [--grid-step]       grid check of the four weight-product bounds
 certify [--samples --restarts --seed --tol --zero-first]
                                   randomized check of the objective ceiling
 peculiar [--samples --lambdas --seed --tol]
                                   boundary-family and region sweep
 
-Each subcommand is one library call plus its payload and exit code.
+Each subcommand is one library call plus its payload and exit code, in
+the one arithmetic its result needs: ``normalize`` reads coordinates as
+doubles, ``width`` reads them exactly (a decimal at face value).
 
 Exit codes: 0 success; 2 bad input or configuration; 3 a mathematical
 bound failed to verify.  Code 3 is an alarm — it signals a numerical
@@ -50,22 +52,16 @@ from .lattice import verify_width_volume_corollary
 
 @dataclass(frozen=True)
 class Config:
-    """Validated run parameters; a subcommand without a field's flag keeps its default."""
+    """The shared flags --tol and --seed, validated; a subcommand without a flag keeps its default."""
 
     tolerance: float = 1e-9
     seed: int = 42
-    restarts: int = 64
-    mode: str = "float"
 
     def __post_init__(self):
         if not (isinstance(self.tolerance, float) and 0.0 < self.tolerance < math.inf):
             raise PreconditionError("tolerance must be a positive finite real")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a 64-bit unsigned integer")
-        if not (isinstance(self.restarts, int) and 1 <= self.restarts <= 10**4):
-            raise PreconditionError("restarts must lie in [1, 10^4]")
-        if self.mode not in ("rational", "float"):
-            raise PreconditionError('mode must be "rational" or "float"')
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -166,21 +162,20 @@ def _alarm(quantity: str, value, bound, ceiling: bool = False, note: str = "") -
 
 
 def cmd_normalize(args, cfg: Config):
-    P = _load_polytope(args.file, cfg.mode)
-    res = normalize(P, tol=cfg.tolerance)
+    res = normalize(_load_polytope(args.file, "float"), tol=cfg.tolerance)
     payload = res.to_json_dict()
     for name, value, bound in (
         ("idq", res.idq, IDQ_LOWER_BOUND),
         ("witness value", res.witness_value, WITNESS_LOWER_BOUND),
     ):
         threshold = bound - 10.0 * cfg.tolerance
-        if value < threshold:
+        if not value >= threshold:  # NaN fails it too
             return payload, _alarm(name, value, threshold)
     return payload, 0
 
 
 def cmd_width(args, cfg: Config):
-    payload = verify_width_volume_corollary(_load_polytope(args.file, cfg.mode))
+    payload = verify_width_volume_corollary(_load_polytope(args.file, "rational"))
     if not payload["holds"]:
         return payload, _alarm("volume", payload["volume"], payload["bound"], note=" (bound omega^3/12)")
     return payload, 0
@@ -196,7 +191,7 @@ def cmd_verify_lemmas(args, cfg: Config):
 
 
 def cmd_certify(args, cfg: Config):
-    payload = certify_random(args.samples, cfg.restarts, cfg.seed, args.zero_first, cfg.tolerance)
+    payload = certify_random(args.samples, args.restarts, cfg.seed, args.zero_first, cfg.tolerance)
     if payload["violations"]:
         note = f" ({len(payload['violations'])} of {payload['n_lambda']} weight vectors)"
         return payload, _alarm("objective", payload["global_max"], payload["bound"] + payload["tol"], True, note)
@@ -229,12 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
     p = sub.add_parser("normalize", parents=[tol], help="normalization certificate for a polytope file")
-    p.add_argument("--mode", choices=("rational", "float"), default="float", help="arithmetic (default float)")
     p.add_argument("file", help="polytope JSON file")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("width", help="lattice width and width-volume report")
-    p.add_argument("--mode", choices=("rational", "float"), default="rational", help="arithmetic (default rational)")
+    p = sub.add_parser("width", help="exact lattice width and width-volume report")
     p.add_argument("file", help="polytope JSON file")
     p.set_defaults(func=cmd_width)
 

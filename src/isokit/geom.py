@@ -342,22 +342,26 @@ def volume(P: Polytope):
 def _coord_from_json(x, mode):
     if isinstance(x, str):
         try:
-            fr = Fraction(x)
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(f"bad rational literal {x!r}") from exc
-        return fr if mode == "rational" else float(fr)
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    elif isinstance(x, bool) or not isinstance(x, (int, float)):
         raise PreconditionError(f"bad coordinate {x!r}")
     if mode == "rational":
-        return Fraction(x) if isinstance(x, int) else Fraction(str(x))
-    return float(x)
+        return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+    try:
+        return float(x)
+    except OverflowError as exc:
+        digits = len(str(abs(int(x))))
+        raise PreconditionError(f"coordinate out of float range: its integer part has {digits} digits") from exc
 
 
 def polytope_from_json(data, mode: str = "float") -> Polytope:
     """Parse ``{"vertices": [[x, y, z], ...]}``.
 
     Coordinates may be JSON numbers or exact "p/q" strings.  In rational
-    mode decimal numbers are read at face value (0.1 becomes 1/10).
+    mode decimal numbers are read at face value (0.1 becomes 1/10); in
+    float mode a coordinate beyond the double range is refused.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)

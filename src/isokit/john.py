@@ -210,7 +210,8 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     decomposition (Kiefer-Wolfowitz): lam_i is proportional to
     u_i |T_Y y_i|^2, scaled to sum 3, on the direction of T s_i.
 
-    Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices.
+    Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices,
+    or if idq is not finite (a body too large for double arithmetic).
     """
     if len(P) > MAX_VERTICES:
         raise PreconditionError(f"normalize takes at most {MAX_VERTICES} vertices, got {len(P)}")
@@ -226,7 +227,10 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     # vertex difference: no hull of TK is needed
     TD = D @ T.T
     diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
-    idq = float(abs(np.linalg.det(T)) * float(volume(P)) / diam**3)
+    vol = float(volume(P))
+    idq = float(abs(np.linalg.det(T)) * vol / diam**3)
+    if not math.isfinite(idq):
+        raise PreconditionError(f"idq is not finite: vol(K) = {vol:.17g}, diam(TK) = {diam:.17g}, idq = {idq}")
     support = E.weights > 0.0
     Z = Y[support] @ T_Y.T
     sq = np.einsum("ij,ij->i", Z, Z)

@@ -11,8 +11,9 @@ appear.  No floating-point step decides which direction is pruned or
 returned.
 
 For polytopes built in rational mode every width here is an exact
-Fraction, which makes the inequality vol(K) >= width^3 / 12 checkable
-with zero rounding; the simplex conv{0, (1,1/2,1/2), (1/2,1,1/2),
+Fraction.  The inequality vol(K) >= width^3 / 12 is checked with zero
+rounding for every polytope: a float one is read at the exact binary
+value of its vertices.  The simplex conv{0, (1,1/2,1/2), (1/2,1,1/2),
 (1/2,1/2,1)} attains it with equality.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "WidthResult",
     "width_in_direction",
     "lattice_width",
-    "is_nonseparable_width",
     "verify_width_volume_corollary",
 ]
 
@@ -157,45 +157,29 @@ def lattice_width(P: Polytope) -> WidthResult:
     return WidthResult(value=width_in_direction(P, best_u), direction=best_u, checked=checked)
 
 
-def is_nonseparable_width(w, mode: str) -> bool:
-    """Whether a lattice width w (of a body in ``mode``) is at least 1.
-
-    Exact in rational mode.  In float mode a width within 1e-9 of the
-    threshold is refused rather than guessed.
-    """
-    if mode == "rational":
-        return w >= 1
-    if abs(float(w) - 1.0) < 1e-9:
-        raise PreconditionError("width too close to 1 to decide in float mode")
-    return float(w) > 1.0
-
-
 def verify_width_volume_corollary(P: Polytope) -> dict:
-    """Check vol(K) >= omega(K)^3 / 12, exactly when possible.
+    """Check vol(K) >= omega(K)^3 / 12 exactly, for a polytope in either mode.
 
-    Returns the ``width`` command's report, in print order: the lattice
-    width omega, its attaining direction, the volume, the bound
-    omega^3/12, the slack vol - omega^3/12, whether the check was exact,
-    whether the inequality holds, and whether omega >= 1
-    (``is_nonseparable_width``, which refuses a float width too close to
-    1).  In rational mode every number is an exact Fraction.
+    A float polytope is first rebuilt in rational mode, at the exact
+    binary value of each vertex.  Returns the ``width`` command's report,
+    in print order: the lattice width omega, its attaining direction, the
+    volume, the bound omega^3/12, the slack vol - omega^3/12, ``exact``
+    (always true), whether the inequality holds, and whether omega >= 1.
+    Every number is an exact Fraction.
     """
+    if P.mode != "rational":
+        P = Polytope(P.vertices, mode="rational")
     res = lattice_width(P)
     v = volume(P)
-    exact = P.mode == "rational"
-    if exact:
-        bound = Fraction(res.value) ** 3 / 12
-        slack = Fraction(v) - bound
-    else:
-        bound = float(res.value) ** 3 / 12.0
-        slack = float(v) - bound
+    bound = res.value**3 / 12
+    slack = v - bound
     return {
         "omega": res.value,
         "direction": list(res.direction),
         "volume": v,
         "bound": bound,
         "slack": slack,
-        "exact": exact,
-        "holds": slack >= (0 if exact else -1e-9),
-        "nonseparable": is_nonseparable_width(res.value, P.mode),
+        "exact": True,
+        "holds": slack >= 0,
+        "nonseparable": res.value >= 1,
     }

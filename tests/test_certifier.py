@@ -125,8 +125,9 @@ def test_parameter_validation():
         maximize_one([1.0] * 6)  # weights sum to 6
     with pytest.raises(InvariantError):
         maximize_one([1.0, 0.5, 0.5, 0.5, 0.4, 0.1])  # max not last
-    with pytest.raises(PreconditionError):
-        maximize_one([0.5] * 6, restarts=0)
+    for restarts in (0, 10**4 + 1):
+        with pytest.raises(PreconditionError, match="restarts"):
+            certify_random(n_lambda=1, restarts=restarts)
 
 
 def test_certify_random_summary():

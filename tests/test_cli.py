@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LATTICE_CATALOGUE, REGULAR_TETRA, UNIT_CUBE
+from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, REGULAR_TETRA, UNIT_CUBE
 
 SQRT2_12 = math.sqrt(2.0) / 12.0
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -47,6 +47,12 @@ def files(tmp_path_factory):
         ),
         "coplanar": dump("coplanar.json", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
         "shrunk": dump("shrunk.json", [[0.9 * x, 0.9 * y, 0.9 * z] for x, y, z in UNIT_CUBE]),
+        # coordinates past the double range, as a JSON integer and as a string
+        "huge_int": dump("huge_int.json", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        "huge_str": dump("huge_str.json", [["1e400", 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        # the extremal simplex and its inner point (1/2, 1/2, 1/2) at scale 1e200:
+        # Qhull accepts it, and its float volume overflows to NaN
+        "scaled": dump("scaled.json", [[1e200 * c for c in v] for v in EXTREMAL_SIMPLEX + [(0.5, 0.5, 0.5)]]),
     }
 
 
@@ -92,32 +98,29 @@ def test_width_shrunk_cube(files):
     assert out["holds"] is True
 
 
-# SHA-256 of `isokit width --mode MODE` stdout on the LATTICE_CATALOGUE shapes
-# and the demo bodies (float mode where the width is not within 1e-9 of 1)
+# SHA-256 of `isokit width` stdout on the LATTICE_CATALOGUE shapes and the
+# demo bodies; the ids name the arithmetic, rational, the digests were taken in
 WIDTH_STDOUT_SHA256 = [
-    ("catalogue-0", "rational", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
-    ("catalogue-1", "rational", "db926d474e6c65008a3306b80a5630ceb0425989a9fa3f25b5c559908e0690e9"),
-    ("catalogue-2", "rational", "f70be059b12416536efb690eeda4f10b7fb294c63067437369089f5f83bd37a8"),
-    ("catalogue-3", "rational", "096c4ebde636538892dec983c272628b9167c924da5f3f82414f5cff6c524d7c"),
-    ("catalogue-4", "rational", "42893463a27ae7556f3e688ba0e6a62648b0e71dcc6f35e6545dae82f5093dd4"),
-    ("catalogue-5", "rational", "375c5ea342d6805fcf187dc361ed2a3a360b531f2f27c57831ae654ec5c88e6b"),
-    ("catalogue-6", "rational", "696bd0b66fa7423447b919a92375a8063e18ed9e6a2ff12ebf9cf13db915f482"),
-    ("catalogue-7", "rational", "568372266386dbba0ef0f0c4ebe209c871e27f46b9b2501d7831cb93237bb28f"),
-    ("catalogue-8", "rational", "4bd8b84ceeced0caa2047f467ee6641b7bde08fe5deaa4047d68c72f8c6cbdfa"),
-    ("catalogue-9", "rational", "6e614ba114148615bbb7980b8f3e3632f1778d887f67c454076172bb5cf69ce9"),
-    ("cube", "rational", "a5572ac0dca92be1b824dd9c0655c84f5ef8bc68965e3374c4d3ce42fd958b6b"),
-    ("extremal_simplex", "rational", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
-    ("flat_slab", "rational", "2ec6370518c7c1788af43aea6217665fdb1ea4fe41c322941b4a970d00442744"),
-    ("flat_slab", "float", "8c8ac4476645e09ef20253f5424c7218ce84631e62c988d8ee5a911dcb915ecd"),
-    ("random_12", "rational", "3f95a21cce6bec1ba57d21dce0198ec7866977118aacf9af6c36246dc885415d"),
-    ("random_12", "float", "70dcc8d0f438a83c232605f61abd5fb1b22e8d6066081a4216b554cf67ee200d"),
-    ("tetrahedron", "rational", "2b083c6b7b390d0e23e16fbed5a9d6a5dd25f922bb71afb11620999483a38256"),
-    ("tetrahedron", "float", "890eec9e36d97c6b35481d6c8e98242c603caa97b8879cc101ea55e7dbc707e3"),
+    ("catalogue-0", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
+    ("catalogue-1", "db926d474e6c65008a3306b80a5630ceb0425989a9fa3f25b5c559908e0690e9"),
+    ("catalogue-2", "f70be059b12416536efb690eeda4f10b7fb294c63067437369089f5f83bd37a8"),
+    ("catalogue-3", "096c4ebde636538892dec983c272628b9167c924da5f3f82414f5cff6c524d7c"),
+    ("catalogue-4", "42893463a27ae7556f3e688ba0e6a62648b0e71dcc6f35e6545dae82f5093dd4"),
+    ("catalogue-5", "375c5ea342d6805fcf187dc361ed2a3a360b531f2f27c57831ae654ec5c88e6b"),
+    ("catalogue-6", "696bd0b66fa7423447b919a92375a8063e18ed9e6a2ff12ebf9cf13db915f482"),
+    ("catalogue-7", "568372266386dbba0ef0f0c4ebe209c871e27f46b9b2501d7831cb93237bb28f"),
+    ("catalogue-8", "4bd8b84ceeced0caa2047f467ee6641b7bde08fe5deaa4047d68c72f8c6cbdfa"),
+    ("catalogue-9", "6e614ba114148615bbb7980b8f3e3632f1778d887f67c454076172bb5cf69ce9"),
+    ("cube", "a5572ac0dca92be1b824dd9c0655c84f5ef8bc68965e3374c4d3ce42fd958b6b"),
+    ("extremal_simplex", "3d2ccd8207653102d769bf7abcb338371dc1b0b06865393f7aa2c031952898c4"),
+    ("flat_slab", "2ec6370518c7c1788af43aea6217665fdb1ea4fe41c322941b4a970d00442744"),
+    ("random_12", "3f95a21cce6bec1ba57d21dce0198ec7866977118aacf9af6c36246dc885415d"),
+    ("tetrahedron", "2b083c6b7b390d0e23e16fbed5a9d6a5dd25f922bb71afb11620999483a38256"),
 ]
 
 
-@pytest.mark.parametrize("body, mode, digest", WIDTH_STDOUT_SHA256)
-def test_width_output_is_pinned(tmp_path, capsys, body, mode, digest):
+@pytest.mark.parametrize("body, digest", WIDTH_STDOUT_SHA256, ids=[f"{b}-rational-{d}" for b, d in WIDTH_STDOUT_SHA256])
+def test_width_output_is_pinned(tmp_path, capsys, body, digest):
     from isokit import cli
 
     if body.startswith("catalogue-"):
@@ -125,7 +128,7 @@ def test_width_output_is_pinned(tmp_path, capsys, body, mode, digest):
         path.write_text(json.dumps({"vertices": LATTICE_CATALOGUE[int(body[10:])]}))
     else:
         path = DEMO_DATA / f"{body}.json"
-    assert cli.main(["width", "--mode", mode, str(path)]) == 0
+    assert cli.main(["width", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -183,11 +186,27 @@ def test_bad_config_exits_2(files):
     assert run_cli("peculiar", "--tol", "inf").returncode == 2
     assert run_cli("certify", "--samples", "-1").returncode == 2
     assert run_cli("certify", "--samples", "1", "--restarts", "10001").returncode == 2
+    assert run_cli("certify", "--restarts", "0").returncode == 2
     assert run_cli("certify", "--samples", "100001").returncode == 2
     assert run_cli("peculiar", "--samples", "1000001", "--lambdas", "1").returncode == 2
     assert run_cli("peculiar", "--samples", "1", "--lambdas", "10001").returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("normalize", files["tetra"], "--bogus-flag").returncode == 2
+    # each command has one arithmetic, so neither takes --mode
+    assert run_cli("width", files["extremal"], "--mode", "float").returncode == 2
+    assert run_cli("normalize", files["tetra"], "--mode", "rational").returncode == 2
+    # bodies beyond double arithmetic: refused, never a traceback
+    for body in ("huge_int", "huge_str", "scaled"):
+        assert run_cli("normalize", files[body]).returncode == 2
+
+
+@pytest.mark.parametrize("body", ["huge_int", "huge_str", "scaled"])
+def test_width_reads_bodies_beyond_doubles_exactly(files, body):
+    r = run_cli("width", files[body])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["exact"] is True and out["holds"] is True
+    assert Fraction(out["slack"]) >= 0
 
 
 def loaded_modules(argv, package):

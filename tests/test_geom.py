@@ -356,3 +356,9 @@ def test_polytope_json_bad_input():
         polytope_from_json({"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
     with pytest.raises(PreconditionError):
         polytope_from_json({"vertices": [["a/b", "0", "0"]] * 4})
+    # past the double range: refused in float mode, read exactly in rational mode
+    for big in (10**400, "1e400"):
+        data = {"vertices": [[big, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]}
+        with pytest.raises(PreconditionError, match="out of float range: its integer part has 401 digits"):
+            polytope_from_json(data)
+        assert max(v[0] for v in polytope_from_json(data, mode="rational").vertices) == 10**400

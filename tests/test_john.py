@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from isokit import geom
-from isokit.errors import InvariantError, NoDecomposition
+from isokit.errors import InvariantError, NoDecomposition, PreconditionError
 from isokit.geom import Polytope, polytope_from_json
 from isokit.john import (
     IDQ_LOWER_BOUND,
@@ -228,6 +228,13 @@ def test_normalize_nearly_flat_gaussian():
         assert res.idq == pytest.approx(ref.idq, rel=1e-6)
         assert res.witness_value >= WITNESS_LOWER_BOUND
         assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-6)
+
+
+def test_normalize_refuses_a_non_finite_idq():
+    # at scale 1e200 Qhull still accepts the body, but its float volume is NaN
+    P = Polytope([[1e200 * float(c) for c in v] for v in EXTREMAL_SIMPLEX + [(0.5, 0.5, 0.5)]])
+    with pytest.raises(PreconditionError, match=r"idq is not finite: vol\(K\) = nan, diam\(TK\) = "):
+        normalize(P)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])

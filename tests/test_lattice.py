@@ -9,12 +9,7 @@ from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, difference_hull, rando
 
 from isokit.errors import PreconditionError
 from isokit.geom import Polytope
-from isokit.lattice import (
-    is_nonseparable_width,
-    lattice_width,
-    verify_width_volume_corollary,
-    width_in_direction,
-)
+from isokit.lattice import lattice_width, verify_width_volume_corollary, width_in_direction
 
 CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 
@@ -55,22 +50,26 @@ def test_sub_threshold_width():
     half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in EXTREMAL_SIMPLEX], mode="rational")
     res = lattice_width(half)
     assert res.value == Fraction(1, 2)
-    assert is_nonseparable_width(res.value, "rational") is False
     rep = verify_width_volume_corollary(half)
     assert rep["nonseparable"] is False
     assert rep["slack"] == 0  # scaling preserves equality
     assert rep["volume"] == Fraction(1, 96)
 
 
-def test_float_knife_edge_refused():
+def test_float_cube_gets_an_exact_report():
+    # a float body is read at the exact binary value of its vertices, so a
+    # width of exactly 1 is decided, not refused
     Qf = Polytope([(float(x), float(y), float(z)) for x, y, z in CUBE])
     assert Qf.mode == "float"
-    with pytest.raises(PreconditionError):
-        is_nonseparable_width(lattice_width(Qf).value, "float")
-    with pytest.raises(PreconditionError):
-        verify_width_volume_corollary(Qf)  # the width report refuses it as well
-    big = Polytope([(1.5 * x, 1.5 * y, 1.5 * z) for x, y, z in CUBE])
-    assert verify_width_volume_corollary(big)["nonseparable"] is True
+    rep = verify_width_volume_corollary(Qf)
+    assert rep == verify_width_volume_corollary(Polytope(CUBE, mode="rational"))
+    assert rep["omega"] == 1 and isinstance(rep["omega"], Fraction)
+    assert rep["slack"] == Fraction(11, 12)
+    assert rep["exact"] is True and rep["holds"] is True and rep["nonseparable"] is True
+    # 0.9 is not a binary fraction: the float body's width is the double's exact value
+    shrunk = verify_width_volume_corollary(Polytope([(0.9 * x, 0.9 * y, 0.9 * z) for x, y, z in CUBE]))
+    assert shrunk["omega"] == Fraction(0.9) != Fraction(9, 10)
+    assert shrunk["volume"] == Fraction(0.9) ** 3 and shrunk["nonseparable"] is False
 
 
 def test_translation_invariance(rng):
