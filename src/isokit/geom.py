@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -257,32 +258,41 @@ class Polytope:
     mode : "float" or "rational".
 
     Construction runs a full hull reduction, so listed vertices are
-    guaranteed extreme and full-dimensionality is enforced.
+    guaranteed extreme and full-dimensionality is enforced.  In float mode
+    the points stay one array from input to Qhull, and only the vertices
+    Qhull keeps become Python tuples.
     """
 
-    __slots__ = ("vertices", "mode", "_tris")
+    __slots__ = ("vertices", "mode", "_tris", "_array")
 
     def __init__(self, points, mode: str = "float"):
         if mode not in ("float", "rational"):
             raise PreconditionError(f"unknown mode {mode!r}")
-        pts = [_coerce_point(p, mode) for p in points]
-        pts = sorted(set(pts))
+        self.mode = mode
+        if mode == "float":
+            pts = _sorted_unique(_float_points(points))
+            if len(pts) < 4:
+                raise DegenerateInput("need at least 4 distinct points")
+            self._array, tris = _hull_float(pts)
+            self.vertices = [tuple(v) for v in self._array.tolist()]
+            self._tris = [(self.vertices[a], self.vertices[b], self.vertices[c]) for a, b, c in tris.tolist()]
+            return
+        pts = sorted({_exact_point(p) for p in points})
         if len(pts) < 4:
             raise DegenerateInput("need at least 4 distinct points")
-        if mode == "rational":
-            corners = [_homogeneous(p) for p in pts]
-            vidx, tris = _hull_exact(corners)
-        else:
-            corners = pts
-            vidx, tris = _hull_float(pts)
-        self.mode = mode
+        corners = [_homogeneous(p) for p in pts]
+        vidx, tris = _hull_exact(corners)
         self.vertices = [pts[i] for i in vidx]
-        # boundary triangles; in rational mode their corners are
-        # homogeneous integers and each is oriented outward
+        # boundary triangles, their corners homogeneous integers, each oriented outward
         self._tris = [(corners[a], corners[b], corners[c]) for a, b, c in tris]
+        self._array = None
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
+        """The vertices as a read-only (n, 3) float array, built once."""
+        if self._array is None:
+            self._array = np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
+            self._array.flags.writeable = False
+        return self._array
 
     def __len__(self):
         return len(self.vertices)
@@ -291,27 +301,59 @@ class Polytope:
         return f"Polytope({len(self.vertices)} vertices, mode={self.mode!r})"
 
 
-def _coerce_point(p, mode):
+def _exact_point(p):
     if len(p) != 3:
         raise PreconditionError("points must be 3-dimensional")
-    if mode == "rational":
-        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
-    return tuple(float(c) + 0.0 for c in p)
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+
+
+def _float_points(points) -> np.ndarray:
+    """The points as an (n, 3) float array, each coordinate read by float()."""
+    if not isinstance(points, np.ndarray) and any(len(p) != 3 for p in points):
+        raise PreconditionError("points must be 3-dimensional")
+    arr = np.array(points, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise PreconditionError("points must be 3-dimensional")
+    return arr
+
+
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of a float array, in the order of sorted(set(tuples)).
+
+    Adding 0.0 turns -0.0 into 0.0, which Python's == already equates.  A
+    NaN row equals no other row, as a NaN tuple is distinct in a set.  One
+    sort on x suffices unless two x coordinates tie.
+    """
+    arr = arr + 0.0
+    srt = arr[np.argsort(arr[:, 0], kind="stable")]
+    if (srt[1:, 0] == srt[:-1, 0]).any():
+        srt = arr[np.lexsort(arr.T[::-1])]
+    keep = np.ones(len(srt), dtype=bool)
+    keep[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return srt[keep]
 
 
 def _hull_float(pts):
+    """Qhull's hull of distinct sorted points: (vertex array, triangles as index rows into it).
+
+    The vertices are the points Qhull's triangles use, in the order of pts.
+    """
     # scipy loads only when a float hull is built: commands that never
     # take one (certify, verify-lemmas, peculiar) skip its import cost
     from scipy.spatial import ConvexHull, QhullError
 
-    arr = np.asarray(pts, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(pts)):
         raise PreconditionError("non-finite coordinate")
     try:
-        hull = ConvexHull(arr)
+        hull = ConvexHull(pts)
     except QhullError as exc:
         raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
-    return sorted(hull.vertices.tolist()), [tuple(s) for s in hull.simplices.tolist()]
+    vidx, tris = np.unique(hull.simplices, return_inverse=True)
+    verts = pts[vidx]
+    verts.flags.writeable = False
+    return verts, tris.reshape(-1, 3)
 
 
 def volume(P: Polytope):
@@ -356,6 +398,21 @@ def _coord_from_json(x, mode):
         raise PreconditionError(f"coordinate out of float range: its integer part has {digits} digits") from exc
 
 
+def _number_rows(verts):
+    """The (n, 3) float array of JSON rows that are lists of three numbers
+    within the double range; None when some row needs the per-coordinate
+    path ("p/q" strings, ints past the double range, refusals)."""
+    if set(map(type, verts)) != {list} or set(map(len, verts)) != {3}:
+        return None
+    flat = list(chain.from_iterable(verts))
+    if not set(map(type, flat)) <= {float, int}:  # bool is neither
+        return None
+    try:
+        return np.array(flat, dtype=float).reshape(-1, 3)
+    except OverflowError:
+        return None
+
+
 def polytope_from_json(data, mode: str = "float") -> Polytope:
     """Parse ``{"vertices": [[x, y, z], ...]}``.
 
@@ -370,6 +427,10 @@ def polytope_from_json(data, mode: str = "float") -> Polytope:
     verts = data["vertices"]
     if not isinstance(verts, list) or not verts:
         raise PreconditionError("vertices must be a non-empty list")
+    if mode == "float":
+        arr = _number_rows(verts)
+        if arr is not None:
+            return Polytope(arr)
     pts = []
     for v in verts:
         if not isinstance(v, list) or len(v) != 3:

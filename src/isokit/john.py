@@ -57,6 +57,9 @@ MAX_VERTICES = 3000
 #: smallest singular value is at most this times the largest
 _RANK_RTOL = 1e-12
 
+#: the 20 index triples of six directions, in lexicographic order
+_TRIPLES = np.array(list(combinations(range(6), 3)))
+
 
 @dataclass(frozen=True)
 class JohnDecomposition:
@@ -185,12 +188,12 @@ def witness_triple(decomp: JohnDecomposition):
     Returns ((i, j, k), value) with 0-based indices into ``decomp.u``.
     For any pipeline decomposition the value is at least 1/sqrt(2).
     """
-    best = (-1.0, (0, 1, 2))
-    for ijk in combinations(range(6), 3):
-        val = abs(float(np.linalg.det(decomp.u[list(ijk)])))
-        if val > best[0] + 1e-15:
-            best = (val, ijk)
-    return best[1], best[0]
+    vals = np.abs(np.linalg.det(decomp.u[_TRIPLES])).tolist()
+    best = 0
+    for k, val in enumerate(vals):
+        if val > vals[best] + 1e-15:
+            best = k
+    return tuple(_TRIPLES[best].tolist()), vals[best]
 
 
 def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:

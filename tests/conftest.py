@@ -105,6 +105,29 @@ def difference_hull(P):
     return Polytope([tuple(a - b for a, b in zip(p, q)) for p in P.vertices for q in P.vertices], mode=P.mode)
 
 
+def reference_float_polytope(points):
+    """(vertices, triangles, volume) of a float body, built one Python tuple per point.
+
+    The construction ``Polytope`` used before it kept float bodies as one
+    array: coerce each point to a tuple of floats (+ 0.0 folds -0.0 into
+    0.0), sort the set of tuples, hand the sorted points to Qhull, keep
+    the points its hull uses and fan the triangles from their centroid.
+    """
+    from scipy.spatial import ConvexHull
+
+    from isokit.geom import _sub, det3
+
+    pts = sorted({tuple(float(c) + 0.0 for c in p) for p in points})
+    hull = ConvexHull(np.asarray(pts, dtype=float))
+    vertices = [pts[i] for i in sorted(hull.vertices.tolist())]
+    tris = [(pts[a], pts[b], pts[c]) for a, b, c in hull.simplices.tolist()]
+    c = tuple(float(x) for x in np.mean(np.array(vertices), axis=0))
+    total = 0.0
+    for a, b, d in tris:
+        total += abs(det3(_sub(a, c), _sub(b, c), _sub(d, c)))
+    return vertices, tris, total / 6.0
+
+
 def unimodular_image(points, U):
     """The exact images U p of ``points`` under an integer matrix U of determinant +-1."""
     assert round(abs(np.linalg.det(np.array(U, dtype=float)))) == 1

@@ -200,6 +200,40 @@ def test_bad_config_exits_2(files):
         assert run_cli("normalize", files[body]).returncode == 2
 
 
+# normalize's refusals of malformed bodies: the JSON text and the first stderr line
+_SIMPLEX_ROWS = "[0, 1, 0], [0, 0, 1], [0, 0, 0]"
+NORMALIZE_REFUSALS = [
+    ("nan", f"[[NaN, 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: non-finite coordinate"),
+    ("infinity", f"[[Infinity, 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: non-finite coordinate"),
+    ("true", f"[[true, 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: bad coordinate True"),
+    ("null", f"[[null, 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: bad coordinate None"),
+    ("nested-list", f"[[[1], 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: bad coordinate [1]"),
+    ("two-coordinates", f"[[1, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: each vertex must be a list of 3 coordinates"),
+    (
+        "int-past-doubles",
+        f"[[{10**400}, 0, 0], {_SIMPLEX_ROWS}]",
+        "error: PreconditionError: coordinate out of float range: its integer part has 401 digits",
+    ),
+    ("1e400", f"[[1e400, 0, 0], {_SIMPLEX_ROWS}]", "error: PreconditionError: non-finite coordinate"),
+    ("three-distinct", "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0.0], [-0.0, 0, 0]]", "error: DegenerateInput: need at least 4 distinct points"),
+    # "..." stands for the rest of Qhull's own message
+    ("flat", "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]]", "error: DegenerateInput: qhull rejected the input: QH6154 ..."),
+]
+
+
+@pytest.mark.parametrize("rows, first_line", [c[1:] for c in NORMALIZE_REFUSALS], ids=[c[0] for c in NORMALIZE_REFUSALS])
+def test_normalize_refusals_exit_2(tmp_path, capsys, rows, first_line):
+    from isokit import cli
+
+    path = tmp_path / "body.json"
+    path.write_text(f'{{"vertices": {rows}}}')
+    assert cli.main(["normalize", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    line = err.splitlines()[0]
+    assert line.startswith(first_line[:-3]) if first_line.endswith("...") else line == first_line
+
+
 @pytest.mark.parametrize("body", ["huge_int", "huge_str", "scaled"])
 def test_width_reads_bodies_beyond_doubles_exactly(files, body):
     r = run_cli("width", files[body])

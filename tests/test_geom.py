@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -26,8 +28,12 @@ from conftest import (
     UNIT_CUBE,
     difference_hull,
     random_polytope_vertices,
+    random_rotation,
+    reference_float_polytope,
     unimodular_image,
 )
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def in_convex_hull_lp(point, others):
@@ -100,6 +106,83 @@ def test_hull_degenerate_inputs():
         Polytope([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], mode="rational")
     with pytest.raises(DegenerateInput):
         Polytope([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], mode="rational")
+
+
+# -- float bodies against the one-tuple-per-point construction ----------------
+
+
+def _bits(x):
+    """Nested floats as hex strings, so that == compares bits (-0.0 is not 0.0)."""
+    return x.hex() if isinstance(x, float) else tuple(_bits(y) for y in x)
+
+
+def _json_body(rows):
+    """(reference points, Polytope) of JSON rows: "p/q" strings read as exact rationals first."""
+    data = json.loads(json.dumps({"vertices": rows}))
+    points = [[Fraction(c) if isinstance(c, str) else c for c in v] for v in data["vertices"]]
+    return points, polytope_from_json(data)
+
+
+def _float_cases():
+    rng = np.random.default_rng(18)
+    cases = {}
+    for i in range(8):  # numpy-array input
+        pts = random_polytope_vertices(rng, 4, 20)
+        cases[f"uniform-{i}"] = (pts, Polytope(pts))
+    for n in (20, 200, 2000):
+        cases[f"gauss{n}"] = _json_body(rng.normal(size=(n, 3)).tolist())
+    for i in range(3):
+        cond = 10.0 ** rng.uniform(1.0, 3.0)
+        scale = np.diag([1.0, cond ** rng.uniform(0.0, 1.0), cond])
+        cases[f"aniso-{i}"] = _json_body((rng.normal(size=(50, 3)) @ (random_rotation(rng) @ scale).T).tolist())
+        eps = 10.0 ** rng.uniform(-3.0, -1.0)
+        slab = np.column_stack([rng.uniform(-1, 1, (30, 2)), rng.uniform(-eps, eps, 30)]) @ random_rotation(rng).T
+        cases[f"slab-{i}"] = ([tuple(p) for p in slab.tolist()], Polytope([tuple(p) for p in slab.tolist()]))
+    for f in sorted(DEMO_DATA.glob("*.json")):
+        cases[f"demo-{f.stem}"] = _json_body(json.loads(f.read_text())["vertices"])
+    # repeated points, and ties in x that the lexicographic sort must break
+    cube = [list(v) for v in UNIT_CUBE]
+    cases["repeated"] = _json_body(cube + [[0.5, 0.5, 0.5]] * 5 + cube[::-1] + [[1, 0.5, 0.25], [1.0, 0.5, 0.25]])
+    grid = [[x, y, z] for x in range(3) for y in range(3) for z in range(3)]
+    cases["grid"] = _json_body(grid[::-1])
+    signed = [[-0.0, 0, 0], [0.0, 0, 0], [0, -0.0, -0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [-0.0, 1, -0.0], [0.0, 1, 1]]
+    cases["negative-zero"] = _json_body(signed)
+    arr = np.array(signed, dtype=float)
+    cases["negative-zero-array"] = (arr, Polytope(arr))
+    cases["ints-and-floats"] = _json_body([[0, 0, 0], [1.0, 0, 0], [0, 1, 0.0], [0, 0, 1], [1, 1, 1.0], [3, 2, 1]])
+    big = 2**53 + 1  # rounds to 2**53, as float() rounds it
+    cases["ints-past-2**53"] = _json_body([[big, 0, 0], [0, big, 0.0], [0, 0, big], [0, 0, 0], [big, big, 2.0**53], [3, 2, 1]])
+    cases["p/q-strings"] = _json_body([["1/3", "2/7", 0], ["-5/11", 1, "1/2"], [0, "3/13", 1], [1, 1, "1/9"], [0.1, "-2/3", 0.3]])
+    return cases
+
+
+FLOAT_CASES = _float_cases()
+
+
+@pytest.mark.parametrize("case", list(FLOAT_CASES))
+def test_float_polytope_matches_the_tuple_reference(case):
+    points, P = FLOAT_CASES[case]
+    vertices, tris, vol = reference_float_polytope(points)
+    assert _bits(P.vertices) == _bits(vertices)
+    assert _bits(P._tris) == _bits(tris)
+    assert volume(P).hex() == vol.hex()
+    A = P.as_array()
+    assert A is P.as_array() and not A.flags.writeable
+    assert _bits(A.tolist()) == _bits(vertices)
+
+
+def test_float_polytope_refusals():
+    with pytest.raises(PreconditionError, match="points must be 3-dimensional"):
+        Polytope([(0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    with pytest.raises(PreconditionError, match="points must be 3-dimensional"):
+        Polytope(np.zeros((5, 2)))
+    with pytest.raises(DegenerateInput, match="need at least 4 distinct points"):
+        Polytope([])
+    with pytest.raises(DegenerateInput, match="need at least 4 distinct points"):
+        Polytope([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    # NaN rows are never duplicates of one another, so the count passes and the finiteness check refuses
+    with pytest.raises(PreconditionError, match="non-finite coordinate"):
+        Polytope([(math.nan, 0.0, 0.0)] * 3 + [(0.0, 0.0, 1.0)])
 
 
 # -- exact hull against a brute-force oracle ----------------------------------

@@ -1,5 +1,6 @@
 """Contact decompositions, witness triples, and the normalization pipeline."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -115,9 +116,23 @@ def test_normalize_unit_cube():
     assert abs(res.witness_value - 4.0 / (3.0 * math.sqrt(3.0))) <= 1e-9
 
 
+def _witness_reference(u):
+    """One determinant per triple, in lexicographic order; a later triple
+    wins only by more than 1e-15."""
+    best = (-1.0, (0, 1, 2))
+    for ijk in itertools.combinations(range(6), 3):
+        val = abs(float(np.linalg.det(u[list(ijk)])))
+        if val > best[0] + 1e-15:
+            best = (val, ijk)
+    return best[1], best[0]
+
+
 def test_witness_matches_brute_force(rng):
-    for _ in range(5):
-        res = normalize(Polytope(random_polytope_vertices(rng)))
+    bodies = [Polytope(random_polytope_vertices(rng)) for _ in range(5)]
+    # the cube's and the demo bodies' decompositions have tied triples
+    bodies += [Polytope(UNIT_CUBE)] + [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
+    for P in bodies:
+        res = normalize(P)
         best = max(
             abs(np.linalg.det(res.decomposition.u[[i, j, k]]))
             for i in range(6)
@@ -127,6 +142,8 @@ def test_witness_matches_brute_force(rng):
         ijk, val = witness_triple(res.decomposition)
         assert val == pytest.approx(best, abs=1e-12)
         assert len(set(ijk)) == 3 and all(0 <= i < 6 for i in ijk)
+        assert (ijk, val) == _witness_reference(res.decomposition.u)
+        assert all(type(i) is int for i in ijk) and type(val) is float
 
 
 def test_normalize_affine_invariance(rng):
