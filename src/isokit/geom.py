@@ -274,6 +274,7 @@ class Polytope:
             if len(pts) < 4:
                 raise DegenerateInput("need at least 4 distinct points")
             self._array, tris = _hull_float(pts)
+            self._array.flags.writeable = False
             self.vertices = [tuple(v) for v in self._array.tolist()]
             self._tris = [(self.vertices[a], self.vertices[b], self.vertices[c]) for a, b, c in tris.tolist()]
             return
@@ -288,10 +289,9 @@ class Polytope:
         self._array = None
 
     def as_array(self) -> np.ndarray:
-        """The vertices as a read-only (n, 3) float array, built once."""
+        """The vertices as an (n, 3) float array: in float mode the kept, read-only one."""
         if self._array is None:
-            self._array = np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
-            self._array.flags.writeable = False
+            return np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
         return self._array
 
     def __len__(self):
@@ -309,8 +309,10 @@ def _exact_point(p):
 
 def _float_points(points) -> np.ndarray:
     """The points as an (n, 3) float array, each coordinate read by float()."""
-    if not isinstance(points, np.ndarray) and any(len(p) != 3 for p in points):
-        raise PreconditionError("points must be 3-dimensional")
+    if not isinstance(points, np.ndarray):
+        points = list(points)  # any iterable of points, a generator or a set too
+        if any(len(p) != 3 for p in points):
+            raise PreconditionError("points must be 3-dimensional")
     arr = np.array(points, dtype=float)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
@@ -323,13 +325,10 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     """The distinct rows of a float array, in the order of sorted(set(tuples)).
 
     Adding 0.0 turns -0.0 into 0.0, which Python's == already equates.  A
-    NaN row equals no other row, as a NaN tuple is distinct in a set.  One
-    sort on x suffices unless two x coordinates tie.
+    NaN row equals no other row, as a NaN tuple is distinct in a set.
     """
     arr = arr + 0.0
-    srt = arr[np.argsort(arr[:, 0], kind="stable")]
-    if (srt[1:, 0] == srt[:-1, 0]).any():
-        srt = arr[np.lexsort(arr.T[::-1])]
+    srt = arr[np.lexsort(arr.T[::-1])]
     keep = np.ones(len(srt), dtype=bool)
     keep[1:] = (srt[1:] != srt[:-1]).any(axis=1)
     return srt[keep]
@@ -351,9 +350,7 @@ def _hull_float(pts):
     except QhullError as exc:
         raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
     vidx, tris = np.unique(hull.simplices, return_inverse=True)
-    verts = pts[vidx]
-    verts.flags.writeable = False
-    return verts, tris.reshape(-1, 3)
+    return pts[vidx], tris.reshape(-1, 3)
 
 
 def volume(P: Polytope):

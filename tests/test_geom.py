@@ -149,6 +149,9 @@ def _float_cases():
     cases["negative-zero"] = _json_body(signed)
     arr = np.array(signed, dtype=float)
     cases["negative-zero-array"] = (arr, Polytope(arr))
+    # any iterable of points: a generator is read once, a set in its own order
+    cases["generator"] = (signed, Polytope(tuple(p) for p in signed))
+    cases["set"] = (signed, Polytope({tuple(float(c) for c in p) for p in signed}))
     cases["ints-and-floats"] = _json_body([[0, 0, 0], [1.0, 0, 0], [0, 1, 0.0], [0, 0, 1], [1, 1, 1.0], [3, 2, 1]])
     big = 2**53 + 1  # rounds to 2**53, as float() rounds it
     cases["ints-past-2**53"] = _json_body([[big, 0, 0], [0, big, 0.0], [0, 0, big], [0, 0, 0], [big, big, 2.0**53], [3, 2, 1]])
