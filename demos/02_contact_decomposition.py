@@ -24,7 +24,6 @@ from isokit import (
     normalize,
     objective,
     polytope_from_json,
-    transform_to_ball,
     witness_triple,
 )
 
@@ -36,29 +35,28 @@ body = polytope_from_json((DATA / "random_12.json").read_text())
 # is centered and can be written {x : x^T M x <= 1}.  A point set and its
 # hull share their MVEE, so the solver needs no hull of K - K: it takes
 # one difference v_i - v_j per vertex pair, as normalize does, and returns
-# M together with its optimal design, one weight per difference.
+# the normalizing map T = M^(1/2) together with its optimal design, one
+# weight per difference.
 V = body.as_array()
 i, j = np.triu_indices(len(V), 1)
 D = V[i] - V[j]
 E = mvee_centered(D)
-print("MVEE matrix M:")
-print(np.array2string(E.M, precision=4))
+print("normalizing map T:")
+print(np.array2string(E.T, precision=4))
 
-# Step 2: the differences carrying weight lie on the ellipsoid boundary;
-# the normalizing map T = M^(1/2) sends them to unit contact vectors.
-support = E.weights > 0.0
-T = transform_to_ball(E)
-TS = D[support] @ T.T
-print(f"\n{len(TS)} of {len(D)} differences carry weight; |T s| - 1 on them:",
-      np.array2string(np.linalg.norm(TS, axis=1) - 1.0, precision=1))
+# Step 2: the differences carrying weight lie on the ellipsoid boundary,
+# and T sends them to unit contact vectors T s_i, which the solver
+# returns with the design.
+C = E.contacts
+print(f"\n{len(C)} of {len(D)} differences carry weight; |T s| - 1 on them:",
+      np.array2string(np.linalg.norm(C, axis=1) - 1.0, precision=1))
 
-# Step 3: 3 u_i on the unit vectors T s_i / |T s_i| reproduce the identity
-# (normalize does the same in a whitened frame, where M is well
-# conditioned however thin K is).  Caratheodory elimination keeps at most
-# six directions; smaller supports are padded with zero weights.
-sq = np.einsum("ij,ij->i", TS, TS)
-lam = E.weights[support] * sq
-decomp = john_weights(TS / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
+# Step 3: 3 u_i on the unit vectors T s_i / |T s_i| reproduce the identity.
+# Caratheodory elimination keeps at most six directions; smaller supports
+# are padded with zero weights.
+sq = np.einsum("ij,ij->i", C, C)
+lam = E.weights[E.weights > 0.0] * sq
+decomp = john_weights(C / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
 print("\nweights:", np.round(decomp.lambdas, 6))
 print("sum of weights:", round(float(np.sum(decomp.lambdas)), 12))
 print("|sum lambda_i u_i u_i^T - Id| =", f"{decomp.residual:.2e}")

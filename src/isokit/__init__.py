@@ -42,7 +42,6 @@ from .john import (
     NormalizationResult,
     john_weights,
     normalize,
-    transform_to_ball,
     witness_triple,
 )
 from .admissible import (

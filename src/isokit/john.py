@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
 from .geom import Polytope, volume
-from .mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
+from .mvee import caratheodory, mvee_centered, svec
 
 __all__ = [
     "IDQ_LOWER_BOUND",
     "WITNESS_LOWER_BOUND",
     "JohnDecomposition",
     "NormalizationResult",
-    "transform_to_ball",
     "john_weights",
     "witness_triple",
     "normalize",
@@ -50,7 +49,7 @@ RESIDUAL_BOUND = 1e-7
 
 #: normalize refuses bodies with more vertices: it holds n(n - 1)/2 vertex
 #: differences, and 3,000 vertices (4.5 M differences) already take about
-#: 760 MB
+#: 655 MB
 MAX_VERTICES = 3000
 
 #: the kept directions' outer products count as dependent when their
@@ -117,18 +116,6 @@ class NormalizationResult:
                 "value": float(self.witness_value),
             },
         }
-
-
-def transform_to_ball(ellipsoid: Ellipsoid) -> np.ndarray:
-    """Symmetric positive-definite square root T of the shape matrix.
-
-    T maps the ellipsoid onto the unit ball: for y = Tx,
-    x^T M x = ||y||^2.
-    """
-    vals, vecs = np.linalg.eigh(ellipsoid.M)
-    if vals[0] <= 0:
-        raise PreconditionError("shape matrix must be positive definite")
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def john_weights(directions, weights) -> JohnDecomposition:
@@ -204,14 +191,10 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     witness triple certifies idq >= sqrt(2)/12 - 10 * tol.  Only K's own
     hull is built: the MVEE of K - K is that of the differences D, one row
     v_i - v_j per vertex pair i < j (the solver takes them up to sign).
-
-    The problem is linearly invariant, so everything is solved in the
-    whitened frame Y = D L, where the shape matrix M_Y is well conditioned
-    however thin K is.  With T_Y = M_Y^(1/2), the polar decomposition
-    T_Y L^T = U T gives T (M = L M_Y L^T = T^2),
-    and T s_i = U^T T_Y y_i.  The solver's optimal design u is the John
-    decomposition (Kiefer-Wolfowitz): lam_i is proportional to
-    u_i |T_Y y_i|^2, scaled to sum 3, on the direction of T s_i.
+    The solver returns T and the contact points c_i = T s_i of its
+    support, both from its own well-conditioned frame, and its optimal
+    design u is the John decomposition (Kiefer-Wolfowitz): lam_i is
+    proportional to u_i |c_i|^2, scaled to sum 3, on the direction of c_i.
 
     Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices,
     or if idq is not finite (a body too large for double arithmetic).
@@ -221,11 +204,8 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     A = P.as_array()
     i, j = np.triu_indices(len(A), 1)
     D = A[i] - A[j]
-    Y, L = whiten(D)
-    E = mvee_centered(Y, tol=tol)
-    T_Y = transform_to_ball(E)
-    W, sigma, Vt = np.linalg.svd(T_Y @ L.T)
-    T = (Vt.T * sigma) @ Vt
+    E = mvee_centered(D, tol=tol)
+    T = E.T
     # vol(TK) = |det T| vol(K), and diam(TK) is the longest T-image of a
     # vertex difference: no hull of TK is needed
     TD = D @ T.T
@@ -234,11 +214,8 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     idq = float(abs(np.linalg.det(T)) * vol / diam**3)
     if not math.isfinite(idq):
         raise PreconditionError(f"idq is not finite: vol(K) = {vol:.17g}, diam(TK) = {diam:.17g}, idq = {idq}")
-    support = E.weights > 0.0
-    Z = Y[support] @ T_Y.T
-    sq = np.einsum("ij,ij->i", Z, Z)
-    lam = E.weights[support] * sq
-    dirs = Z @ (W @ Vt) / np.sqrt(sq)[:, None]
-    decomp = john_weights(dirs, 3.0 * lam / lam.sum())
+    sq = np.einsum("ij,ij->i", E.contacts, E.contacts)
+    lam = E.weights[E.weights > 0.0] * sq
+    decomp = john_weights(E.contacts / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
     ijk, wval = witness_triple(decomp)
     return NormalizationResult(T=T, idq=idq, decomposition=decomp, witness_ijk=ijk, witness_value=wval)

@@ -10,10 +10,10 @@ them in exact integer arithmetic, shrinking W as narrower directions
 appear.  No floating-point step decides which direction is pruned or
 returned.
 
-For polytopes built in rational mode every width here is an exact
-Fraction.  The inequality vol(K) >= width^3 / 12 is checked with zero
-rounding for every polytope: a float one is read at the exact binary
-value of its vertices.  The simplex conv{0, (1,1/2,1/2), (1/2,1,1/2),
+The lattice width is always an exact Fraction, and so is every width in
+a direction for polytopes built in rational mode.  The inequality
+vol(K) >= width^3 / 12 is checked with zero rounding for every polytope:
+a float one is read at the exact binary value of its vertices.  The simplex conv{0, (1,1/2,1/2), (1/2,1,1/2),
 (1/2,1/2,1)} attains it with equality.
 """
 
@@ -38,7 +38,7 @@ __all__ = [
 class WidthResult:
     """Minimal width with an attaining direction and search effort."""
 
-    value: object  # Fraction in rational mode, float otherwise
+    value: Fraction
     direction: tuple
     checked: int
 
@@ -59,8 +59,8 @@ def width_in_direction(P: Polytope, u) -> object:
     return max(dots) - min(dots)
 
 
-def _integer_vertices(P: Polytope) -> list:
-    """P's vertices times the lcm of their denominators, as integer triples.
+def _integer_vertices(P: Polytope) -> tuple:
+    """(V, scale): P's vertices times the lcm of their denominators, as integer triples.
 
     Scaling by a positive constant scales every width by it, so the search
     compares plain integers.  Float coordinates enter at their exact binary
@@ -68,7 +68,7 @@ def _integer_vertices(P: Polytope) -> list:
     """
     H = [_homogeneous(v) for v in P.vertices]
     scale = math.lcm(*(w for *_, w in H))
-    return [(x * (scale // w), y * (scale // w), z * (scale // w)) for x, y, z, w in H]
+    return [(x * (scale // w), y * (scale // w), z * (scale // w)) for x, y, z, w in H], scale
 
 
 def _reduced(coef, g):
@@ -124,9 +124,10 @@ def lattice_width(P: Polytope) -> WidthResult:
     the search proceeds.  Candidates are visited in increasing
     lexicographic order and a tie replaces the best, which keeps the
     lexicographically greatest canonical direction among the narrowest.
-    Every comparison is exact, in both modes.
+    Every comparison is exact, in both modes, and the width is returned as
+    the exact Fraction W / scale.
     """
-    V = _integer_vertices(P)
+    V, scale = _integer_vertices(P)
     S = [V[i] for i in _initial_simplex([v + (1,) for v in V])]
     edges = [_sub(S[i], S[j]) for i in range(4) for j in range(i)]
     planes_abc = {(d, 1) for d in edges} | {(tuple(-x for x in d), 1) for d in edges}
@@ -154,7 +155,7 @@ def lattice_width(P: Polytope) -> WidthResult:
                 if w <= W:
                     W, best_u = w, (a, b, c)
         a += 1
-    return WidthResult(value=width_in_direction(P, best_u), direction=best_u, checked=checked)
+    return WidthResult(value=Fraction(W, scale), direction=best_u, checked=checked)
 
 
 def verify_width_volume_corollary(P: Polytope) -> dict:

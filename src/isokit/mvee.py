@@ -13,9 +13,12 @@ w_i = s_i^T V^{-1} s_i are at most 3 everywhere and equal 3 on the
 support, and the solver stops once both hold within the relative gap tol.
 
 The problem is linearly equivariant, so the solver works in a whitened
-frame (the points' second moment is the identity, from a QR factor) and
-maps M back at the end.  It starts from uniform weights when they are
-already optimal (the cube returns at iteration 0), else from a core set
+frame Y = X L (second moment Id, from a QR factor), where M_Y is well
+conditioned however thin the points are; no other module sees it.  At
+exit, with T_Y = M_Y^(1/2), the polar decomposition T_Y L^T = U T gives
+T = M^(1/2), and the contacts T s_i = U^T T_Y y_i come from whitened rows.
+It starts from uniform weights when they are already optimal (the cube
+returns at iteration 0), else from a core set
 of three points, each the farthest from the span of the ones before
 (Kumar & Yildirim 2005).  Each round then tries a Newton polish: the
 support plus the worst violator, which enters at the Frank-Wolfe
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import InvariantError, NoConvergence, NotFullDimensional
 
-__all__ = ["Ellipsoid", "mvee_centered", "whiten", "svec", "caratheodory"]
+__all__ = ["Ellipsoid", "mvee_centered", "svec", "caratheodory"]
 
 _SUPPORT_EPS = 1e-15
 #: the polish support's outer products count as dependent when their
@@ -53,30 +56,38 @@ _POLISH_STEPS = 30
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Origin-centered ellipsoid {x : x^T M x <= 1} with solver metadata.
+    """Origin-centered ellipsoid {x : |T x| <= 1} with solver metadata.
 
-    ``weights`` is the solver's design u, one weight per input point,
-    zero off the support: the points with u_i > 0 lie on the boundary
-    within the gap, and they carry the contact decomposition.
-    ``fw_steps`` counts the Frank-Wolfe steps among the ``iterations``:
-    nonzero only once a Newton polish has failed.
+    ``T`` is the symmetric positive-definite map onto the unit ball, and
+    ``M`` = T^2 the shape matrix: x^T M x = |T x|^2.  ``weights`` is the
+    solver's design u, one weight per input point, zero off the support:
+    the points with u_i > 0 lie on the boundary within the gap, and they
+    carry the contact decomposition.  ``contacts`` holds their images
+    T s_i, unit vectors within the gap, in the order of
+    ``np.flatnonzero(weights)``.  ``fw_steps`` counts the Frank-Wolfe steps
+    among the ``iterations``: nonzero only once a Newton polish has failed.
     """
 
-    M: np.ndarray
+    T: np.ndarray
     iterations: int = 0
     gap: float = 0.0
     fw_steps: int = 0
     weights: np.ndarray | None = field(default=None, repr=False)
+    contacts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if M.shape != (3, 3):
-            raise InvariantError("shape matrix must be 3x3")
-        if not np.allclose(M, M.T, atol=1e-9 * max(1.0, float(np.abs(M).max()))):
-            raise InvariantError("shape matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0:
-            raise InvariantError("shape matrix must be positive definite")
-        object.__setattr__(self, "M", 0.5 * (M + M.T))
+        T = np.asarray(self.T, dtype=float)
+        if T.shape != (3, 3):
+            raise InvariantError("ball map must be 3x3")
+        if not np.allclose(T, T.T, atol=1e-9 * max(1.0, float(np.abs(T).max()))):
+            raise InvariantError("ball map must be symmetric")
+        if np.linalg.eigvalsh(0.5 * (T + T.T))[0] <= 0:
+            raise InvariantError("ball map must be positive definite")
+        object.__setattr__(self, "T", 0.5 * (T + T.T))
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.T @ self.T
 
 
 def svec(points) -> np.ndarray:
@@ -215,6 +226,7 @@ def whiten(points):
     L = sqrt(m) R^{-1} comes from the QR factor of X: the frame of
     chol(inv(X^T X / m)) up to a rotation, without squaring the condition
     number.  The MVEE of Y is {y : y^T M_Y y <= 1}, and X's is M = L M_Y L^T.
+    The rank test is relative to the largest coordinate: scale-free.
 
     Raises NotFullDimensional if the points span fewer than 3 dimensions.
     """
@@ -222,7 +234,7 @@ def whiten(points):
     if X.ndim != 2 or X.shape[1] != 3:
         raise NotFullDimensional("expected an (m, 3) point array")
     m = X.shape[0]
-    if m < 3 or np.linalg.matrix_rank(X, tol=1e-12 * max(1.0, float(np.abs(X).max()))) < 3:
+    if m < 3 or np.linalg.matrix_rank(X, tol=1e-12 * float(np.abs(X).max())) < 3:
         raise NotFullDimensional("points span fewer than 3 dimensions")
     Q, R = np.linalg.qr(X)
     return Q * math.sqrt(m), np.linalg.inv(R) * math.sqrt(m)
@@ -258,7 +270,8 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     m = len(Y)
     if max_iter is None:
         max_iter = int(100 * m * math.log(1.0 / min(tol, 0.5)))
-    det_l2 = float(np.linalg.det(L)) ** 2
+    if trace is not None:
+        det_l2 = float(np.linalg.det(L)) ** 2
 
     u = np.full(m, 1.0 / m)
     V = (Y.T * u) @ Y
@@ -279,9 +292,12 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
             trace.append((float(np.linalg.det(V)) / det_l2, float(np.linalg.det(Vinv / kp)) * det_l2))
         gap = _gap(w, u)
         if gap <= tol:
-            M_Y = Vinv / kp if kp > 3.0 else Vinv / 3.0
-            weights = np.where(u > _SUPPORT_EPS, u, 0.0)
-            return Ellipsoid(M=L @ M_Y @ L.T, iterations=it, gap=gap, fw_steps=fw_steps, weights=weights)
+            vals, vecs = np.linalg.eigh(Vinv / max(kp, 3.0))
+            T_Y = (vecs * np.sqrt(vals)) @ vecs.T
+            W, sigma, Vt = np.linalg.svd(T_Y @ L.T)  # polar: T_Y L^T = (W Vt) T
+            sup = u > _SUPPORT_EPS
+            T, weights, contacts = (Vt.T * sigma) @ Vt, np.where(sup, u, 0.0), Y[sup] @ T_Y.T @ (W @ Vt)
+            return Ellipsoid(T=T, iterations=it, gap=gap, fw_steps=fw_steps, weights=weights, contacts=contacts)
         if it >= max_iter:
             raise NoConvergence(
                 f"ellipsoid solver did not reach tol={tol} in {max_iter} iterations: "

@@ -234,6 +234,22 @@ def test_normalize_refusals_exit_2(tmp_path, capsys, rows, first_line):
     assert line.startswith(first_line[:-3]) if first_line.endswith("...") else line == first_line
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-14, 1e-90, 1e-100])
+def test_normalize_accepts_small_bodies(tmp_path, capsys, scale):
+    # idq does not depend on scale: the rank test is relative, and
+    # nothing overflows however large the map T gets
+    from isokit import cli
+
+    body = REGULAR_TETRA + [(0.0, 0.0, 0.0)]
+    idq = []
+    for s in (1.0, scale):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"vertices": [[s * c for c in v] for v in body]}))
+        assert cli.main(["normalize", str(path)]) == 0
+        idq.append(json.loads(capsys.readouterr().out)["idq"])
+    assert idq[1] == pytest.approx(idq[0], rel=1e-12)
+
+
 @pytest.mark.parametrize("body", ["huge_int", "huge_str", "scaled"])
 def test_width_reads_bodies_beyond_doubles_exactly(files, body):
     r = run_cli("width", files[body])

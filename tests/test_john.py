@@ -25,10 +25,9 @@ from isokit.john import (
     JohnDecomposition,
     john_weights,
     normalize,
-    transform_to_ball,
     witness_triple,
 )
-from isokit.mvee import Ellipsoid, mvee_centered
+from isokit.mvee import mvee_centered
 
 SQRT2 = math.sqrt(2.0)
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -37,16 +36,6 @@ DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 def test_bound_constants():
     assert IDQ_LOWER_BOUND == pytest.approx(SQRT2 / 12.0, abs=0)
     assert WITNESS_LOWER_BOUND == pytest.approx(1.0 / SQRT2, abs=0)
-
-
-def test_transform_is_spd_sqrt(rng):
-    for _ in range(10):
-        A = rng.normal(size=(3, 3))
-        M = A @ A.T + 0.1 * np.eye(3)
-        T = transform_to_ball(Ellipsoid(M=M))
-        assert np.allclose(T, T.T, atol=1e-12)
-        assert np.allclose(T @ T, M, atol=1e-9 * np.abs(M).max())
-        assert np.linalg.eigvalsh(T)[0] > 0
 
 
 def test_john_weights_orthonormal_basis():
@@ -288,6 +277,13 @@ def test_normalize_builds_no_hull(monkeypatch):
     assert calls == []
 
 
+def vertex_differences(P):
+    """One row v_i - v_j per vertex pair i < j, as normalize forms them."""
+    A = P.as_array()
+    i, j = np.triu_indices(len(A), 1)
+    return A[i] - A[j]
+
+
 def slab_vertices(rng):
     """A turned slab of 8 to 40 points, thickness 1e-3 to 1e-1 of its width."""
     n = int(rng.integers(8, 41))
@@ -301,8 +297,41 @@ def test_vertex_differences_share_the_mvee_of_the_difference_body(rng):
     bodies += [Polytope(random_polytope_vertices(rng)) for _ in range(10)]
     bodies += [Polytope(slab_vertices(rng)) for _ in range(10)]
     for P in bodies:
-        A = P.as_array()
-        i, j = np.triu_indices(len(A), 1)
-        M = mvee_centered(A[i] - A[j]).M
+        M = mvee_centered(vertex_differences(P)).M
         ref = mvee_centered(difference_hull(P).as_array()).M
         assert np.abs(M - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def test_mvee_returns_the_ball_map_and_its_contacts(rng):
+    # T is the SPD square root of M, and the contacts are T s for the
+    # support rows s, unit within tol; they are read in the solver's
+    # whitened frame, so they are checked against D T^T only where that
+    # product is well conditioned
+    bodies = [(polytope_from_json(f.read_text()), True) for f in sorted(DEMO_DATA.glob("*.json"))]
+    bodies += [(Polytope(slab_vertices(rng)), True) for _ in range(10)]
+    for scale in (1e-6, 1e6):
+        bodies += [(Polytope(pts), False) for _, images in scaled_bodies(scale) for pts in images]
+    for P, well_conditioned in bodies:
+        D = vertex_differences(P)
+        E = mvee_centered(D, tol=1e-9)
+        assert np.array_equal(E.T, E.T.T)
+        assert np.linalg.eigvalsh(E.T)[0] > 0.0
+        assert np.array_equal(E.M, E.T @ E.T)
+        support = np.flatnonzero(E.weights)
+        assert E.contacts.shape == (len(support), 3)
+        assert np.abs(np.linalg.norm(E.contacts, axis=1) - 1.0).max() <= 1e-9
+        if well_conditioned:
+            assert np.abs(E.contacts - D[support] @ E.T.T).max() <= 1e-9
+
+
+def test_normalize_whitens_once(monkeypatch):
+    # the solver's whitened frame serves normalize too: one QR factor of
+    # the vertex differences per body
+    bodies = [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
+    bodies += [Polytope(UNIT_CUBE), Polytope(FLAT_SLAB)]
+    qr, rows = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: rows.append(len(a)) or qr(a, *args, **kwargs))
+    for P in bodies:
+        rows.clear()
+        normalize(P)
+        assert rows == [len(vertex_differences(P))]

@@ -168,8 +168,8 @@ def test_lattice_width_builds_no_hull(rng, monkeypatch):
     monkeypatch.setattr(geom, "_hull_float", no_hull)
     assert lattice_width(P) == expected
     res = lattice_width(Pf)
-    assert isinstance(res.value, float)
-    assert (res.value, res.direction) == (float(expected.value), expected.direction)
+    assert (res.value, res.direction) == (expected.value, expected.direction)
+    assert type(res.value) is Fraction
     assert lattice_width(img).value == Fraction(7, 13)
 
 

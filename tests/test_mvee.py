@@ -232,11 +232,11 @@ def test_degenerate_inputs():
 
 def test_ellipsoid_validation():
     with pytest.raises(InvariantError):
-        Ellipsoid(M=np.eye(2))
+        Ellipsoid(T=np.eye(2))
     with pytest.raises(InvariantError):
-        Ellipsoid(M=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        Ellipsoid(T=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(InvariantError):
-        Ellipsoid(M=np.diag([1.0, 1.0, -1.0]))
+        Ellipsoid(T=np.diag([1.0, 1.0, -1.0]))
 
 
 def test_duplicates_and_negatives_harmless():
