@@ -18,26 +18,27 @@ from pathlib import Path
 import numpy as np
 
 from isokit import (
+    float_hull,
     from_contact_vectors,
     john_weights,
     mvee_centered,
     normalize,
     objective,
-    polytope_from_json,
+    points_from_json,
     witness_triple,
 )
 
 DATA = Path(__file__).parent / "data"
 
-body = polytope_from_json((DATA / "random_12.json").read_text())
+body = points_from_json((DATA / "random_12.json").read_text(), False)
 
 # Step 1: the difference body K - K is centrally symmetric, so its MVEE
 # is centered and can be written {x : x^T M x <= 1}.  A point set and its
 # hull share their MVEE, so the solver needs no hull of K - K: it takes
 # one difference v_i - v_j per vertex pair, as normalize does, and returns
 # the normalizing map T = M^(1/2) together with its optimal design, one
-# weight per difference.
-V = body.as_array()
+# weight per difference.  K itself is the float hull of the body's points.
+V, _ = float_hull(body)
 i, j = np.triu_indices(len(V), 1)
 D = V[i] - V[j]
 E = mvee_centered(D)

@@ -11,7 +11,6 @@ rational arithmetic.  The normalization theorem yields the corollary
 with equality for one particular simplex.
 """
 
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from isokit import (
     Polytope,
     lattice_width,
-    polytope_from_json,
+    points_from_json,
     verify_width_volume_corollary,
     width_in_direction,
 )
@@ -27,9 +26,7 @@ from isokit import (
 DATA = Path(__file__).parent / "data"
 
 # The extremal simplex conv{0, (1,1/2,1/2), (1/2,1,1/2), (1/2,1/2,1)}.
-simplex = polytope_from_json(
-    (DATA / "extremal_simplex.json").read_text(), mode="rational"
-)
+simplex = Polytope(points_from_json((DATA / "extremal_simplex.json").read_text(), True))
 res = lattice_width(simplex)
 print(f"extremal simplex: width = {res.value} in direction {res.direction}")
 print(f"  (searched {res.checked} primitive directions)")
@@ -45,14 +42,12 @@ print("width in (1,1,1):", width_in_direction(simplex, (1, 1, 1)))
 print("width in (2,0,0):", width_in_direction(simplex, (2, 0, 0)))
 
 # A body of width >= 1 cannot be separated from the lattice by slabs:
-cube = Polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
-                mode="rational")
+cube = Polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 rep = verify_width_volume_corollary(cube)
 print(f"\nunit cube: width = {rep['omega']}, nonseparable = {rep['nonseparable']}, "
       f"density vol/width^3 = {rep['volume'] / rep['omega'] ** 3}")
 
-half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in simplex.vertices],
-                mode="rational")
+half = Polytope([tuple(c / 2 for c in v) for v in simplex.vertices])
 rep = verify_width_volume_corollary(half)
 print(f"half-scale simplex: width = {rep['omega']}, nonseparable = {rep['nonseparable']}")
 
@@ -72,7 +67,7 @@ for _ in range(20):
         pts = rng.integers(0, 4, size=(6, 3))
         if np.linalg.matrix_rank(pts[1:] - pts[0]) == 3:
             break
-    P = Polytope([tuple(int(c) for c in p) for p in pts], mode="rational")
+    P = Polytope([tuple(int(c) for c in p) for p in pts])
     rep = verify_width_volume_corollary(P)
     if worst is None or rep["slack"] < worst:
         worst = rep["slack"]

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     SingularPoint,
 )
-from .geom import Polytope, polytope_from_json, volume
+from .geom import Polytope, float_hull, points_from_json, volume
 from .mvee import Ellipsoid, mvee_centered
 from .john import (
     IDQ_LOWER_BOUND,

@@ -12,7 +12,8 @@ peculiar [--samples --lambdas --seed --tol]
 
 Each subcommand is one library call plus its payload and exit code, in
 the one arithmetic its result needs: ``normalize`` reads coordinates as
-doubles, ``width`` reads them exactly (a decimal at face value).
+doubles and takes their float hull, ``width`` reads them exactly (a
+decimal at face value) into an exact ``Polytope``.
 
 Exit codes: 0 success; 2 bad input or configuration; 3 a mathematical
 bound failed to verify.  Code 3 is an alarm — it signals a numerical
@@ -41,7 +42,7 @@ from .admissible import peculiar_sweep
 from .bounds import grid_verify_all
 from .certifier import certify_random
 from .errors import DegenerateInput, IsokitError, PreconditionError
-from .geom import polytope_from_json
+from .geom import Polytope, points_from_json
 from .john import IDQ_LOWER_BOUND, WITNESS_LOWER_BOUND, normalize
 from .lattice import verify_width_volume_corollary
 
@@ -137,14 +138,14 @@ def render_json(payload) -> str:
 # input
 
 
-def _load_polytope(path: str, mode: str):
+def _load_points(path: str, exact: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
     try:
-        return polytope_from_json(text, mode=mode)
+        return points_from_json(text, exact)
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise PreconditionError(f"cannot parse {path}: {exc}") from exc
 
@@ -162,7 +163,7 @@ def _alarm(quantity: str, value, bound, ceiling: bool = False, note: str = "") -
 
 
 def cmd_normalize(args, cfg: Config):
-    res = normalize(_load_polytope(args.file, "float"), tol=cfg.tolerance)
+    res = normalize(_load_points(args.file, False), tol=cfg.tolerance)
     payload = res.to_json_dict()
     for name, value, bound in (
         ("idq", res.idq, IDQ_LOWER_BOUND),
@@ -175,7 +176,7 @@ def cmd_normalize(args, cfg: Config):
 
 
 def cmd_width(args, cfg: Config):
-    payload = verify_width_volume_corollary(_load_polytope(args.file, "rational"))
+    payload = verify_width_volume_corollary(Polytope(_load_points(args.file, True)))
     if not payload["holds"]:
         return payload, _alarm("volume", payload["volume"], payload["bound"], note=" (bound omega^3/12)")
     return payload, 0

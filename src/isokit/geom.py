@@ -1,12 +1,12 @@
 """Convex polytopes in R^3: hulls, volume and JSON input.
 
-Two arithmetic modes are supported and carried by every ``Polytope``:
+Each arithmetic has its own type.  ``Polytope`` is exact, on
+``fractions.Fraction`` coordinates with exact sign predicates, so volumes
+and widths admit exact comparisons.  ``float_hull`` returns a float
+body's vertex array and volume, computed by Qhull: the normalization
+pipeline's only hull.
 
-* ``"float"``  -- numpy arithmetic, hull computed by Qhull.
-* ``"rational"`` -- ``fractions.Fraction`` coordinates with exact sign
-  predicates, so volumes and widths admit exact comparisons.
-
-The rational hull is an incremental (beneath-beyond) algorithm run on
+The exact hull is an incremental (beneath-beyond) algorithm run on
 Python ints.  Each point becomes homogeneous integer coordinates
 (X, Y, Z, w), w the lcm of its own three denominators, and each facet
 stores its integer plane when it is made, so an orientation test is the
@@ -14,7 +14,7 @@ sign of a four-term integer dot product (the cached-plane test of
 Quickhull: Barber, Dobkin & Huhdanpaa 1996).  The seed simplex, the
 vertex filter and the exact volume run on the same integers, so the hull
 does no ``Fraction`` arithmetic.  Degenerate inputs (coplanar point sets)
-raise ``DegenerateInput`` in both modes.
+raise ``DegenerateInput`` in both.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .errors import DegenerateInput, NotFullDimensional, PreconditionError
 __all__ = [
     "Polytope",
     "volume",
-    "polytope_from_json",
+    "float_hull",
+    "points_from_json",
     "det3",
 ]
 
@@ -39,7 +40,8 @@ __all__ = [
 def det3(r0, r1, r2):
     """Determinant of the 3x3 matrix with rows r0, r1, r2.
 
-    Works for any exact or floating scalar type (Fraction, int, float).
+    Works for any exact or floating scalar type (Fraction, int, float),
+    and elementwise on arrays of them.
     """
     return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
@@ -251,33 +253,19 @@ def _extreme_vertices(facets, planes):
 
 
 class Polytope:
-    """Convex polytope given by its extreme points.
+    """Convex polytope given by its extreme points, in exact arithmetic.
 
-    vertices : list of coordinate triples (float or Fraction), sorted,
+    vertices : list of ``Fraction`` coordinate triples, sorted,
         deduplicated, reduced to the extreme points of the input.
-    mode : "float" or "rational".
 
-    Construction runs a full hull reduction, so listed vertices are
-    guaranteed extreme and full-dimensionality is enforced.  In float mode
-    the points stay one array from input to Qhull, and only the vertices
-    Qhull keeps become Python tuples.
+    Coordinates may be ints, floats or Fractions; a float is read at its
+    exact binary value.  Construction runs the exact hull, so listed
+    vertices are guaranteed extreme and full-dimensionality is enforced.
     """
 
-    __slots__ = ("vertices", "mode", "_tris", "_array")
+    __slots__ = ("vertices", "_tris")
 
-    def __init__(self, points, mode: str = "float"):
-        if mode not in ("float", "rational"):
-            raise PreconditionError(f"unknown mode {mode!r}")
-        self.mode = mode
-        if mode == "float":
-            pts = _sorted_unique(_float_points(points))
-            if len(pts) < 4:
-                raise DegenerateInput("need at least 4 distinct points")
-            self._array, tris = _hull_float(pts)
-            self._array.flags.writeable = False
-            self.vertices = [tuple(v) for v in self._array.tolist()]
-            self._tris = [(self.vertices[a], self.vertices[b], self.vertices[c]) for a, b, c in tris.tolist()]
-            return
+    def __init__(self, points):
         pts = sorted({_exact_point(p) for p in points})
         if len(pts) < 4:
             raise DegenerateInput("need at least 4 distinct points")
@@ -286,25 +274,30 @@ class Polytope:
         self.vertices = [pts[i] for i in vidx]
         # boundary triangles, their corners homogeneous integers, each oriented outward
         self._tris = [(corners[a], corners[b], corners[c]) for a, b, c in tris]
-        self._array = None
-
-    def as_array(self) -> np.ndarray:
-        """The vertices as an (n, 3) float array: in float mode the kept, read-only one."""
-        if self._array is None:
-            return np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
-        return self._array
 
     def __len__(self):
         return len(self.vertices)
 
     def __repr__(self):
-        return f"Polytope({len(self.vertices)} vertices, mode={self.mode!r})"
+        return f"Polytope({len(self.vertices)} vertices)"
 
 
 def _exact_point(p):
     if len(p) != 3:
         raise PreconditionError("points must be 3-dimensional")
     return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+
+
+def volume(P: Polytope) -> Fraction:
+    """Exact volume of P.
+
+    The hull orients every boundary triangle outward, so the signed cones
+    from the origin add up to the volume: sum det(a, b, c) / 6 over the
+    triangles, on integers over one common denominator.
+    """
+    common = math.lcm(*{h[3] for tri in P._tris for h in tri}) ** 3
+    total = sum(det3(a, b, c) * (common // (a[3] * b[3] * c[3])) for a, b, c in P._tris)
+    return Fraction(total, 6 * common)
 
 
 def _float_points(points) -> np.ndarray:
@@ -334,15 +327,21 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     return srt[keep]
 
 
-def _hull_float(pts):
-    """Qhull's hull of distinct sorted points: (vertex array, triangles as index rows into it).
+def float_hull(points) -> tuple:
+    """(vertices, volume) of the convex hull of (n, 3) float points, by Qhull.
 
-    The vertices are the points Qhull's triangles use, in the order of pts.
+    ``vertices`` is the read-only array of the distinct points that Qhull's
+    boundary triangles use, in lexicographic order.  Qhull's triangles
+    carry no orientation, so ``volume`` fans them from the vertex centroid:
+    the sum of |det(a - c, b - c, d - c)| / 6, added one triangle at a time.
     """
     # scipy loads only when a float hull is built: commands that never
     # take one (certify, verify-lemmas, peculiar) skip its import cost
     from scipy.spatial import ConvexHull, QhullError
 
+    pts = _sorted_unique(_float_points(points))
+    if len(pts) < 4:
+        raise DegenerateInput("need at least 4 distinct points")
     if not np.all(np.isfinite(pts)):
         raise PreconditionError("non-finite coordinate")
     try:
@@ -350,27 +349,12 @@ def _hull_float(pts):
     except QhullError as exc:
         raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
     vidx, tris = np.unique(hull.simplices, return_inverse=True)
-    return pts[vidx], tris.reshape(-1, 3)
-
-
-def volume(P: Polytope):
-    """Volume of P: exact (a Fraction) in rational mode, float otherwise.
-
-    The rational hull orients every boundary triangle outward, so the
-    signed cones from the origin add up to the volume: sum det(a, b, c) / 6
-    over the triangles, on integers over one common denominator.  Qhull's
-    triangles carry no orientation, so the float volume fans them from the
-    vertex centroid.
-    """
-    if P.mode == "rational":
-        common = math.lcm(*{h[3] for tri in P._tris for h in tri}) ** 3
-        total = sum(det3(a, b, c) * (common // (a[3] * b[3] * c[3])) for a, b, c in P._tris)
-        return Fraction(total, 6 * common)
-    c = tuple(float(x) for x in np.mean(P.as_array(), axis=0))
-    total = 0.0
-    for a, b, d in P._tris:
-        total += abs(det3(_sub(a, c), _sub(b, c), _sub(d, c)))
-    return total / 6.0
+    vertices = pts[vidx]
+    vertices.flags.writeable = False
+    # corners of each triangle less the centroid, as [corner][coordinate][triangle]
+    X = (vertices[tris.reshape(-1, 3)] - vertices.mean(axis=0)).transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a body past double range gets a NaN volume
+        return vertices, float(np.cumsum(np.abs(det3(*X)))[-1] / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +362,7 @@ def volume(P: Polytope):
 # ---------------------------------------------------------------------------
 
 
-def _coord_from_json(x, mode):
+def _coord_from_json(x, exact):
     if isinstance(x, str):
         try:
             x = Fraction(x)
@@ -386,7 +370,7 @@ def _coord_from_json(x, mode):
             raise PreconditionError(f"bad rational literal {x!r}") from exc
     elif isinstance(x, bool) or not isinstance(x, (int, float)):
         raise PreconditionError(f"bad coordinate {x!r}")
-    if mode == "rational":
+    if exact:
         return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
     try:
         return float(x)
@@ -410,12 +394,12 @@ def _number_rows(verts):
         return None
 
 
-def polytope_from_json(data, mode: str = "float") -> Polytope:
-    """Parse ``{"vertices": [[x, y, z], ...]}``.
+def points_from_json(data, exact: bool):
+    """The points of ``{"vertices": [[x, y, z], ...]}``.
 
-    Coordinates may be JSON numbers or exact "p/q" strings.  In rational
-    mode decimal numbers are read at face value (0.1 becomes 1/10); in
-    float mode a coordinate beyond the double range is refused.
+    Coordinates may be JSON numbers or exact "p/q" strings.  With ``exact``
+    each becomes a Fraction, a decimal at face value (0.1 becomes 1/10);
+    otherwise a double, and a coordinate beyond the double range is refused.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -424,14 +408,13 @@ def polytope_from_json(data, mode: str = "float") -> Polytope:
     verts = data["vertices"]
     if not isinstance(verts, list) or not verts:
         raise PreconditionError("vertices must be a non-empty list")
-    if mode == "float":
+    if not exact:
         arr = _number_rows(verts)
         if arr is not None:
-            return Polytope(arr)
+            return arr
     pts = []
     for v in verts:
         if not isinstance(v, list) or len(v) != 3:
             raise PreconditionError("each vertex must be a list of 3 coordinates")
-        pts.append(tuple(_coord_from_json(c, mode) for c in v))
-    return Polytope(pts, mode=mode)
-
+        pts.append(tuple(_coord_from_json(c, exact) for c in v))
+    return pts

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvariantError, NoDecomposition, PreconditionError
-from .geom import Polytope, volume
+from .geom import float_hull
 from .mvee import caratheodory, mvee_centered, svec
 
 __all__ = [
@@ -183,25 +183,27 @@ def witness_triple(decomp: JohnDecomposition):
     return tuple(_TRIPLES[best].tolist()), vals[best]
 
 
-def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
-    """Normalizing map T for a polytope, with certificate.
+def normalize(points, tol: float = 1e-9) -> NormalizationResult:
+    """Normalizing map T for the convex hull K of (n, 3) float points, with certificate.
 
     Computes the MVEE of the difference body, T = M^(1/2), the
     isodiametric quotient of TK, and the contact decomposition whose
     witness triple certifies idq >= sqrt(2)/12 - 10 * tol.  Only K's own
-    hull is built: the MVEE of K - K is that of the differences D, one row
-    v_i - v_j per vertex pair i < j (the solver takes them up to sign).
-    The solver returns T and the contact points c_i = T s_i of its
-    support, both from its own well-conditioned frame, and its optimal
-    design u is the John decomposition (Kiefer-Wolfowitz): lam_i is
-    proportional to u_i |c_i|^2, scaled to sum 3, on the direction of c_i.
+    hull is built, by ``float_hull``: the MVEE of K - K is that of the
+    differences D, one row v_i - v_j per vertex pair i < j (the solver
+    takes them up to sign).  The solver returns T and the contact points
+    c_i = T s_i of its support, both from its own well-conditioned frame,
+    and its optimal design u is the John decomposition (Kiefer-Wolfowitz):
+    lam_i is proportional to u_i |c_i|^2, scaled to sum 3, on the
+    direction of c_i.
 
     Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices,
-    or if idq is not finite (a body too large for double arithmetic).
+    if tol is below the solver's floor, or if idq is not finite (a body
+    too large for double arithmetic).
     """
-    if len(P) > MAX_VERTICES:
-        raise PreconditionError(f"normalize takes at most {MAX_VERTICES} vertices, got {len(P)}")
-    A = P.as_array()
+    A, vol = float_hull(points)
+    if len(A) > MAX_VERTICES:
+        raise PreconditionError(f"normalize takes at most {MAX_VERTICES} vertices, got {len(A)}")
     i, j = np.triu_indices(len(A), 1)
     D = A[i] - A[j]
     E = mvee_centered(D, tol=tol)
@@ -210,7 +212,6 @@ def normalize(P: Polytope, tol: float = 1e-9) -> NormalizationResult:
     # vertex difference: no hull of TK is needed
     TD = D @ T.T
     diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
-    vol = float(volume(P))
     idq = float(abs(np.linalg.det(T)) * vol / diam**3)
     if not math.isfinite(idq):
         raise PreconditionError(f"idq is not finite: vol(K) = {vol:.17g}, diam(TK) = {diam:.17g}, idq = {idq}")

@@ -10,11 +10,11 @@ them in exact integer arithmetic, shrinking W as narrower directions
 appear.  No floating-point step decides which direction is pruned or
 returned.
 
-The lattice width is always an exact Fraction, and so is every width in
-a direction for polytopes built in rational mode.  The inequality
-vol(K) >= width^3 / 12 is checked with zero rounding for every polytope:
-a float one is read at the exact binary value of its vertices.  The simplex conv{0, (1,1/2,1/2), (1/2,1,1/2),
-(1/2,1/2,1)} attains it with equality.
+A ``Polytope`` is exact, so the lattice width, every width in a
+direction and the inequality vol(K) >= width^3 / 12 are decided with
+zero rounding; float coordinates enter at their exact binary value.  The
+simplex conv{0, (1,1/2,1/2), (1/2,1,1/2), (1/2,1/2,1)} attains it with
+equality.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class WidthResult:
 
 
 def width_in_direction(P: Polytope, u) -> object:
-    """max dot - min dot over the vertices; exact in rational mode.
+    """max dot - min dot over the vertices, an exact Fraction.
 
     The direction is used verbatim (no gcd reduction), so a doubled
     direction reports a doubled width.
@@ -124,8 +124,8 @@ def lattice_width(P: Polytope) -> WidthResult:
     the search proceeds.  Candidates are visited in increasing
     lexicographic order and a tie replaces the best, which keeps the
     lexicographically greatest canonical direction among the narrowest.
-    Every comparison is exact, in both modes, and the width is returned as
-    the exact Fraction W / scale.
+    Every comparison is exact, and the width is returned as the exact
+    Fraction W / scale.
     """
     V, scale = _integer_vertices(P)
     S = [V[i] for i in _initial_simplex([v + (1,) for v in V])]
@@ -159,17 +159,14 @@ def lattice_width(P: Polytope) -> WidthResult:
 
 
 def verify_width_volume_corollary(P: Polytope) -> dict:
-    """Check vol(K) >= omega(K)^3 / 12 exactly, for a polytope in either mode.
+    """Check vol(K) >= omega(K)^3 / 12 exactly.
 
-    A float polytope is first rebuilt in rational mode, at the exact
-    binary value of each vertex.  Returns the ``width`` command's report,
-    in print order: the lattice width omega, its attaining direction, the
-    volume, the bound omega^3/12, the slack vol - omega^3/12, ``exact``
-    (always true), whether the inequality holds, and whether omega >= 1.
-    Every number is an exact Fraction.
+    Returns the ``width`` command's report, in print order: the lattice
+    width omega, its attaining direction, the volume, the bound
+    omega^3/12, the slack vol - omega^3/12, ``exact`` (always true),
+    whether the inequality holds, and whether omega >= 1.  Every number is
+    an exact Fraction.
     """
-    if P.mode != "rational":
-        P = Polytope(P.vertices, mode="rational")
     res = lattice_width(P)
     v = volume(P)
     bound = res.value**3 / 12

@@ -42,11 +42,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, NoConvergence, NotFullDimensional
+from .errors import InvariantError, NoConvergence, NotFullDimensional, PreconditionError
 
 __all__ = ["Ellipsoid", "mvee_centered", "svec", "caratheodory"]
 
 _SUPPORT_EPS = 1e-15
+#: the finest tol the solver takes: a relative gap in doubles stalls near
+#: 1e-14, so a finer tol would run to the iteration cap and never close
+TOL_FLOOR = 1e-12
 #: the polish support's outer products count as dependent when their
 #: smallest singular value is at most this times the largest
 _POLISH_RANK_RTOL = 1e-7
@@ -226,7 +229,8 @@ def whiten(points):
     L = sqrt(m) R^{-1} comes from the QR factor of X: the frame of
     chol(inv(X^T X / m)) up to a rotation, without squaring the condition
     number.  The MVEE of Y is {y : y^T M_Y y <= 1}, and X's is M = L M_Y L^T.
-    The rank test is relative to the largest coordinate: scale-free.
+    The rank test reads the singular values of the 3x3 R, which are X's,
+    relative to the largest coordinate: scale-free.
 
     Raises NotFullDimensional if the points span fewer than 3 dimensions.
     """
@@ -234,9 +238,9 @@ def whiten(points):
     if X.ndim != 2 or X.shape[1] != 3:
         raise NotFullDimensional("expected an (m, 3) point array")
     m = X.shape[0]
-    if m < 3 or np.linalg.matrix_rank(X, tol=1e-12 * float(np.abs(X).max())) < 3:
-        raise NotFullDimensional("points span fewer than 3 dimensions")
     Q, R = np.linalg.qr(X)
+    if m < 3 or np.linalg.svd(R, compute_uv=False)[-1] <= 1e-12 * float(np.abs(X).max()):
+        raise NotFullDimensional("points span fewer than 3 dimensions")
     return Q * math.sqrt(m), np.linalg.inv(R) * math.sqrt(m)
 
 
@@ -261,11 +265,15 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
 
     Raises
     ------
+    PreconditionError
+        If tol is below ``TOL_FLOOR``.
     NotFullDimensional
         If the points span fewer than 3 dimensions.
     NoConvergence
         If the iteration cap is reached before the gap closes.
     """
+    if tol < TOL_FLOOR:
+        raise PreconditionError(f"tol {tol:.3e} is below the solver's floor {TOL_FLOOR:.0e}")
     Y, L = whiten(points)
     m = len(Y)
     if max_iter is None:

@@ -88,30 +88,43 @@ LATTICE_CATALOGUE = [
 
 
 def random_lattice_polytope(rng, lo=0, hi=3, n_max=10):
-    """Full-dimensional rational-mode polytope with integer vertices."""
+    """Full-dimensional exact polytope with integer vertices."""
     from isokit.geom import Polytope
 
     while True:
         n = int(rng.integers(4, n_max + 1))
         pts = rng.integers(lo, hi + 1, size=(n, 3))
         if np.linalg.matrix_rank(pts[1:] - pts[0]) == 3:
-            return Polytope([tuple(int(c) for c in p) for p in pts], mode="rational")
+            return Polytope([tuple(int(c) for c in p) for p in pts])
+
+
+def difference_points(vertices):
+    """All pairwise differences p - q of the vertices: their hull is K - K."""
+    return [tuple(a - b for a, b in zip(p, q)) for p in vertices for q in vertices]
 
 
 def difference_hull(P):
-    """The hull of K - K: all pairwise vertex differences of P, in P's arithmetic."""
+    """The exact hull of K - K."""
     from isokit.geom import Polytope
 
-    return Polytope([tuple(a - b for a, b in zip(p, q)) for p in P.vertices for q in P.vertices], mode=P.mode)
+    return Polytope(difference_points(P.vertices))
+
+
+def float_difference_vertices(points):
+    """The vertex array of the float hull of K - K, K the float hull of ``points``."""
+    from isokit.geom import float_hull
+
+    return float_hull(difference_points(float_hull(points)[0].tolist()))[0]
 
 
 def reference_float_polytope(points):
-    """(vertices, triangles, volume) of a float body, built one Python tuple per point.
+    """(vertices, volume) of a float body, built one Python tuple per point.
 
-    The construction ``Polytope`` used before it kept float bodies as one
+    The reference for ``float_hull``, which keeps a float body as one
     array: coerce each point to a tuple of floats (+ 0.0 folds -0.0 into
     0.0), sort the set of tuples, hand the sorted points to Qhull, keep
-    the points its hull uses and fan the triangles from their centroid.
+    the points its hull uses and fan the triangles from their centroid,
+    one triangle at a time.
     """
     from scipy.spatial import ConvexHull
 
@@ -125,7 +138,7 @@ def reference_float_polytope(points):
     total = 0.0
     for a, b, d in tris:
         total += abs(det3(_sub(a, c), _sub(b, c), _sub(d, c)))
-    return vertices, tris, total / 6.0
+    return vertices, total / 6.0
 
 
 def unimodular_image(points, U):

@@ -35,7 +35,6 @@ from isokit.bounds import (
     zero_lambda_drop,
 )
 from isokit.cli import main as cli_main
-from isokit.geom import Polytope
 from isokit.john import normalize
 from isokit.lattice import verify_width_volume_corollary
 
@@ -89,7 +88,7 @@ def theorem_sweep():
     rng = np.random.default_rng(42)
     t0 = perf_counter()
     results = [
-        normalize(Polytope(random_polytope_vertices(rng, 4, 20))) for _ in range(100)
+        normalize(random_polytope_vertices(rng, 4, 20)) for _ in range(100)
     ]
     return results, perf_counter() - t0
 

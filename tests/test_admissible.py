@@ -34,7 +34,6 @@ from isokit.errors import (
     InvariantError,
     SingularPoint,
 )
-from isokit.geom import Polytope
 from isokit.john import normalize
 
 SQRT2 = math.sqrt(2.0)
@@ -114,7 +113,7 @@ def test_tetra_frame_is_value2_case():
     # the tetrahedron's six edge directions give the equality case: eight
     # magnitudes 1/sqrt(2), two zeros, and objective exactly 2 after the
     # sqrt(2) rescaling
-    res = normalize(Polytope(REGULAR_TETRA))
+    res = normalize(REGULAR_TETRA)
     S = from_contact_vectors(res.decomposition.u)
     mags = np.sort(np.abs(S.as_array()))
     assert np.allclose(mags[:2], 0.0, atol=1e-9)
@@ -129,7 +128,7 @@ def test_parseval_identity_pipeline(rng):
     # sum of lam_i lam_j a_ij^2 over i<j<=5 equals 1 for every frame the
     # pipeline produces
     for _ in range(10):
-        res = normalize(Polytope(random_polytope_vertices(rng)))
+        res = normalize(random_polytope_vertices(rng))
         S = from_contact_vectors(res.decomposition.u)
         total = objective(S.as_array(), res.decomposition.lambdas)
         assert total == pytest.approx(1.0, abs=1e-9)

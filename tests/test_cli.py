@@ -182,6 +182,8 @@ def test_bad_config_exits_2(files):
     assert run_cli("verify-lemmas", "--grid-step", "0").returncode == 2
     assert run_cli("normalize", files["tetra"], "--tol", "0").returncode == 2
     assert run_cli("normalize", files["tetra"], "--tol", "inf").returncode == 2
+    # below the solver's floor the duality gap cannot close in doubles
+    assert run_cli("normalize", files["tetra"], "--tol", "1e-13").returncode == 2
     assert run_cli("certify", "--samples", "3", "--tol", "inf").returncode == 2
     assert run_cli("peculiar", "--tol", "inf").returncode == 2
     assert run_cli("certify", "--samples", "-1").returncode == 2
@@ -372,8 +374,8 @@ def test_normalize_alarms_name_the_bound(files, monkeypatch, capsys, field, valu
 
     from isokit import cli, john
 
-    def weakened(P, tol):
-        return dataclasses.replace(john.normalize(P, tol=tol), **{field: value})
+    def weakened(points, tol):
+        return dataclasses.replace(john.normalize(points, tol=tol), **{field: value})
 
     monkeypatch.setattr(cli, "normalize", weakened)
     assert cli.main(["normalize", files["tetra"]]) == 3

@@ -17,7 +17,8 @@ from isokit.geom import (
     _homogeneous,
     _initial_simplex,
     det3,
-    polytope_from_json,
+    float_hull,
+    points_from_json,
     volume,
 )
 
@@ -27,6 +28,7 @@ from conftest import (
     REGULAR_TETRA,
     UNIT_CUBE,
     difference_hull,
+    difference_points,
     random_polytope_vertices,
     random_rotation,
     reference_float_polytope,
@@ -51,20 +53,21 @@ def in_convex_hull_lp(point, others):
 def test_hull_cube_with_center_point():
     P = Polytope(UNIT_CUBE + [(0.5, 0.5, 0.5)])
     assert len(P) == 8
-    assert set(P.vertices) == {tuple(map(float, v)) for v in UNIT_CUBE}
+    assert P.vertices == [tuple(map(Fraction, v)) for v in UNIT_CUBE]
+    assert all(type(c) is Fraction for v in P.vertices for c in v)
 
 
 def test_hull_of_simplex_is_identity():
+    # floats are read at their exact binary value
     P = Polytope(REGULAR_TETRA)
-    assert sorted(P.vertices) == sorted(REGULAR_TETRA)
+    assert P.vertices == sorted(tuple(map(Fraction, v)) for v in REGULAR_TETRA)
 
 
 def test_hull_extremality_against_lp_oracle(rng):
     pts = rng.normal(size=(100, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.0, 1.0, size=(100, 1)) ** (1 / 3)
-    P = Polytope(pts)
-    verts = P.as_array()
+    verts, _ = float_hull(pts)
     for i in range(len(verts)):
         others = np.delete(verts, i, axis=0)
         assert not in_convex_hull_lp(verts[i], others), "reported vertex is not extreme"
@@ -76,8 +79,8 @@ def test_hull_extremality_against_lp_oracle(rng):
 
 def test_hull_extremality_rational_mode(rng):
     pts = [tuple(Fraction(int(c), 8) for c in row) for row in rng.integers(-12, 13, size=(40, 3))]
-    P = Polytope(pts, mode="rational")
-    verts = P.as_array()
+    P = Polytope(pts)
+    verts = np.array(P.vertices, dtype=float)
     for i in range(len(verts)):
         others = np.delete(verts, i, axis=0)
         assert not in_convex_hull_lp(verts[i], others)
@@ -92,20 +95,22 @@ def test_hull_collinear_and_midface_points_dropped():
         (0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (3, 3, 0), (3, 0, 3), (0, 3, 3), (3, 3, 3),
         (1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 3), (1, 2, 2),
     ]
-    P = Polytope(pts, mode="rational")
+    P = Polytope(pts)
     assert len(P) == 8
     assert volume(P) == 27
 
 
 def test_hull_degenerate_inputs():
     with pytest.raises(DegenerateInput):
-        Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], mode="rational")
+        Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(DegenerateInput):
+        float_hull([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
     with pytest.raises(DegenerateInput):
         Polytope([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
     with pytest.raises(DegenerateInput):
-        Polytope([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], mode="rational")
+        Polytope([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)])
     with pytest.raises(DegenerateInput):
-        Polytope([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], mode="rational")
+        Polytope([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)])
 
 
 # -- float bodies against the one-tuple-per-point construction ----------------
@@ -117,10 +122,10 @@ def _bits(x):
 
 
 def _json_body(rows):
-    """(reference points, Polytope) of JSON rows: "p/q" strings read as exact rationals first."""
+    """(reference points, float hull) of JSON rows: "p/q" strings read as exact rationals first."""
     data = json.loads(json.dumps({"vertices": rows}))
     points = [[Fraction(c) if isinstance(c, str) else c for c in v] for v in data["vertices"]]
-    return points, polytope_from_json(data)
+    return points, float_hull(points_from_json(data, False))
 
 
 def _float_cases():
@@ -128,7 +133,7 @@ def _float_cases():
     cases = {}
     for i in range(8):  # numpy-array input
         pts = random_polytope_vertices(rng, 4, 20)
-        cases[f"uniform-{i}"] = (pts, Polytope(pts))
+        cases[f"uniform-{i}"] = (pts, float_hull(pts))
     for n in (20, 200, 2000):
         cases[f"gauss{n}"] = _json_body(rng.normal(size=(n, 3)).tolist())
     for i in range(3):
@@ -137,7 +142,7 @@ def _float_cases():
         cases[f"aniso-{i}"] = _json_body((rng.normal(size=(50, 3)) @ (random_rotation(rng) @ scale).T).tolist())
         eps = 10.0 ** rng.uniform(-3.0, -1.0)
         slab = np.column_stack([rng.uniform(-1, 1, (30, 2)), rng.uniform(-eps, eps, 30)]) @ random_rotation(rng).T
-        cases[f"slab-{i}"] = ([tuple(p) for p in slab.tolist()], Polytope([tuple(p) for p in slab.tolist()]))
+        cases[f"slab-{i}"] = ([tuple(p) for p in slab.tolist()], float_hull([tuple(p) for p in slab.tolist()]))
     for f in sorted(DEMO_DATA.glob("*.json")):
         cases[f"demo-{f.stem}"] = _json_body(json.loads(f.read_text())["vertices"])
     # repeated points, and ties in x that the lexicographic sort must break
@@ -148,10 +153,10 @@ def _float_cases():
     signed = [[-0.0, 0, 0], [0.0, 0, 0], [0, -0.0, -0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [-0.0, 1, -0.0], [0.0, 1, 1]]
     cases["negative-zero"] = _json_body(signed)
     arr = np.array(signed, dtype=float)
-    cases["negative-zero-array"] = (arr, Polytope(arr))
+    cases["negative-zero-array"] = (arr, float_hull(arr))
     # any iterable of points: a generator is read once, a set in its own order
-    cases["generator"] = (signed, Polytope(tuple(p) for p in signed))
-    cases["set"] = (signed, Polytope({tuple(float(c) for c in p) for p in signed}))
+    cases["generator"] = (signed, float_hull(tuple(p) for p in signed))
+    cases["set"] = (signed, float_hull({tuple(float(c) for c in p) for p in signed}))
     cases["ints-and-floats"] = _json_body([[0, 0, 0], [1.0, 0, 0], [0, 1, 0.0], [0, 0, 1], [1, 1, 1.0], [3, 2, 1]])
     big = 2**53 + 1  # rounds to 2**53, as float() rounds it
     cases["ints-past-2**53"] = _json_body([[big, 0, 0], [0, big, 0.0], [0, 0, big], [0, 0, 0], [big, big, 2.0**53], [3, 2, 1]])
@@ -164,28 +169,27 @@ FLOAT_CASES = _float_cases()
 
 @pytest.mark.parametrize("case", list(FLOAT_CASES))
 def test_float_polytope_matches_the_tuple_reference(case):
-    points, P = FLOAT_CASES[case]
-    vertices, tris, vol = reference_float_polytope(points)
-    assert _bits(P.vertices) == _bits(vertices)
-    assert _bits(P._tris) == _bits(tris)
-    assert volume(P).hex() == vol.hex()
-    A = P.as_array()
-    assert A is P.as_array() and not A.flags.writeable
+    # the array fan adds the same triangle determinants in the same order
+    # as the tuple loop, so vertices and volume agree bit for bit
+    points, (A, vol) = FLOAT_CASES[case]
+    vertices, ref_vol = reference_float_polytope(points)
     assert _bits(A.tolist()) == _bits(vertices)
+    assert not A.flags.writeable
+    assert type(vol) is float and vol.hex() == ref_vol.hex()
 
 
 def test_float_polytope_refusals():
     with pytest.raises(PreconditionError, match="points must be 3-dimensional"):
-        Polytope([(0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        float_hull([(0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     with pytest.raises(PreconditionError, match="points must be 3-dimensional"):
-        Polytope(np.zeros((5, 2)))
+        float_hull(np.zeros((5, 2)))
     with pytest.raises(DegenerateInput, match="need at least 4 distinct points"):
-        Polytope([])
+        float_hull([])
     with pytest.raises(DegenerateInput, match="need at least 4 distinct points"):
-        Polytope([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+        float_hull([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
     # NaN rows are never duplicates of one another, so the count passes and the finiteness check refuses
     with pytest.raises(PreconditionError, match="non-finite coordinate"):
-        Polytope([(math.nan, 0.0, 0.0)] * 3 + [(0.0, 0.0, 1.0)])
+        float_hull([(math.nan, 0.0, 0.0)] * 3 + [(0.0, 0.0, 1.0)])
 
 
 # -- exact hull against a brute-force oracle ----------------------------------
@@ -253,13 +257,13 @@ def _rational_body(rng, n, denominators):
 
 def distinct_denominators(rng):
     pts = _rational_body(rng, 14, np.arange(2, 200))
-    return pts, Polytope(pts, mode="rational")
+    return pts, Polytope(pts)
 
 
 def integers_and_fractions(rng):
     pts = [tuple(int(c) for c in rng.integers(-3, 4, size=3)) for _ in range(7)]
     pts += _rational_body(rng, 7, np.arange(2, 60))
-    return pts, Polytope(pts, mode="rational")
+    return pts, Polytope(pts)
 
 
 def cube_with_edge_and_face_points(rng):
@@ -267,24 +271,24 @@ def cube_with_edge_and_face_points(rng):
     pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
     pts += [(1, 0, 0), (2, 1, 0), (0, 0, 1), (1, 2, 2), (1, 1, 0), (2, 1, 1), (Fraction(1, 3), 2, Fraction(1, 2))]
     pts += [(1, 1, 1)]
-    return pts, Polytope(pts, mode="rational")
+    return pts, Polytope(pts)
 
 
 def lattice_basis_image(rng):
     # a rational body sheared by a unimodular basis of Z^3
     pts = unimodular_image(_rational_body(rng, 9, np.arange(2, 40)), [[1, 1, 0], [0, 1, 1], [1, 1, 1]])
-    return pts, Polytope(pts, mode="rational")
+    return pts, Polytope(pts)
 
 
 def small_grid_points(rng):
     # repeated, collinear and coplanar draws from {0, 1, 2}^3: many inserted
     # points lie on facet planes and on the lines of horizon edges
     pts = [tuple(int(c) for c in rng.integers(0, 3, size=3)) for _ in range(30)]
-    return pts, Polytope(pts, mode="rational")
+    return pts, Polytope(pts)
 
 
 def rational_difference_body(rng):
-    K = Polytope(_rational_body(rng, 5, np.arange(2, 30)), mode="rational")
+    K = Polytope(_rational_body(rng, 5, np.arange(2, 30)))
     return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_hull(K)
 
 
@@ -337,7 +341,7 @@ def test_exact_hull_of_distinct_six_digit_denominators_in_budget():
     # points would be some 24,000 bits long and every predicate with it
     pts = _rational_body(np.random.default_rng(400), 400, np.arange(100_000, 1_000_000))
     t0 = perf_counter()
-    P = Polytope(pts, mode="rational")
+    P = Polytope(pts)
     vol = volume(P)
     dt = perf_counter() - t0
     assert vol > 0 and set(P.vertices) <= set(pts)
@@ -348,7 +352,8 @@ def test_exact_hull_of_distinct_six_digit_denominators_in_budget():
 
 
 def test_volume_cube():
-    assert volume(Polytope(UNIT_CUBE)) == pytest.approx(1.0, abs=1e-12)
+    assert volume(Polytope(UNIT_CUBE)) == 1
+    assert float_hull(UNIT_CUBE)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_volume_regular_tetrahedron():
@@ -356,27 +361,27 @@ def test_volume_regular_tetrahedron():
     a, b, c, d = (np.array(v) for v in REGULAR_TETRA)
     expected = abs(np.linalg.det(np.array([b - a, c - a, d - a]))) / 6.0
     assert expected == pytest.approx(math.sqrt(2) / 12, rel=1e-12)
-    assert volume(Polytope(REGULAR_TETRA)) == pytest.approx(expected, rel=1e-12)
+    assert float_hull(REGULAR_TETRA)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_volume_extremal_simplex_exact():
-    P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
+    P = Polytope(EXTREMAL_SIMPLEX)
     assert volume(P) == Fraction(1, 12)
 
 
 def test_volume_matches_qhull_oracle(rng):
     for _ in range(10):
         pts = random_polytope_vertices(rng)
-        assert volume(Polytope(pts)) == pytest.approx(ConvexHull(pts).volume, rel=1e-10)
+        assert float_hull(pts)[1] == pytest.approx(ConvexHull(pts).volume, rel=1e-10)
 
 
 def test_volume_scales_by_det(rng):
     pts = random_polytope_vertices(rng)
-    v0 = volume(Polytope(pts))
+    v0 = float_hull(pts)[1]
     T = rng.normal(size=(3, 3))
     while abs(np.linalg.det(T)) < 0.1:
         T = rng.normal(size=(3, 3))
-    v1 = volume(Polytope(pts @ T.T))
+    v1 = float_hull(pts @ T.T)[1]
     assert v1 == pytest.approx(abs(np.linalg.det(T)) * v0, rel=1e-9)
 
 
@@ -386,27 +391,28 @@ def test_volume_scales_by_det(rng):
 def test_difference_body_cube():
     D = difference_hull(Polytope(UNIT_CUBE))
     assert len(D) == 8
-    assert set(D.vertices) == {(float(x), float(y), float(z)) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)}
+    assert set(D.vertices) == {(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)}
 
 
 def test_difference_body_tetrahedron():
     D = difference_hull(Polytope(REGULAR_TETRA))
     assert len(D) == 12
     # Rogers-Shephard equality for a simplex: vol(K-K) = 20 vol(K)
-    assert volume(D) == pytest.approx(20 * math.sqrt(2) / 12, rel=1e-9)
+    assert volume(D) == 20 * volume(Polytope(REGULAR_TETRA))
+    assert float(volume(D)) == pytest.approx(20 * math.sqrt(2) / 12, rel=1e-9)
 
 
 def test_difference_body_invariants(rng):
     for _ in range(5):
-        P = Polytope(random_polytope_vertices(rng))
-        D = difference_hull(P)
-        vs = set(D.vertices)
+        A, vol = float_hull(random_polytope_vertices(rng))
+        D, vol_d = float_hull(difference_points(A.tolist()))
+        vs = set(map(tuple, D.tolist()))
         assert all(tuple(-c for c in v) in vs for v in vs), "not origin-symmetric"
-        assert volume(D) >= 8 * volume(P) - 1e-9
+        assert vol_d >= 8 * vol - 1e-9
 
 
 def test_difference_body_exact_simplex():
-    P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
+    P = Polytope(EXTREMAL_SIMPLEX)
     D = difference_hull(P)
     assert volume(D) == Fraction(20, 12)
 
@@ -421,30 +427,31 @@ def test_det3_matches_numpy(rng):
 
 
 def test_polytope_json_roundtrip_rational():
-    P = polytope_from_json({"vertices": [["0/1", "0/1", "0/1"], ["1/1", "1/2", "1/2"],
-                                         ["1/2", "1/1", "1/2"], ["1/2", "1/2", "1/1"]]},
-                           mode="rational")
+    P = Polytope(points_from_json({"vertices": [["0/1", "0/1", "0/1"], ["1/1", "1/2", "1/2"],
+                                                ["1/2", "1/1", "1/2"], ["1/2", "1/2", "1/1"]]}, True))
     assert volume(P) == Fraction(1, 12)
-    Q = polytope_from_json({"vertices": [[str(c) for c in v] for v in P.vertices]}, mode="rational")
+    Q = Polytope(points_from_json({"vertices": [[str(c) for c in v] for v in P.vertices]}, True))
     assert Q.vertices == P.vertices
 
 
 def test_polytope_json_decimal_is_read_exactly():
-    P = polytope_from_json({"vertices": [[0, 0, 0], [1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]},
-                           mode="rational")
-    assert volume(P) == Fraction(1, 12)
+    pts = points_from_json({"vertices": [[0, 0, 0], [1, 0.5, 0.5], [0.5, 1, 0.5], [0.1, 0.5, 1]]}, True)
+    assert all(type(c) is Fraction for p in pts for c in p)
+    assert pts[3][0] == Fraction(1, 10)
+    assert volume(Polytope(pts[:3] + [(0.5, 0.5, 1)])) == Fraction(1, 12)
 
 
 def test_polytope_json_bad_input():
-    with pytest.raises(PreconditionError):
-        polytope_from_json({"verts": []})
-    with pytest.raises(PreconditionError):
-        polytope_from_json({"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
-    with pytest.raises(PreconditionError):
-        polytope_from_json({"vertices": [["a/b", "0", "0"]] * 4})
-    # past the double range: refused in float mode, read exactly in rational mode
+    for exact in (False, True):
+        with pytest.raises(PreconditionError):
+            points_from_json({"verts": []}, exact)
+        with pytest.raises(PreconditionError):
+            points_from_json({"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]}, exact)
+        with pytest.raises(PreconditionError):
+            points_from_json({"vertices": [["a/b", "0", "0"]] * 4}, exact)
+    # past the double range: refused as doubles, read exactly as Fractions
     for big in (10**400, "1e400"):
         data = {"vertices": [[big, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]}
         with pytest.raises(PreconditionError, match="out of float range: its integer part has 401 digits"):
-            polytope_from_json(data)
-        assert max(v[0] for v in polytope_from_json(data, mode="rational").vertices) == 10**400
+            points_from_json(data, False)
+        assert max(v[0] for v in Polytope(points_from_json(data, True)).vertices) == 10**400

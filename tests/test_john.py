@@ -11,14 +11,14 @@ from conftest import (
     FLAT_SLAB,
     REGULAR_TETRA,
     UNIT_CUBE,
-    difference_hull,
+    float_difference_vertices,
     random_polytope_vertices,
     random_rotation,
 )
 
 from isokit import geom
 from isokit.errors import InvariantError, NoDecomposition, PreconditionError
-from isokit.geom import Polytope, polytope_from_json
+from isokit.geom import float_hull, points_from_json
 from isokit.john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,
@@ -88,7 +88,7 @@ def test_decomposition_validation():
 
 
 def test_normalize_regular_tetra():
-    res = normalize(Polytope(REGULAR_TETRA))
+    res = normalize(REGULAR_TETRA)
     # the difference body's ellipsoid is the unit ball: T is the identity
     assert np.allclose(res.T, np.eye(3), atol=1e-9)
     assert abs(res.idq - SQRT2 / 12.0) <= 1e-12
@@ -97,7 +97,7 @@ def test_normalize_regular_tetra():
 
 
 def test_normalize_unit_cube():
-    res = normalize(Polytope(UNIT_CUBE))
+    res = normalize(UNIT_CUBE)
     assert np.allclose(res.T, np.eye(3) / math.sqrt(3.0), atol=1e-9)
     assert abs(res.idq - 3.0 ** -1.5) <= 1e-12
     assert np.allclose(np.sort(res.decomposition.lambdas), [0, 0, 0.75, 0.75, 0.75, 0.75], atol=1e-9)
@@ -117,11 +117,11 @@ def _witness_reference(u):
 
 
 def test_witness_matches_brute_force(rng):
-    bodies = [Polytope(random_polytope_vertices(rng)) for _ in range(5)]
+    bodies = [random_polytope_vertices(rng) for _ in range(5)]
     # the cube's and the demo bodies' decompositions have tied triples
-    bodies += [Polytope(UNIT_CUBE)] + [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
-    for P in bodies:
-        res = normalize(P)
+    bodies += [UNIT_CUBE] + demo_bodies()
+    for pts in bodies:
+        res = normalize(pts)
         best = max(
             abs(np.linalg.det(res.decomposition.u[[i, j, k]]))
             for i in range(6)
@@ -137,24 +137,24 @@ def test_witness_matches_brute_force(rng):
 
 def test_normalize_affine_invariance(rng):
     base = random_polytope_vertices(rng)
-    ref = normalize(Polytope(base), tol=1e-10)
+    ref = normalize(base, tol=1e-10)
     for _ in range(5):
         A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
-        res = normalize(Polytope(base @ A.T), tol=1e-10)
+        res = normalize(base @ A.T, tol=1e-10)
         assert res.idq == pytest.approx(ref.idq, abs=1e-7)
         assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-5)
 
 
 def test_normalize_random_batch(rng):
     for _ in range(20):
-        res = normalize(Polytope(random_polytope_vertices(rng)))
+        res = normalize(random_polytope_vertices(rng))
         assert res.idq >= SQRT2 / 12.0 - 1e-9
         assert res.witness_value >= 1.0 / SQRT2 - 1e-9
         assert res.decomposition.residual <= 1e-7
 
 
 def test_normalize_flat_slab():
-    res = normalize(Polytope(FLAT_SLAB))
+    res = normalize(FLAT_SLAB)
     assert res.idq >= SQRT2 / 12.0 - 1e-9
     assert res.witness_value >= 1.0 / SQRT2 - 1e-9
 
@@ -175,7 +175,7 @@ TIED_WEIGHTS_BODY = [
 def test_normalize_tied_weights_keep_the_maximum_last():
     for s in range(10):
         q, r = np.linalg.qr(np.random.default_rng([s, 17]).normal(size=(3, 3)))
-        res = normalize(Polytope(np.array(TIED_WEIGHTS_BODY) @ (q * np.sign(np.diag(r))).T))
+        res = normalize(np.array(TIED_WEIGHTS_BODY) @ (q * np.sign(np.diag(r))).T)
         lam = res.decomposition.lambdas
         assert lam[5] == lam.max(), s
         assert np.allclose(lam, 0.5, atol=1e-8)
@@ -183,7 +183,7 @@ def test_normalize_tied_weights_keep_the_maximum_last():
 
 
 def test_json_dict_shape():
-    res = normalize(Polytope(REGULAR_TETRA))
+    res = normalize(REGULAR_TETRA)
     d = res.to_json_dict()
     assert set(d) == {"T", "idq", "lambda", "u", "witness"}
     assert len(d["T"]) == 9 and len(d["lambda"]) == 6 and len(d["u"]) == 6
@@ -215,9 +215,9 @@ def test_normalize_one_axis_scaled(scale):
     # the input and vol(K) carry relative errors of about 1e-16 times the
     # condition number (up to 1e7 here), hence the 1e-6 agreement
     for base, images in scaled_bodies(scale):
-        ref = normalize(Polytope(base))
+        ref = normalize(base)
         for pts in images:
-            res = normalize(Polytope(pts))
+            res = normalize(pts)
             assert res.idq == pytest.approx(ref.idq, rel=1e-6)
             assert res.idq >= IDQ_LOWER_BOUND - 1e-8
             assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-6)
@@ -227,10 +227,10 @@ def test_normalize_one_axis_scaled(scale):
 def test_normalize_nearly_flat_gaussian():
     # condition number about 1e16 in the original frame
     base = np.random.default_rng(5).normal(size=(20, 3))
-    ref = normalize(Polytope(base))
+    ref = normalize(base)
     flat = base @ np.diag([1.0, 1.0, 1e-8])
     for pts in (flat, flat @ random_rotation(np.random.default_rng(5)).T):
-        res = normalize(Polytope(pts))
+        res = normalize(pts)
         assert res.idq == pytest.approx(ref.idq, rel=1e-6)
         assert res.witness_value >= WITNESS_LOWER_BOUND
         assert res.witness_value == pytest.approx(ref.witness_value, abs=1e-6)
@@ -238,9 +238,9 @@ def test_normalize_nearly_flat_gaussian():
 
 def test_normalize_refuses_a_non_finite_idq():
     # at scale 1e200 Qhull still accepts the body, but its float volume is NaN
-    P = Polytope([[1e200 * float(c) for c in v] for v in EXTREMAL_SIMPLEX + [(0.5, 0.5, 0.5)]])
+    pts = [[1e200 * float(c) for c in v] for v in EXTREMAL_SIMPLEX + [(0.5, 0.5, 0.5)]]
     with pytest.raises(PreconditionError, match=r"idq is not finite: vol\(K\) = nan, diam\(TK\) = "):
-        normalize(P)
+        normalize(pts)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e4])
@@ -250,9 +250,8 @@ def test_certificate_directions_are_contacts(rng, scale):
     bodies = [random_polytope_vertices(rng) for _ in range(5)]
     bodies += [imgs[1] for _, imgs in scaled_bodies(scale, seeds=range(3))]
     for pts in bodies:
-        P = Polytope(pts)
-        res = normalize(P, tol=1e-9)
-        TD = difference_hull(P).as_array() @ res.T.T
+        res = normalize(pts, tol=1e-9)
+        TD = float_difference_vertices(pts) @ res.T.T
         norms = np.linalg.norm(TD, axis=1)
         for lam, u in zip(res.decomposition.lambdas, res.decomposition.u):
             if lam > 0.0:
@@ -262,24 +261,41 @@ def test_certificate_directions_are_contacts(rng, scale):
                 assert abs(norms[i] - 1.0) <= 1e-9
 
 
-def test_normalize_builds_no_hull(monkeypatch):
-    # once K is built, the MVEE runs on K's vertex differences, not on a hull of K - K
-    bodies = [Polytope(UNIT_CUBE), Polytope(FLAT_SLAB), Polytope(EXTREMAL_SIMPLEX, mode="rational")]
-    calls = []
-    for name in ("_hull_float", "_hull_exact"):
-        def counting(*args, hull=getattr(geom, name), name=name):
-            calls.append(name)
-            return hull(*args)
+def test_normalize_builds_only_the_hull_of_k(monkeypatch):
+    # the MVEE runs on K's vertex differences, not on a hull of K - K:
+    # one Qhull call per body, on K's own distinct points, and no exact hull
+    import scipy.spatial
 
-        monkeypatch.setattr(geom, name, counting)
-    for P in bodies:
-        normalize(P)
-    assert calls == []
+    bodies = [UNIT_CUBE + [(0.5, 0.5, 0.5)], FLAT_SLAB, EXTREMAL_SIMPLEX]
+    rows = []
+    hull = scipy.spatial.ConvexHull
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", lambda pts: rows.append(len(pts)) or hull(pts))
+
+    def no_exact_hull(*args):
+        raise AssertionError("normalize must not build an exact hull")
+
+    monkeypatch.setattr(geom, "_hull_exact", no_exact_hull)
+    for pts in bodies:
+        rows.clear()
+        normalize(pts)
+        assert rows == [len(pts)]
 
 
-def vertex_differences(P):
-    """One row v_i - v_j per vertex pair i < j, as normalize forms them."""
-    A = P.as_array()
+def test_normalize_takes_any_array_like():
+    ref = normalize(np.array(FLAT_SLAB)).to_json_dict()
+    assert normalize(FLAT_SLAB).to_json_dict() == ref
+    assert normalize(list(map(list, FLAT_SLAB))).to_json_dict() == ref
+    assert normalize(p for p in FLAT_SLAB).to_json_dict() == ref
+
+
+def demo_bodies():
+    """The demo bodies' points, read as normalize reads them."""
+    return [points_from_json(f.read_text(), False) for f in sorted(DEMO_DATA.glob("*.json"))]
+
+
+def vertex_differences(points):
+    """One row v_i - v_j per vertex pair i < j of K's float hull, as normalize forms them."""
+    A, _ = float_hull(points)
     i, j = np.triu_indices(len(A), 1)
     return A[i] - A[j]
 
@@ -293,12 +309,12 @@ def slab_vertices(rng):
 
 
 def test_vertex_differences_share_the_mvee_of_the_difference_body(rng):
-    bodies = [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
-    bodies += [Polytope(random_polytope_vertices(rng)) for _ in range(10)]
-    bodies += [Polytope(slab_vertices(rng)) for _ in range(10)]
-    for P in bodies:
-        M = mvee_centered(vertex_differences(P)).M
-        ref = mvee_centered(difference_hull(P).as_array()).M
+    bodies = demo_bodies()
+    bodies += [random_polytope_vertices(rng) for _ in range(10)]
+    bodies += [slab_vertices(rng) for _ in range(10)]
+    for pts in bodies:
+        M = mvee_centered(vertex_differences(pts)).M
+        ref = mvee_centered(float_difference_vertices(pts)).M
         assert np.abs(M - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
@@ -307,12 +323,12 @@ def test_mvee_returns_the_ball_map_and_its_contacts(rng):
     # support rows s, unit within tol; they are read in the solver's
     # whitened frame, so they are checked against D T^T only where that
     # product is well conditioned
-    bodies = [(polytope_from_json(f.read_text()), True) for f in sorted(DEMO_DATA.glob("*.json"))]
-    bodies += [(Polytope(slab_vertices(rng)), True) for _ in range(10)]
+    bodies = [(pts, True) for pts in demo_bodies()]
+    bodies += [(slab_vertices(rng), True) for _ in range(10)]
     for scale in (1e-6, 1e6):
-        bodies += [(Polytope(pts), False) for _, images in scaled_bodies(scale) for pts in images]
-    for P, well_conditioned in bodies:
-        D = vertex_differences(P)
+        bodies += [(pts, False) for _, images in scaled_bodies(scale) for pts in images]
+    for pts, well_conditioned in bodies:
+        D = vertex_differences(pts)
         E = mvee_centered(D, tol=1e-9)
         assert np.array_equal(E.T, E.T.T)
         assert np.linalg.eigvalsh(E.T)[0] > 0.0
@@ -327,11 +343,10 @@ def test_mvee_returns_the_ball_map_and_its_contacts(rng):
 def test_normalize_whitens_once(monkeypatch):
     # the solver's whitened frame serves normalize too: one QR factor of
     # the vertex differences per body
-    bodies = [polytope_from_json(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
-    bodies += [Polytope(UNIT_CUBE), Polytope(FLAT_SLAB)]
+    bodies = demo_bodies() + [UNIT_CUBE, FLAT_SLAB]
     qr, rows = np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: rows.append(len(a)) or qr(a, *args, **kwargs))
-    for P in bodies:
+    for pts in bodies:
         rows.clear()
-        normalize(P)
-        assert rows == [len(vertex_differences(P))]
+        normalize(pts)
+        assert rows == [len(vertex_differences(pts))]

@@ -15,7 +15,7 @@ CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 
 
 def test_width_in_direction_verbatim():
-    P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
+    P = Polytope(EXTREMAL_SIMPLEX)
     assert width_in_direction(P, (1, 0, 0)) == Fraction(1)
     assert width_in_direction(P, (2, 0, 0)) == Fraction(2)  # no gcd reduction
     assert width_in_direction(P, (1, 1, 1)) == Fraction(2)
@@ -24,7 +24,7 @@ def test_width_in_direction_verbatim():
 
 
 def test_extremal_simplex_attains_equality():
-    P = Polytope(EXTREMAL_SIMPLEX, mode="rational")
+    P = Polytope(EXTREMAL_SIMPLEX)
     res = lattice_width(P)
     assert res.value == Fraction(1)
     assert res.direction == (1, 1, -1)  # lexicographically greatest tie
@@ -37,7 +37,7 @@ def test_extremal_simplex_attains_equality():
 
 
 def test_cube_width_and_density():
-    Q = Polytope(CUBE, mode="rational")
+    Q = Polytope(CUBE)
     res = lattice_width(Q)
     assert res.value == Fraction(1)
     assert res.direction == (1, 0, 0)
@@ -47,7 +47,7 @@ def test_cube_width_and_density():
 
 
 def test_sub_threshold_width():
-    half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in EXTREMAL_SIMPLEX], mode="rational")
+    half = Polytope([tuple(Fraction(c) / 2 for c in v) for v in EXTREMAL_SIMPLEX])
     res = lattice_width(half)
     assert res.value == Fraction(1, 2)
     rep = verify_width_volume_corollary(half)
@@ -60,9 +60,9 @@ def test_float_cube_gets_an_exact_report():
     # a float body is read at the exact binary value of its vertices, so a
     # width of exactly 1 is decided, not refused
     Qf = Polytope([(float(x), float(y), float(z)) for x, y, z in CUBE])
-    assert Qf.mode == "float"
+    assert Qf.vertices == Polytope(CUBE).vertices
     rep = verify_width_volume_corollary(Qf)
-    assert rep == verify_width_volume_corollary(Polytope(CUBE, mode="rational"))
+    assert rep == verify_width_volume_corollary(Polytope(CUBE))
     assert rep["omega"] == 1 and isinstance(rep["omega"], Fraction)
     assert rep["slack"] == Fraction(11, 12)
     assert rep["exact"] is True and rep["holds"] is True and rep["nonseparable"] is True
@@ -74,7 +74,7 @@ def test_float_cube_gets_an_exact_report():
 
 def test_translation_invariance(rng):
     P = random_lattice_polytope(rng)
-    shifted = Polytope([(x + 7, y - 4, z + 2) for x, y, z in P.vertices], mode="rational")
+    shifted = Polytope([(x + 7, y - 4, z + 2) for x, y, z in P.vertices])
     a, b = lattice_width(P), lattice_width(shifted)
     assert a.value == b.value
     assert a.direction == b.direction
@@ -84,7 +84,7 @@ def test_unimodular_invariance(rng):
     U = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]  # det 1
     for _ in range(5):
         P = random_lattice_polytope(rng)
-        img = Polytope(unimodular_image(P.vertices, U), mode="rational")
+        img = Polytope(unimodular_image(P.vertices, U))
         assert lattice_width(img).value == lattice_width(P).value
 
 
@@ -142,12 +142,12 @@ def test_lattice_width_matches_brute_force(rng):
         extra = rng.integers(0, int(rng.integers(2, 5)) + 1, size=(int(rng.integers(0, 6)), 3))
         pts = [tuple(int(x) for x in p + e) for e in np.vstack([np.zeros((1, 3), int), np.eye(3, dtype=int)])]
         pts += [tuple(int(x) for x in q) for q in extra]
-        P = Polytope(pts, mode="rational")
+        P = Polytope(pts)
         W0 = int(min(width_in_direction(P, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         res = lattice_width(P)
         assert (res.value, res.direction) == _brute_force_width(P.vertices, W0)
         M = _unimodular(rng)
-        img = Polytope([tuple(int(x) for x in M @ np.array(v, dtype=object)) for v in P.vertices], mode="rational")
+        img = Polytope([tuple(int(x) for x in M @ np.array(v, dtype=object)) for v in P.vertices])
         assert lattice_width(img).value == res.value
 
 
@@ -158,14 +158,14 @@ def test_lattice_width_builds_no_hull(rng, monkeypatch):
     Pf = Polytope([tuple(float(c) for c in v) for v in P.vertices])
     # a box of width 7/13 along e1, sheared by a unimodular map: width 7/13
     box = [(Fraction(7, 13) * x, 3 * y, 3 * z) for x, y, z in CUBE]
-    img = Polytope(unimodular_image(box, [[1, 2, 0], [0, 1, 0], [1, 1, 1]]), mode="rational")
+    img = Polytope(unimodular_image(box, [[1, 2, 0], [0, 1, 0], [1, 1, 1]]))
     expected = lattice_width(P)
 
     def no_hull(*args, **kwargs):
         raise AssertionError("lattice_width must not build a hull")
 
     monkeypatch.setattr(geom, "_hull_exact", no_hull)
-    monkeypatch.setattr(geom, "_hull_float", no_hull)
+    monkeypatch.setattr(geom, "float_hull", no_hull)
     assert lattice_width(P) == expected
     res = lattice_width(Pf)
     assert (res.value, res.direction) == (expected.value, expected.direction)
@@ -176,5 +176,5 @@ def test_lattice_width_builds_no_hull(rng, monkeypatch):
 def test_catalogue_search_effort_is_pinned():
     # the search prunes with the slabs of the vertex simplex that
     # _initial_simplex picks, so its count of checked directions pins that pick
-    bodies = [Polytope([[Fraction(c) for c in v] for v in body], mode="rational") for body in LATTICE_CATALOGUE]
+    bodies = [Polytope([[Fraction(c) for c in v] for v in body]) for body in LATTICE_CATALOGUE]
     assert [lattice_width(P).checked for P in bodies] == [9, 9, 5, 1, 5, 5, 3, 3, 4, 3]

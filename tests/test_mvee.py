@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import difference_hull, random_polytope_vertices, random_rotation
+from conftest import float_difference_vertices, random_polytope_vertices, random_rotation
 
 from isokit import mvee
 from isokit.errors import InvariantError, NoConvergence, NotFullDimensional
-from isokit.geom import Polytope
 from isokit.mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 CUBE_CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
@@ -166,7 +165,7 @@ def test_polish_reduces_a_support_of_seven(monkeypatch):
 
     monkeypatch.setattr(mvee, "caratheodory", counting)
     monkeypatch.setattr(mvee, "_polish", checked)
-    D = difference_hull(Polytope(random_polytope_vertices(np.random.default_rng(18)))).as_array()
+    D = float_difference_vertices(random_polytope_vertices(np.random.default_rng(18)))
     E = mvee_centered(D)
     assert max(sizes) == 7
     assert not any(failed)
