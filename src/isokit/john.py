@@ -151,7 +151,8 @@ def john_weights(directions, weights) -> JohnDecomposition:
         )
 
     entries = [(float(lam[i]), tuple(dirs[i])) for i in support]
-    spare = [tuple(d) for i, d in enumerate(dirs) if i not in set(support)]
+    kept = set(support.tolist())
+    spare = [tuple(d) for i, d in enumerate(dirs) if i not in kept]
     spare.sort()
     pad_pool = spare + [e[1] for e in entries] * 6
     while len(entries) < 6:
@@ -212,7 +213,11 @@ def normalize(points, tol: float = 1e-9) -> NormalizationResult:
     # vertex difference: no hull of TK is needed
     TD = D @ T.T
     diam = math.sqrt(float(np.einsum("ij,ij->i", TD, TD).max()))
-    idq = float(abs(np.linalg.det(T)) * vol / diam**3)
+    # det T overflows for a body near the bottom of the double range;
+    # idq is then not finite, which the refusal below names
+    with np.errstate(over="ignore"):
+        det = float(abs(np.linalg.det(T)))
+    idq = det * vol / diam**3
     if not math.isfinite(idq):
         raise PreconditionError(f"idq is not finite: vol(K) = {vol:.17g}, diam(TK) = {diam:.17g}, idq = {idq}")
     sq = np.einsum("ij,ij->i", E.contacts, E.contacts)

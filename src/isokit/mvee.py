@@ -23,15 +23,18 @@ of three points, each the farthest from the span of the ones before
 (Kumar & Yildirim 2005).  Each round then tries a Newton polish: the
 support plus the worst violator, which enters at the Frank-Wolfe
 line-search weight, solves w_i = 3 with the Jacobian -(G o G),
-G = S V^{-1} S^T.  Before each Newton step a Caratheodory elimination
-keeps V and shrinks the support to at most six points with independent
-outer products, so G o G stays nonsingular; a step that would make a
-weight negative stops at the boundary and drops that point.  A polish is
-kept only if it converges and raises log det V.  Otherwise the round is a
-Wolfe-Atwood Frank-Wolfe step (with away steps and an exact line search),
-and the next polish waits 1, 2, 4, ... rounds.  So det V is
-nondecreasing throughout, the Frank-Wolfe steps keep their convergence
-guarantee, and on the right support Newton converges quadratically.
+G = S V^{-1} S^T.  Whenever the support changes (at the polish's start
+and after a drop) a Caratheodory elimination keeps V and shrinks it to at
+most six points with independent outer products, so G o G stays
+nonsingular; a step that would make a weight negative stops at the
+boundary and drops that point.  Each step's two small systems go straight
+to LAPACK's gesv, which costs a fraction of np.linalg.solve's overhead.
+A polish is kept only if it converges and raises log det V.  Otherwise
+the round is a Wolfe-Atwood Frank-Wolfe step (with away steps and an
+exact line search), and the next polish waits 1, 2, 4, ... rounds.  So
+det V is nondecreasing throughout, the Frank-Wolfe steps keep their
+convergence guarantee, and on the right support Newton converges
+quadratically.
 Every Frank-Wolfe and every Newton step counts as one iteration.
 """
 
@@ -177,6 +180,11 @@ def _polish(Y, u, w, tol, budget):
     summing to one, if Newton converged within ``budget`` steps (the
     violator's entry counts as one) and log det V rose; None otherwise.
     """
+    # LAPACK's gesv directly: on these 3x3 and at most 7x7 systems
+    # np.linalg.solve costs several times as much in call overhead.  scipy
+    # loads here, as for the float hull, so importing isokit does not load it
+    from scipy.linalg.lapack import dgesv
+
     budget = min(budget, _POLISH_STEPS)
     S = np.flatnonzero(u > _SUPPORT_EPS)
     us = u[S]
@@ -188,26 +196,36 @@ def _polish(Y, u, w, tol, budget):
         beta = (kp - 3.0) / (3.0 * (kp - 1.0))
         S, us = np.append(S, jp), np.append((1.0 - beta) * us, beta)
         protect, steps = len(S) - 1, 1
+    changed = True  # whether the support changed since the last rank check
     while True:
-        # keep the violator: it is the point the new design needs
-        keep, lam = caratheodory(svec(Y[S]), us, rtol=_POLISH_RANK_RTOL, protect=protect)
-        protect = None
-        S, us = S[keep], lam[keep]
-        Ys = Y[S]
+        # the rank check reads only the support's points, so it runs when
+        # the support changes: at entry, after a drop at the boundary, or
+        # when a weight lands on 0.0 (the elimination drops it); between
+        # those it would find the same singular values and keep everything
+        if changed:
+            # keep the violator: it is the point the new design needs
+            keep, lam = caratheodory(svec(Y[S]), us, rtol=_POLISH_RANK_RTOL, protect=protect)
+            protect = None
+            S, us = S[keep], lam[keep]
+            Ys = Y[S]
         V = (Ys.T * us) @ Ys
-        try:
-            G = Ys @ np.linalg.solve(V, Ys.T)
-            r = np.diag(G) - 3.0
-            if np.abs(r).max() <= 0.75 * tol:
-                break
-            if steps >= budget:
-                return steps, None
-            steps += 1
-            d = np.linalg.solve(G * G, r)
-        except np.linalg.LinAlgError:  # the support lost rank
+        *_, X, info = dgesv(V, Ys.T)
+        if info:  # the support lost rank
+            return steps, None
+        G = Ys @ X
+        r = np.diag(G) - 3.0
+        if np.abs(r).max() <= 0.75 * tol:
+            break
+        if steps >= budget:
+            return steps, None
+        steps += 1
+        *_, d, info = dgesv(G * G, r)
+        if info:
             return steps, None
         new = us + d
-        if new.min() < 0.0:  # stop at the boundary and drop the point that reaches it
+        low = float(new.min())
+        changed = low <= 0.0
+        if low < 0.0:  # stop at the boundary and drop the point that reaches it
             neg = np.flatnonzero(new < 0.0)
             hit = neg[np.argmin(us[neg] / -d[neg])]
             new = np.clip(us - us[hit] / d[hit] * d, 0.0, None)

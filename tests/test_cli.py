@@ -252,6 +252,24 @@ def test_normalize_accepts_small_bodies(tmp_path, capsys, scale):
     assert idq[1] == pytest.approx(idq[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-300])
+def test_normalize_refuses_tiny_bodies_without_warnings(tmp_path, scale):
+    # vol(K) underflows and det T overflows: the refusal names the
+    # non-finite idq, and no warning escapes it under -W error
+    pts = np.random.default_rng(0).normal(size=(40, 3)) * scale
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"vertices": pts.tolist()}))
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "isokit.cli", "normalize", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: PreconditionError: idq is not finite: vol(K) = 0, ")
+
+
 @pytest.mark.parametrize("body", ["huge_int", "huge_str", "scaled"])
 def test_width_reads_bodies_beyond_doubles_exactly(files, body):
     r = run_cli("width", files[body])

@@ -288,6 +288,34 @@ def test_normalize_takes_any_array_like():
     assert normalize(p for p in FLAT_SLAB).to_json_dict() == ref
 
 
+#: normalize's T (row by row), idq, lambdas and witness triple on the demo
+#: bodies and on seeded Gaussian bodies ("gauss<n>-<seed>"), as computed
+#: before the ellipsoid solver's Newton steps moved to direct LAPACK solves
+NORMALIZE_PINNED = [
+    ("cube", [0.5773502691896257, 0.0, 0.0, 0.0, 0.577350269189626, 0.0, 0.0, 0.0, 0.5773502691896261], 0.19245008972987523, [0.0, 0.0, 0.7499999999999999, 0.7499999999999997, 0.7500000000000003, 0.7500000000000003], (0, 1, 3)),
+    ("extremal_simplex", [1.178511301977579, -0.23570226039551526, -0.23570226039551595, -0.23570226039551526, 1.178511301977579, -0.23570226039551606, -0.23570226039551595, -0.23570226039551606, 1.1785113019775777], 0.11785113019775773, [0.5000000000000001, 0.4999999999999997, 0.5000000000000002, 0.49999999999999944, 0.5000000000000002, 0.5000000000000004], (0, 1, 2)),
+    ("flat_slab", [0.35355339059327373, 0.0, 0.0, 0.0, 0.35355339059326996, 6.681364101992383e-15, 0.0, 6.681364101992383e-15, 49.999999999999986], 0.16666666666666494, [0.0, 0.0, 0.0, 1.0, 0.9999999999999998, 1.0000000000000002], (0, 1, 2)),
+    ("random_12", [0.6428840322198696, -0.0887715545876951, -0.0027687521621416415, -0.0887715545876951, 0.45520797350918235, 0.02976279950604032, -0.0027687521621416415, 0.02976279950604032, 0.46857445170139433], 0.2110376140859116, [0.0, 0.0, 0.27792177168047355, 0.7646144832292415, 0.9675235811820975, 0.9899401639081872], (0, 1, 5)),
+    ("tetrahedron", [1.0, 0.0, 0.0, 0.0, 0.9999999999999992, 0.0, 0.0, 0.0, 0.9999999999999993], 0.11785113019775788, [0.5000000000000001, 0.5000000000000001, 0.5000000000000001, 0.49999999999999994, 0.4999999999999993, 0.5000000000000002], (0, 1, 2)),
+    ("gauss12-1", [0.18636557842533993, -0.03986267745766084, 0.020319110113553033, -0.03986267745766084, 0.38676920064735587, -0.2616683973049764, 0.020319110113553033, -0.2616683973049764, 0.8825298807058288], 0.20047652076246872, [0.0, 0.33011936094828676, 0.620379371407605, 0.6629696893105628, 0.6700902051817823, 0.7164413731517632], (0, 2, 5)),
+    ("gauss30-4", [0.22409740958081265, 0.04421829242360047, -0.05004851518309858, 0.04421829242360047, 0.24156641736647058, -0.012912151307749257, -0.05004851518309858, -0.012912151307749257, 0.22883825865639817], 0.227964502466285, [0.046866819344708766, 0.05294669770128009, 0.2963763752808051, 0.7353192613674984, 0.9239494547205992, 0.9445413915851086], (3, 4, 5)),
+    ("gauss60-0", [0.20527113775319797, 0.016554727658629777, -0.014085530557855339, 0.016554727658629777, 0.2573888173998173, -0.01921860343687674, -0.014085530557855339, -0.01921860343687674, 0.242571110819782], 0.30425501979063635, [0.21293053323069477, 0.3717285672970447, 0.5452850405035267, 0.5881663542134047, 0.5909555449003868, 0.690933959854942], (2, 4, 5)),
+]
+
+
+def test_normalize_output_is_pinned():
+    # the solver's linear algebra may move the last bits, never more
+    bodies = {f.stem: points_from_json(f.read_text(), False) for f in sorted(DEMO_DATA.glob("*.json"))}
+    for n, seed in ((12, 1), (30, 4), (60, 0)):
+        bodies[f"gauss{n}-{seed}"] = np.random.default_rng(seed).normal(size=(n, 3))
+    assert sorted(bodies) == sorted(row[0] for row in NORMALIZE_PINNED)
+    for name, T, idq, lambdas, ijk in NORMALIZE_PINNED:
+        res = normalize(bodies[name])
+        for got, want in ((res.T.ravel(), T), ([res.idq], [idq]), (res.decomposition.lambdas, lambdas)):
+            assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert res.witness_ijk == ijk, name
+
+
 def demo_bodies():
     """The demo bodies' points, read as normalize reads them."""
     return [points_from_json(f.read_text(), False) for f in sorted(DEMO_DATA.glob("*.json"))]

@@ -174,6 +174,49 @@ def test_polish_reduces_a_support_of_seven(monkeypatch):
     assert np.einsum("ij,jk,ik->i", D, E.M, D).max() <= 1.0 + 1e-9
 
 
+def test_rank_check_runs_once_per_support(monkeypatch):
+    # the Caratheodory rank check reads only the support's points, so it runs
+    # when a polish starts and after each drop at the boundary, not on every
+    # Newton step.  On this body the four polishes drop two points in all
+    # (counted with the check on every step, where each drop shows as a
+    # support one point smaller), and the solve is the one it was then
+    calls, polishes = [], []
+    polish = mvee._polish
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return caratheodory(*args, **kwargs)
+
+    def counted(*args):
+        polishes.append(None)
+        return polish(*args)
+
+    monkeypatch.setattr(mvee, "caratheodory", counting)
+    monkeypatch.setattr(mvee, "_polish", counted)
+    D = float_difference_vertices(random_polytope_vertices(np.random.default_rng(9)))
+    E = mvee_centered(D)
+    assert len(polishes) == 4
+    assert len(calls) == len(polishes) + 2
+    assert E.iterations == 21 and E.fw_steps == 0
+    T = [
+        [0.5764600046837823, 0.052123359431506935, -0.15009202299649982],
+        [0.052123359431506935, 0.5558743343873289, -0.22312334222373348],
+        [-0.15009202299649982, -0.22312334222373348, 0.6626522031449565],
+    ]
+    weights = [0.1651854845510308, 0.1858801436965662, 0.09739664318537322, 0.316118443487812, 0.2354192850792178]
+    contacts = [
+        [-0.8025161699971367, 0.322644245163228, 0.5018650096950166],
+        [-0.7996239163066952, -0.28158625449303243, 0.5303873808368083],
+        [-0.5825864281916202, 0.7533842054211285, -0.30496769125417955],
+        [-0.4123716678827891, -0.6849652922148705, -0.6006431186558006],
+        [-0.3006802522734093, 0.6445452766997868, -0.7029600075230413],
+    ]
+    assert np.flatnonzero(E.weights).tolist() == [2, 4, 5, 6, 7]
+    assert np.allclose(E.T, T, rtol=0, atol=1e-14)
+    assert np.allclose(E.weights[[2, 4, 5, 6, 7]], weights, rtol=0, atol=1e-14)
+    assert np.allclose(E.contacts, contacts, rtol=0, atol=1e-14)
+
+
 def test_frank_wolfe_fallback_converges(monkeypatch, rng):
     # with every polish failing, the solver is Frank-Wolfe with away steps
     # and lands on the same ellipsoid, det V still nondecreasing
