@@ -9,29 +9,15 @@ together with the contact-point decomposition that certifies the bound,
 lemma-level verification harnesses for the underlying optimization
 problem, and exact lattice-width corollaries (vol(K) >= w(K)^3 / 12 for
 lattice-point-free widths).
-
-ISOKIT_THREADS caps BLAS parallelism: when set, the standard
-thread-count variables are exported here, before numpy first loads.
 """
-
-import os as _os
-
-_threads = _os.environ.get("ISOKIT_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os
 
 from .errors import (
     DegenerateInput,
-    InfeasibleMagnitudes,
     InvariantError,
     IsokitError,
     NoConvergence,
     NoDecomposition,
-    NotFullDimensional,
     PreconditionError,
-    SingularPoint,
 )
 from .geom import Polytope, float_hull, points_from_json, volume
 from .mvee import Ellipsoid, mvee_centered

@@ -26,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InfeasibleMagnitudes,
-    InvariantError,
-    PreconditionError,
-    SingularPoint,
-)
+from .errors import InvariantError, PreconditionError
 from .geom import det3
 
 __all__ = [
@@ -59,6 +54,10 @@ __all__ = [
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
 
 _PAIR_POS = {p: k for k, p in enumerate(PAIRS)}
+
+#: the 0-based columns (i - 1, j - 1) of ``PAIRS``; on a trailing axis use ``take``,
+#: which returns a C-ordered array where x[..., _PAIR_I] does not
+_PAIR_I, _PAIR_J = (np.array(ix) - 1 for ix in zip(*PAIRS))
 
 #: maximum of the weighted square sum over admissible sets
 CEILING = 2.0
@@ -154,7 +153,7 @@ def _as_lambda(L) -> np.ndarray:
 def lambda_pair_products(L) -> np.ndarray:
     """The ten products lam_i lam_j in ``PAIRS`` order (indices 1..5); (..., 6) -> (..., 10)."""
     lam = _as_lambda(L)
-    return np.stack([lam[..., i - 1] * lam[..., j - 1] for i, j in PAIRS], axis=-1)
+    return lam.take(_PAIR_I, axis=-1) * lam.take(_PAIR_J, axis=-1)
 
 
 def sample_lambda(rng, first_weight_zero: bool = False) -> np.ndarray:
@@ -182,8 +181,7 @@ def from_contact_vectors(u) -> AdmissibleSet:
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise PreconditionError("directions must be unit vectors")
     arr = arr / norms[:, None]
-    u6 = arr[5]
-    vals = [det3(arr[i - 1], arr[j - 1], u6) for i, j in PAIRS]
+    vals = det3(arr[_PAIR_I].T, arr[_PAIR_J].T, arr[5])
     return AdmissibleSet(np.clip(vals, -1.0, 1.0), rel_tol=1e-7)
 
 
@@ -259,7 +257,7 @@ def peculiar_from(a14_abs: float, a15_abs: float) -> AdmissibleSet:
 
     The entries on ``HEAVY_PAIRS`` (a12, a13, a24, a35, a45) have
     magnitude one and ``peculiar_forced`` gives |a23|, |a25| and |a34|,
-    which requires |a14| + |a15| >= 1 (InfeasibleMagnitudes otherwise).
+    which requires |a14| + |a15| >= 1 (PreconditionError otherwise).
     The member is the minors det(v_i, v_j) of the 2x5 matrix
     V = [[1, 0, p, -1, s], [0, 1, 1, x, y]], p = (1 - x - y)/(xy),
     s = (1 - y)/x: those magnitudes signed by ``_PECULIAR_SIGNS``, with
@@ -268,9 +266,9 @@ def peculiar_from(a14_abs: float, a15_abs: float) -> AdmissibleSet:
     """
     x, y = float(a14_abs), float(a15_abs)
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
-        raise InfeasibleMagnitudes("|a14|, |a15| must lie in (0, 1]")
+        raise PreconditionError("|a14|, |a15| must lie in (0, 1]")
     if x + y < 1.0:
-        raise InfeasibleMagnitudes("|a14| + |a15| must be at least 1")
+        raise PreconditionError("|a14| + |a15| must be at least 1")
     return AdmissibleSet(_peculiar_members(np.array([x]), np.array([y]))[0])
 
 
@@ -317,7 +315,8 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     ``_f_value``),
     pairing point k with weight vector k mod ``n_lambda``.  Every value
     above its bound by more than ``tol`` is listed as a violation.
-    Counts above 10^6 samples or 10^4 weight vectors are refused.
+    Counts above 10^6 samples or 10^4 weight vectors are refused, and so
+    is a tol that is not finite (a NaN one would pass every value).
 
     The pairs are drawn and taken in blocks of at most ``_SCREEN_VALUES
     // n_lambda`` rows (and ``_BLOCK_ROWS``), the region points in blocks
@@ -334,6 +333,8 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     """
     if not (1 <= n <= 10**6 and 1 <= n_lambda <= 10**4):
         raise PreconditionError("need 1 to 10^6 samples and 1 to 10^4 weight vectors")
+    if not np.isfinite(tol):
+        raise PreconditionError("tol must be finite")
     violations = []
 
     lam = np.array([sample_lambda(np.random.default_rng([seed, 102, k])) for k in range(n_lambda)])
@@ -413,7 +414,7 @@ def g_map(x: float, y: float):
     """
     d = 1.0 - x * y
     if d == 0.0:
-        raise SingularPoint("g is undefined where xy = 1")
+        raise PreconditionError("g is undefined where xy = 1")
     return ((1.0 - x) / d, d)
 
 
@@ -423,7 +424,7 @@ def five_square_max(x: float, y: float) -> float:
     On Omega the value never exceeds 9/16.
     """
     if 1.0 - x * y == 0.0:
-        raise SingularPoint("undefined where xy = 1")
+        raise PreconditionError("undefined where xy = 1")
     return float(max(_five_squares(x, y)))
 
 

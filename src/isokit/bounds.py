@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admissible import HEAVY_PAIRS, PAIRS, _as_lambda, lambda_pair_products, pair_pos
+from .admissible import HEAVY_PAIRS, PAIRS, _PAIR_I, _PAIR_J, _as_lambda, lambda_pair_products, pair_pos
 from .errors import PreconditionError
 
 __all__ = [
@@ -174,7 +174,6 @@ _FAMILIES = (
 #: all 43 instances in family order, and each family's rows among them
 _COEFF = np.vstack([f.coeff for f in _FAMILIES]).astype(float)
 _ROWS = [slice(end - len(f.labels), end) for f, end in zip(_FAMILIES, accumulate(len(f.labels) for f in _FAMILIES))]
-_FIRST, _SECOND = (np.array(ix) - 1 for ix in zip(*PAIRS))
 
 
 def drop_patterns() -> dict:
@@ -225,7 +224,7 @@ def grid_verify_all(step: float, tol: float = 1e-12) -> dict:
         # V is a sum of nonnegative integer terms no larger than 5 sum_{i<j<=5} k_i k_j
         # <= 5 n^2 / 2 <= 225,000 (n <= 300): every partial sum is an integer
         # below 2^53, so any BLAS summation order gives V exactly
-        V = _COEFF @ (K[_FIRST] * K[_SECOND])
+        V = _COEFF @ (K[_PAIR_I] * K[_PAIR_J])
         for f, (fam, rows, limit) in enumerate(zip(_FAMILIES, _ROWS, limits)):
             if fam.zero_first and k1:
                 continue

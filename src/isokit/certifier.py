@@ -53,12 +53,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .admissible import CEILING, PAIRS, _as_lambda, lambda_pair_products, objective, sample_lambda
+from .admissible import CEILING, _PAIR_I, _PAIR_J, _as_lambda, lambda_pair_products, objective, sample_lambda
 from .bounds import drop_patterns
 from .errors import PreconditionError
 
 __all__ = [
-    "CEILING",
     "ZERO_WEIGHT_CEILING",
     "WITNESS_SET",
     "WITNESS_LAMBDA",
@@ -79,8 +78,6 @@ _BLOCK_ROWS = 4096
 #: sweep cap and gain threshold of every climb
 _MAX_SWEEPS, _FTOL = 200, 1e-13
 
-#: PAIRS as 0-based column pairs (i - 1, j - 1)
-_COLUMN_PAIRS = [(i - 1, j - 1) for i, j in PAIRS]
 #: the drop families' patterns: dropped PAIRS positions -> family name
 _PATTERNS = drop_patterns()
 
@@ -105,7 +102,8 @@ def witness_value() -> float:
 def _minors(V):
     """The ten minors det(v_i, v_j) of 2x5 matrices V (..., 2, 5), in PAIRS order: (..., 10)."""
     X, Y = V[..., 0, :], V[..., 1, :]
-    return np.stack([X[..., i] * Y[..., j] - Y[..., i] * X[..., j] for i, j in _COLUMN_PAIRS], axis=-1)
+    # one pair at a time: four (..., 10) temporaries would double a block's peak memory
+    return np.stack([X[..., i] * Y[..., j] - Y[..., i] * X[..., j] for i, j in zip(_PAIR_I, _PAIR_J)], axis=-1)
 
 
 def _weighted(X, w):
@@ -238,12 +236,15 @@ def certify_random(
     order.  Vector k is drawn from ``default_rng([seed, k])`` and climbs
     from ``default_rng([seed, k, 1])``, whichever block it runs in.
     Counts outside [0, 10^5] are refused: 10^5 weight vectors take
-    about ten minutes at 64 restarts.  So are restarts outside [1, 10^4].
+    about ten minutes at 64 restarts.  So are restarts outside [1, 10^4],
+    and a tol that is not finite (a NaN one would pass every value).
     """
     if not 0 <= n_lambda <= 10**5:
         raise PreconditionError("samples must lie in [0, 10^5]")
     if not 1 <= restarts <= 10**4:
         raise PreconditionError("restarts must lie in [1, 10^4]")
+    if not np.isfinite(tol):
+        raise PreconditionError("tol must be finite")
     bound = ZERO_WEIGHT_CEILING if first_weight_zero else CEILING
     if first_weight_zero:
         witness, max_value, argmax_lam, argmax_set = None, -np.inf, None, None

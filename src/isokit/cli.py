@@ -15,15 +15,14 @@ the one arithmetic its result needs: ``normalize`` reads coordinates as
 doubles and takes their float hull, ``width`` reads them exactly (a
 decimal at face value) into an exact ``Polytope``.
 
-Exit codes: 0 success; 2 bad input or configuration; 3 a mathematical
-bound failed to verify.  Code 3 is an alarm — it signals a numerical
-fault in the library, never a user error.
+Exit codes: 0 success; 2 bad input or configuration, that is a
+``PreconditionError`` (``DegenerateInput`` is one); 3 a mathematical
+bound failed to verify, that is an alarm or any other ``IsokitError``.
+Code 3 signals a numerical fault in the library, never a user error.
 
 All output is a single JSON document written to stdout at the end of the
 run.  Floats carry 17 significant digits; exact rationals appear as
 "p/q" strings.  Runs are deterministic given the input file and flags.
-Set ISOKIT_THREADS before launching Python to cap BLAS parallelism (the
-package exports the standard thread-count variables on import).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 from .admissible import peculiar_sweep
 from .bounds import grid_verify_all
 from .certifier import certify_random
-from .errors import DegenerateInput, IsokitError, PreconditionError
+from .errors import IsokitError, PreconditionError
 from .geom import Polytope, points_from_json
 from .john import IDQ_LOWER_BOUND, WITNESS_LOWER_BOUND, normalize
 from .lattice import verify_width_volume_corollary
@@ -259,9 +258,6 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         payload, code = args.func(args, cfg)
-    except DegenerateInput as exc:
-        print(f"error: DegenerateInput: {_first_line(exc)}", file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"error: {type(exc).__name__}: {_first_line(exc)}", file=sys.stderr)
         return 2

@@ -1,14 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and so the CLI's exit codes:
+a ``PreconditionError`` (bad input or flags) exits 2, any other
+``IsokitError`` (the mathematics failed to verify) exits 3, as an alarm.
+"""
 
 __all__ = [
     "IsokitError",
+    "PreconditionError",
     "DegenerateInput",
-    "NotFullDimensional",
     "NoConvergence",
     "NoDecomposition",
-    "InfeasibleMagnitudes",
-    "SingularPoint",
-    "PreconditionError",
     "InvariantError",
 ]
 
@@ -17,12 +17,12 @@ class IsokitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateInput(IsokitError):
+class PreconditionError(IsokitError):
+    """Caller violated a documented precondition."""
+
+
+class DegenerateInput(PreconditionError):
     """Input point set is not full-dimensional (or otherwise unusable)."""
-
-
-class NotFullDimensional(DegenerateInput):
-    """Point set spans fewer than 3 dimensions."""
 
 
 class NoConvergence(IsokitError):
@@ -31,18 +31,6 @@ class NoConvergence(IsokitError):
 
 class NoDecomposition(IsokitError):
     """No nonnegative weights reproduce the identity from the given directions."""
-
-
-class InfeasibleMagnitudes(IsokitError):
-    """Requested entry magnitudes violate the feasibility constraints."""
-
-
-class SingularPoint(IsokitError):
-    """Evaluation requested at a point where the formula is undefined."""
-
-
-class PreconditionError(IsokitError):
-    """Caller violated a documented precondition."""
 
 
 class InvariantError(IsokitError):

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateInput, NotFullDimensional, PreconditionError
+from .errors import DegenerateInput, PreconditionError
 
 __all__ = [
     "Polytope",
@@ -134,11 +134,11 @@ def _initial_simplex(H):
     cross = [_cross(e[i1], d) for d in e]
     i2 = _argmax_ratio((_dot(c, c), h[3] * h[3]) for c, h in zip(cross, H))
     if cross[i2] == (0, 0, 0):
-        raise NotFullDimensional("points are collinear")
+        raise DegenerateInput("points are collinear")
     n = cross[i2]
     i3 = _argmax_ratio((abs(_dot(n, d)), h[3]) for d, h in zip(e, H))
     if _dot(n, e[i3]) == 0:
-        raise NotFullDimensional("points are coplanar")
+        raise DegenerateInput("points are coplanar")
     return 0, i1, i2, i3
 
 
@@ -347,7 +347,7 @@ def float_hull(points) -> tuple:
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
-        raise NotFullDimensional(f"qhull rejected the input: {exc}") from exc
+        raise DegenerateInput(f"qhull rejected the input: {exc}") from exc
     vidx, tris = np.unique(hull.simplices, return_inverse=True)
     vertices = pts[vidx]
     vertices.flags.writeable = False

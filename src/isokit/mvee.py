@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, NoConvergence, NotFullDimensional, PreconditionError
+from .errors import DegenerateInput, InvariantError, NoConvergence, PreconditionError
 
 __all__ = ["Ellipsoid", "mvee_centered", "svec", "caratheodory"]
 
@@ -250,15 +250,15 @@ def whiten(points):
     The rank test reads the singular values of the 3x3 R, which are X's,
     relative to the largest coordinate: scale-free.
 
-    Raises NotFullDimensional if the points span fewer than 3 dimensions.
+    Raises DegenerateInput if the points span fewer than 3 dimensions.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
-        raise NotFullDimensional("expected an (m, 3) point array")
+        raise DegenerateInput("expected an (m, 3) point array")
     m = X.shape[0]
     Q, R = np.linalg.qr(X)
     if m < 3 or np.linalg.svd(R, compute_uv=False)[-1] <= 1e-12 * float(np.abs(X).max()):
-        raise NotFullDimensional("points span fewer than 3 dimensions")
+        raise DegenerateInput("points span fewer than 3 dimensions")
     return Q * math.sqrt(m), np.linalg.inv(R) * math.sqrt(m)
 
 
@@ -284,12 +284,14 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     Raises
     ------
     PreconditionError
-        If tol is below ``TOL_FLOOR``.
-    NotFullDimensional
+        If tol is not finite or is below ``TOL_FLOOR``.
+    DegenerateInput
         If the points span fewer than 3 dimensions.
     NoConvergence
         If the iteration cap is reached before the gap closes.
     """
+    if not math.isfinite(tol):
+        raise PreconditionError("tol must be finite")
     if tol < TOL_FLOOR:
         raise PreconditionError(f"tol {tol:.3e} is below the solver's floor {TOL_FLOOR:.0e}")
     Y, L = whiten(points)

@@ -29,11 +29,8 @@ from isokit.admissible import (
     relation_residuals,
     sample_lambda,
 )
-from isokit.errors import (
-    InfeasibleMagnitudes,
-    InvariantError,
-    SingularPoint,
-)
+from isokit.errors import InvariantError, PreconditionError
+from isokit.geom import det3
 from isokit.john import normalize
 
 SQRT2 = math.sqrt(2.0)
@@ -109,6 +106,19 @@ def test_batched_pair_products_are_exact(rng):
     assert np.array_equal(batched, rows)
 
 
+def test_pair_columns_match_the_per_pair_loop(rng):
+    # the shared pair columns give bit for bit what a loop over PAIRS gives
+    lam = np.array([sample_lambda(rng) for _ in range(50)])
+    loop = np.stack([lam[:, i - 1] * lam[:, j - 1] for i, j in PAIRS], axis=-1)
+    assert np.array_equal(lambda_pair_products(lam), loop)
+    for _ in range(50):
+        u = rng.normal(size=(6, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = u / np.linalg.norm(u, axis=1)[:, None]  # from_contact_vectors normalizes once more
+        loop = [det3(v[i - 1], v[j - 1], v[5]) for i, j in PAIRS]
+        assert np.array_equal(from_contact_vectors(u).a, np.clip(loop, -1.0, 1.0))
+
+
 def test_tetra_frame_is_value2_case():
     # the tetrahedron's six edge directions give the equality case: eight
     # magnitudes 1/sqrt(2), two zeros, and objective exactly 2 after the
@@ -172,11 +182,11 @@ def test_peculiar_relations_and_ceiling(rng):
 
 
 def test_peculiar_infeasible():
-    with pytest.raises(InfeasibleMagnitudes):
+    with pytest.raises(PreconditionError, match=r"\|a14\| \+ \|a15\| must be at least 1"):
         peculiar_from(0.3, 0.3)  # x + y < 1
-    with pytest.raises(InfeasibleMagnitudes):
+    with pytest.raises(PreconditionError, match=r"\|a14\|, \|a15\| must lie in \(0, 1\]"):
         peculiar_from(1.2, 0.5)
-    with pytest.raises(InfeasibleMagnitudes):
+    with pytest.raises(PreconditionError, match=r"\|a14\|, \|a15\| must lie in \(0, 1\]"):
         peculiar_from(0.0, 1.0)
 
 
@@ -287,6 +297,14 @@ def test_peculiar_sweep_output_is_pinned(args, digest, maxima, n_violations):
     assert len(out["violations"]) == n_violations
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_peculiar_sweep_refuses_a_non_finite_tol(tol):
+    # a NaN tol compares false against every value and would drop every violation
+    with pytest.raises(PreconditionError, match="^tol must be finite$"):
+        peculiar_sweep(100, 5, 0, tol)
+    assert len(peculiar_sweep(100, 5, 0, -0.5)["violations"]) == 1  # a negative finite tol still runs
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_peculiar_sweep_matches_the_per_pair_loop(seed):
     # the per-pair sweep as the reference: every pair scored alone by its
@@ -372,7 +390,7 @@ def test_five_square_max_on_omega(rng):
     for x, y in pts:
         if omega_contains(x, y):
             assert five_square_max(x, y) <= 9.0 / 16.0 + 1e-12
-    with pytest.raises(SingularPoint):
+    with pytest.raises(PreconditionError, match="undefined where xy = 1"):
         five_square_max(1.0, 1.0)
 
 

@@ -12,6 +12,7 @@ from conftest import maximize_one
 
 import isokit.certifier as certifier
 from isokit.admissible import (
+    CEILING,
     PAIRS,
     AdmissibleSet,
     from_contact_vectors,
@@ -24,7 +25,6 @@ from isokit.bounds import pair_drop_sum, triple_drop_sum, zero_lambda_drop
 from isokit.certifier import (
     _minors,
     _pattern,
-    CEILING,
     WITNESS_LAMBDA,
     WITNESS_SET,
     ZERO_WEIGHT_CEILING,
@@ -128,6 +128,14 @@ def test_parameter_validation():
     for restarts in (0, 10**4 + 1):
         with pytest.raises(PreconditionError, match="restarts"):
             certify_random(n_lambda=1, restarts=restarts)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_certify_random_refuses_a_non_finite_tol(tol):
+    # a NaN tol compares false against every value and would drop every violation
+    with pytest.raises(PreconditionError, match="^tol must be finite$"):
+        certify_random(5, 8, 0, False, tol)
+    assert len(certify_random(5, 8, 0, False, -1.0)["violations"]) == 3  # a negative finite tol still runs
 
 
 def test_certify_random_summary():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import EXTREMAL_SIMPLEX, LATTICE_CATALOGUE, REGULAR_TETRA, UNIT_CUBE
+
+from isokit import errors
 
 SQRT2_12 = math.sqrt(2.0) / 12.0
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -302,6 +305,17 @@ def test_commands_without_hulls_load_no_scipy(argv):
     assert modules == "[]\n"
 
 
+def test_import_sets_no_thread_variables():
+    # isokit has no thread setting of its own: BLAS reads the standard variables
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["ISOKIT_THREADS"] = "3"
+    code = f"import os, isokit; print([os.environ.get(v) for v in {thread_vars!r}])"
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[None, None, None]\n"
+
+
 def test_normalize_loads_no_scipy_optimize(files):
     # the John decomposition comes from the ellipsoid solver's own weights
     stdout, modules = loaded_modules(["normalize", files["cube"]], "scipy.optimize")
@@ -445,3 +459,22 @@ def test_alarms_name_the_bound(files, monkeypatch, capsys, argv, target, changes
     argv = [files.get(a, a) for a in argv]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == expected + "\n"
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_exit_code_follows_the_exception_type(monkeypatch, capsys, name):
+    # a PreconditionError is a refusal (exit 2); any other isokit error is an alarm (exit 3)
+    from isokit import cli
+
+    exc = getattr(errors, name)
+
+    def raising(*args, **kwargs):
+        raise exc("raised by the library")
+
+    monkeypatch.setattr(cli, "certify_random", raising)
+    code = cli.main(["certify"])
+    err = capsys.readouterr().err
+    if issubclass(exc, errors.PreconditionError):
+        assert (code, err) == (2, f"error: {name}: raised by the library\n")
+    else:
+        assert (code, err) == (3, f"alarm: {name}: raised by the library\n")

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from isokit.errors import DegenerateInput, NotFullDimensional, PreconditionError
+from isokit.errors import DegenerateInput, PreconditionError
 from isokit.geom import (
     Polytope,
     _homogeneous,

@@ -6,7 +6,7 @@ import pytest
 from conftest import float_difference_vertices, random_polytope_vertices, random_rotation
 
 from isokit import mvee
-from isokit.errors import InvariantError, NoConvergence, NotFullDimensional
+from isokit.errors import DegenerateInput, InvariantError, NoConvergence, PreconditionError
 from isokit.mvee import Ellipsoid, caratheodory, mvee_centered, svec, whiten
 
 CUBE_CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
@@ -266,10 +266,20 @@ def test_whiten(rng, scales):
 
 def test_degenerate_inputs():
     planar = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 2.0, 0.0)]
-    with pytest.raises(NotFullDimensional):
+    with pytest.raises(DegenerateInput, match="points span fewer than 3 dimensions"):
         mvee_centered(planar)
-    with pytest.raises(NotFullDimensional):
+    with pytest.raises(DegenerateInput, match="points span fewer than 3 dimensions"):
         mvee_centered([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_non_finite_tol_is_refused(tol):
+    # an infinite tol would return the starting design as converged, and
+    # a NaN one would fail in the iteration cap's int()
+    with pytest.raises(PreconditionError, match="^tol must be finite$"):
+        mvee_centered(CUBE_CORNERS, tol=tol)
+    with pytest.raises(PreconditionError, match="^tol 1.000e-13 is below the solver's floor 1e-12$"):
+        mvee_centered(CUBE_CORNERS, tol=1e-13)
 
 
 def test_ellipsoid_validation():
