@@ -20,7 +20,6 @@ import numpy as np
 from isokit import (
     float_hull,
     from_contact_vectors,
-    john_weights,
     mvee_centered,
     normalize,
     objective,
@@ -52,17 +51,24 @@ C = E.contacts
 print(f"\n{len(C)} of {len(D)} differences carry weight; |T s| - 1 on them:",
       np.array2string(np.linalg.norm(C, axis=1) - 1.0, precision=1))
 
-# Step 3: 3 u_i on the unit vectors T s_i / |T s_i| reproduce the identity.
-# Caratheodory elimination keeps at most six directions; smaller supports
-# are padded with zero weights.
+# Step 3: the design is the decomposition.  The solver has already reduced
+# it to at most six differences with independent outer products, so
+# lambda_i = 3 u_i |T s_i|^2 (scaled to sum 3) on the unit vectors
+# T s_i / |T s_i| reproduce the identity with no further elimination.
 sq = np.einsum("ij,ij->i", C, C)
 lam = E.weights[E.weights > 0.0] * sq
-decomp = john_weights(C / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
-print("\nweights:", np.round(decomp.lambdas, 6))
-print("sum of weights:", round(float(np.sum(decomp.lambdas)), 12))
-print("|sum lambda_i u_i u_i^T - Id| =", f"{decomp.residual:.2e}")
+lam = 3.0 * lam / lam.sum()
+dirs = C / np.sqrt(sq)[:, None]
+print("\nweights:", np.round(lam, 6))
+print("sum of weights:", round(float(np.sum(lam)), 12))
+resid = np.linalg.norm(np.einsum("i,ij,ik->jk", lam, dirs, dirs) - np.eye(3))
+print("|sum lambda_i u_i u_i^T - Id| =", f"{resid:.2e}")
 
-# Step 4: the witness triple.
+# Step 4: the witness triple.  normalize pads a support smaller than six
+# with zero-weight repeats and sorts the entries by weight, the largest
+# last: the six-entry decomposition the certificate is stated for.
+res = normalize(body)
+decomp = res.decomposition
 ijk, value = witness_triple(decomp)
 print(f"\nwitness triple {tuple(i + 1 for i in ijk)}: |det| = {value:.9f}")
 print(f"guaranteed floor:                1/sqrt(2) = {2**-0.5:.9f}")
@@ -75,5 +81,4 @@ total = objective(S.as_array(), decomp.lambdas)
 print(f"\nsum lambda_i lambda_j a_ij^2 = {total:.12f}  (identity value 1)")
 
 # One call does all of the above.
-res = normalize(body)
 print(f"\nnormalize() end to end: idq = {res.idq:.9f}, witness = {res.witness_value:.9f}")

@@ -16,7 +16,6 @@ from .errors import (
     InvariantError,
     IsokitError,
     NoConvergence,
-    NoDecomposition,
     PreconditionError,
 )
 from .geom import Polytope, float_hull, points_from_json, volume
@@ -26,7 +25,6 @@ from .john import (
     WITNESS_LOWER_BOUND,
     JohnDecomposition,
     NormalizationResult,
-    john_weights,
     normalize,
     witness_triple,
 )

@@ -8,7 +8,6 @@ __all__ = [
     "PreconditionError",
     "DegenerateInput",
     "NoConvergence",
-    "NoDecomposition",
     "InvariantError",
 ]
 
@@ -27,10 +26,6 @@ class DegenerateInput(PreconditionError):
 
 class NoConvergence(IsokitError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
-
-
-class NoDecomposition(IsokitError):
-    """No nonnegative weights reproduce the identity from the given directions."""
 
 
 class InvariantError(IsokitError):

@@ -24,16 +24,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvariantError, NoDecomposition, PreconditionError
+from .errors import InvariantError, PreconditionError
 from .geom import float_hull
-from .mvee import caratheodory, mvee_centered, svec
+from .mvee import mvee_centered
 
 __all__ = [
     "IDQ_LOWER_BOUND",
     "WITNESS_LOWER_BOUND",
     "JohnDecomposition",
     "NormalizationResult",
-    "john_weights",
     "witness_triple",
     "normalize",
 ]
@@ -51,10 +50,6 @@ RESIDUAL_BOUND = 1e-7
 #: differences, and 3,000 vertices (4.5 M differences) already take about
 #: 655 MB
 MAX_VERTICES = 3000
-
-#: the kept directions' outer products count as dependent when their
-#: smallest singular value is at most this times the largest
-_RANK_RTOL = 1e-12
 
 #: the 20 index triples of six directions, in lexicographic order
 _TRIPLES = np.array(list(combinations(range(6), 3)))
@@ -82,13 +77,16 @@ class JohnDecomposition:
             raise InvariantError("directions must be unit vectors")
         if lam[5] < lam.max() - 1e-12:
             raise InvariantError("weights must place the maximum last")
-        resid = np.einsum("i,ij,ik->jk", lam, u, u) - np.eye(3)
-        if np.linalg.norm(resid) > 1e-7:
-            raise InvariantError("weights do not reproduce the identity")
-        if abs(float(lam.sum()) - 3.0) > 1e-7:
-            raise InvariantError("weights must sum to 3")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "u", u)
+        resid = self.residual
+        if resid > RESIDUAL_BOUND:
+            raise InvariantError(
+                f"weights do not reproduce the identity: residual {resid:.3e} above bound "
+                f"{RESIDUAL_BOUND:.3e} by {resid - RESIDUAL_BOUND:.3e}"
+            )
+        if abs(float(lam.sum()) - 3.0) > 1e-7:
+            raise InvariantError("weights must sum to 3")
 
     @property
     def residual(self) -> float:
@@ -118,49 +116,19 @@ class NormalizationResult:
         }
 
 
-def john_weights(directions, weights) -> JohnDecomposition:
-    """Six-entry decomposition from unit directions and weights reproducing Id.
+def _six_entries(lam, dirs) -> JohnDecomposition:
+    """The decomposition sum_i lam_i d_i d_i^T = Id as six entries.
 
-    Caratheodory elimination moves the weights, keeping sum_i lam_i u_i u_i^T,
-    onto at most six directions whose outer products are independent (the
-    outer products live in a 6-dimensional space; antipodal or repeated
-    directions share one).  Supports smaller than six are padded with
-    zero-weight entries: eliminated directions first, then repeats.
-
-    Raises NoDecomposition if |sum lam_i u_i u_i^T - Id| exceeds
-    ``RESIDUAL_BOUND``.
+    A support smaller than six is padded with zero-weight repeats of its
+    own directions.  Entries are sorted by weight rounded to nine digits
+    (so float noise cannot reorder ties), then by direction, and the
+    exact maximum goes last.
     """
-    dirs = np.asarray(directions, dtype=float)
-    lam = np.asarray(weights, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1 or lam.shape != (len(dirs),):
-        raise PreconditionError("need an (m, 3) array of directions and m weights")
-    if np.any(lam < 0.0):
-        raise PreconditionError("weights must be nonnegative")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise PreconditionError("contact directions must be unit vectors")
-    dirs = dirs / norms[:, None]
-
-    C = svec(dirs)  # (6, m)
-    support, lam = caratheodory(C, lam, rtol=_RANK_RTOL)
-    rnorm = float(np.linalg.norm(C[:, support] @ lam[support] - [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-    if rnorm > RESIDUAL_BOUND:
-        raise NoDecomposition(
-            f"identity not reproducible: residual {rnorm:.3e} above bound {RESIDUAL_BOUND:.3e} "
-            f"by {rnorm - RESIDUAL_BOUND:.3e}"
-        )
-
-    entries = [(float(lam[i]), tuple(dirs[i])) for i in support]
-    kept = set(support.tolist())
-    spare = [tuple(d) for i, d in enumerate(dirs) if i not in kept]
-    spare.sort()
-    pad_pool = spare + [e[1] for e in entries] * 6
-    while len(entries) < 6:
-        entries.append((0.0, pad_pool[0]))
-        pad_pool = pad_pool[1:]
-    # round the weight in the sort key so float noise cannot reorder ties
+    entries = [(float(w), tuple(d)) for w, d in zip(lam, dirs)]
+    n = len(entries)
+    entries += [(0.0, entries[k % n][1]) for k in range(6 - n)]
     entries.sort(key=lambda e: (round(e[0], 9), e[1]))
-    # the exact maximum goes last: rounding can tie a smaller weight with it
+    # rounding can tie a smaller weight with the maximum
     top = max(range(6), key=lambda i: entries[i][0])
     if entries[5][0] < entries[top][0]:
         entries.append(entries.pop(top))
@@ -194,9 +162,9 @@ def normalize(points, tol: float = 1e-9) -> NormalizationResult:
     differences D, one row v_i - v_j per vertex pair i < j (the solver
     takes them up to sign).  The solver returns T and the contact points
     c_i = T s_i of its support, both from its own well-conditioned frame,
-    and its optimal design u is the John decomposition (Kiefer-Wolfowitz):
-    lam_i is proportional to u_i |c_i|^2, scaled to sum 3, on the
-    direction of c_i.
+    and its optimal design u, reduced to at most six points, is the John
+    decomposition (Kiefer-Wolfowitz): lam_i is proportional to
+    u_i |c_i|^2, scaled to sum 3, on the direction of c_i.
 
     Raises PreconditionError if K has more than ``MAX_VERTICES`` vertices,
     if tol is below the solver's floor, or if idq is not finite (a body
@@ -222,6 +190,9 @@ def normalize(points, tol: float = 1e-9) -> NormalizationResult:
         raise PreconditionError(f"idq is not finite: vol(K) = {vol:.17g}, diam(TK) = {diam:.17g}, idq = {idq}")
     sq = np.einsum("ij,ij->i", E.contacts, E.contacts)
     lam = E.weights[E.weights > 0.0] * sq
-    decomp = john_weights(E.contacts / np.sqrt(sq)[:, None], 3.0 * lam / lam.sum())
+    dirs = E.contacts / np.sqrt(sq)[:, None]
+    # the second division, by the row norm, moves u by an ulp on some
+    # bodies; the pinned outputs were computed with it
+    decomp = _six_entries(3.0 * lam / lam.sum(), dirs / np.linalg.norm(dirs, axis=1)[:, None])
     ijk, wval = witness_triple(decomp)
     return NormalizationResult(T=T, idq=idq, decomposition=decomp, witness_ijk=ijk, witness_value=wval)

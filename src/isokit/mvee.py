@@ -36,6 +36,13 @@ det V is nondecreasing throughout, the Frank-Wolfe steps keep their
 convergence guarantee, and on the right support Newton converges
 quadratically.
 Every Frank-Wolfe and every Newton step counts as one iteration.
+
+At exit, after T is built, one more Caratheodory elimination (rank
+tolerance 1e-12) reduces the optimal design to at most six points with
+independent outer products, the John decomposition's support: V, T and
+the gap stay as they were.  The uniform start and the Frank-Wolfe rounds
+can leave more than six points in the design, and a polished support is
+only independent to within 1e-7.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ TOL_FLOOR = 1e-12
 #: the polish support's outer products count as dependent when their
 #: smallest singular value is at most this times the largest
 _POLISH_RANK_RTOL = 1e-7
+#: the same at exit, for the design the solver returns: finer than the
+#: polish's, since a step along an approximate null vector whose singular
+#: value is near 1e-7 can move V by about that much
+_RANK_RTOL = 1e-12
 #: Newton steps one polish may take before it counts as failed
 _POLISH_STEPS = 30
 
@@ -66,12 +77,14 @@ class Ellipsoid:
 
     ``T`` is the symmetric positive-definite map onto the unit ball, and
     ``M`` = T^2 the shape matrix: x^T M x = |T x|^2.  ``weights`` is the
-    solver's design u, one weight per input point, zero off the support:
-    the points with u_i > 0 lie on the boundary within the gap, and they
-    carry the contact decomposition.  ``contacts`` holds their images
-    T s_i, unit vectors within the gap, in the order of
-    ``np.flatnonzero(weights)``.  ``fw_steps`` counts the Frank-Wolfe steps
-    among the ``iterations``: nonzero only once a Newton polish has failed.
+    solver's optimal design u, one weight per input point, reduced to a
+    support of at most six points whose outer products are independent
+    and zero off it: the points with u_i > 0 lie on the boundary within
+    the gap, and sum_i 3 u_i (T s_i)(T s_i)^T = Id is the contact
+    decomposition.  ``contacts`` holds their images T s_i, unit vectors
+    within the gap, in the order of ``np.flatnonzero(weights)``.
+    ``fw_steps`` counts the Frank-Wolfe steps among the ``iterations``:
+    nonzero only once a Newton polish has failed.
     """
 
     T: np.ndarray
@@ -250,11 +263,14 @@ def whiten(points):
     The rank test reads the singular values of the 3x3 R, which are X's,
     relative to the largest coordinate: scale-free.
 
-    Raises DegenerateInput if the points span fewer than 3 dimensions.
+    Raises PreconditionError on a non-finite coordinate, and
+    DegenerateInput if the points span fewer than 3 dimensions.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
         raise DegenerateInput("expected an (m, 3) point array")
+    if not np.isfinite(X).all():
+        raise PreconditionError("non-finite coordinate")
     m = X.shape[0]
     Q, R = np.linalg.qr(X)
     if m < 3 or np.linalg.svd(R, compute_uv=False)[-1] <= 1e-12 * float(np.abs(X).max()):
@@ -284,7 +300,8 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
     Raises
     ------
     PreconditionError
-        If tol is not finite or is below ``TOL_FLOOR``.
+        If tol is not finite or is below ``TOL_FLOOR``, or a coordinate
+        is not finite.
     DegenerateInput
         If the points span fewer than 3 dimensions.
     NoConvergence
@@ -323,8 +340,12 @@ def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=
             vals, vecs = np.linalg.eigh(Vinv / max(kp, 3.0))
             T_Y = (vecs * np.sqrt(vals)) @ vecs.T
             W, sigma, Vt = np.linalg.svd(T_Y @ L.T)  # polar: T_Y L^T = (W Vt) T
-            sup = u > _SUPPORT_EPS
-            T, weights, contacts = (Vt.T * sigma) @ Vt, np.where(sup, u, 0.0), Y[sup] @ T_Y.T @ (W @ Vt)
+            sup = np.flatnonzero(u > _SUPPORT_EPS)
+            keep, lam = caratheodory(svec(Y[sup]), u[sup], rtol=_RANK_RTOL)
+            sup = sup[keep]
+            weights = np.zeros(m)
+            weights[sup] = lam[keep]
+            T, contacts = (Vt.T * sigma) @ Vt, Y[sup] @ T_Y.T @ (W @ Vt)
             return Ellipsoid(T=T, iterations=it, gap=gap, fw_steps=fw_steps, weights=weights, contacts=contacts)
         if it >= max_iter:
             raise NoConvergence(

@@ -309,9 +309,9 @@ def test_starts_settle_in_the_box():
 
 def test_certify_memory_follows_a_block(monkeypatch):
     # with a budget of 256 rows, 8 weight vectors at 128 restarts are four
-    # blocks of two; the traced peak was 74 KiB, and 174 KiB with the whole
-    # run in one block (the budget is shrunk so that the test takes about a
-    # second; the peak grows with the rows a block holds)
+    # blocks of two; the traced peak was 95,614 B, and 352,756 B with the
+    # whole run in one block (the budget is shrunk so that the test takes
+    # about a second; the peak grows with the rows a block holds)
     monkeypatch.setattr(certifier, "_BLOCK_ROWS", 256)
     certify_random(n_lambda=1, restarts=8, seed=1)
     tracemalloc.start()

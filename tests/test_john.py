@@ -17,13 +17,12 @@ from conftest import (
 )
 
 from isokit import geom
-from isokit.errors import InvariantError, NoDecomposition, PreconditionError
+from isokit.errors import InvariantError, PreconditionError
 from isokit.geom import float_hull, points_from_json
 from isokit.john import (
     IDQ_LOWER_BOUND,
     WITNESS_LOWER_BOUND,
     JohnDecomposition,
-    john_weights,
     normalize,
     witness_triple,
 )
@@ -36,41 +35,6 @@ DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 def test_bound_constants():
     assert IDQ_LOWER_BOUND == pytest.approx(SQRT2 / 12.0, abs=0)
     assert WITNESS_LOWER_BOUND == pytest.approx(1.0 / SQRT2, abs=0)
-
-
-def test_john_weights_orthonormal_basis():
-    d = john_weights(np.eye(3), np.ones(3))
-    assert np.allclose(d.lambdas, [0, 0, 0, 1, 1, 1], atol=1e-12)
-    assert d.residual <= 1e-12
-    assert np.allclose(np.linalg.norm(d.u, axis=1), 1.0)
-
-
-def test_john_weights_cube_diagonals():
-    diag = np.array(
-        [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)], float
-    ) / math.sqrt(3.0)
-    d = john_weights(diag, np.full(4, 0.75))
-    assert np.allclose(d.lambdas, [0, 0, 0.75, 0.75, 0.75, 0.75], atol=1e-10)
-    assert d.residual <= 1e-9
-
-
-def test_coplanar_contacts_rejected():
-    ang = np.linspace(0.0, np.pi, 5, endpoint=False)
-    flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
-    with pytest.raises(NoDecomposition):
-        john_weights(flat, np.full(5, 0.6))
-
-
-def test_caratheodory_reduction(rng):
-    # three rotated orthonormal frames give a feasible 9-direction instance;
-    # the decomposition must come back on at most six of them
-    for _ in range(10):
-        frames = np.vstack([random_rotation(rng) for _ in range(3)])
-        d = john_weights(frames, np.full(9, 1.0 / 3.0))
-        assert d.lambdas.shape == (6,)
-        assert d.residual <= 1e-7
-        assert abs(d.lambdas.sum() - 3.0) <= 1e-7
-        assert np.all(d.lambdas >= 0.0)
 
 
 def test_decomposition_validation():
@@ -192,11 +156,30 @@ def test_json_dict_shape():
     assert d["witness"]["value"] >= 1.0 / SQRT2 - 1e-9
 
 
-def test_no_decomposition_names_the_bound():
-    ang = np.linspace(0.0, np.pi, 5, endpoint=False)
-    flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
-    with pytest.raises(NoDecomposition, match=r"residual (\S+) above bound 1\.000e-07 by \S+$"):
-        john_weights(flat, np.full(5, 0.6))
+def test_coplanar_decomposition_names_the_bound():
+    # the cube's decomposition, its four diagonals pressed into the xy-plane:
+    # sum lam_i u_i u_i^T = diag(3/2, 3/2, 0), residual sqrt(3/2)
+    d = normalize(UNIT_CUBE).decomposition
+    flat = d.u * [1.0, 1.0, 0.0]
+    flat /= np.linalg.norm(flat, axis=1)[:, None]
+    message = r"^weights do not reproduce the identity: residual 1\.225e\+00 above bound 1\.000e-07 by 1\.225e\+00$"
+    with pytest.raises(InvariantError, match=message):
+        JohnDecomposition(lambdas=d.lambdas, u=flat)
+
+
+@pytest.mark.parametrize(
+    "body, support",
+    [(UNIT_CUBE, 4), ([s * e for e in np.eye(3) for s in (1.0, -1.0)], 3)],
+    ids=["cube", "octahedron"],
+)
+def test_normalize_pads_a_small_support(body, support):
+    # the cube's four diagonals and the octahedron's three axes: the missing
+    # entries are zero-weight repeats of kept directions, and come first
+    d = normalize(body).decomposition
+    lam, u = d.lambdas, d.u
+    pad = 6 - support
+    assert np.all(lam[:pad] == 0.0) and np.allclose(lam[pad:], 3.0 / support, atol=1e-9)
+    assert all(any(np.array_equal(row, kept) for kept in u[pad:]) for row in u[:pad])
 
 
 def scaled_bodies(scale, seeds=range(6)):

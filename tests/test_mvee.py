@@ -25,18 +25,24 @@ def on_boundary(E, pts):
 
 
 def test_cube_contacts():
-    # all eight corners touch, and the uniform design is optimal
+    # all eight corners touch; the uniform design is optimal, and at exit it
+    # is reduced to four corners at 1/4, one per antipodal pair
     E = mvee_centered(CUBE_CORNERS)
     assert np.allclose(on_boundary(E, CUBE_CORNERS), 1.0, atol=1e-12)
-    assert np.allclose(E.weights, 1.0 / 8.0, atol=0)
+    sup = np.flatnonzero(E.weights)
+    assert np.allclose(E.weights[sup], 0.25, atol=1e-12)
+    assert sorted(min(i, 7 - i) for i in sup) == [0, 1, 2, 3]  # corner 7 - i is -corner i
 
 
 def test_octahedron_exact():
+    # one vertex per antipodal pair at 1/3 after the reduction
     pts = np.vstack([2.0 * np.eye(3), -2.0 * np.eye(3)])
     E = mvee_centered(pts)
     assert np.allclose(E.M, np.eye(3) / 4.0, atol=1e-12)
     assert np.allclose(on_boundary(E, pts), 1.0, atol=1e-12)
-    assert np.allclose(E.weights, 1.0 / 6.0, atol=1e-12)
+    sup = np.flatnonzero(E.weights)
+    assert np.allclose(E.weights[sup], 1.0 / 3.0, atol=1e-12)
+    assert sorted(i % 3 for i in sup) == [0, 1, 2]
 
 
 def test_containment_and_shrunk_ball(rng):
@@ -135,6 +141,32 @@ def test_dodecahedron_returns_the_ball():
     assert np.allclose((S.T * E.weights) @ S, np.eye(3), atol=1e-9)
 
 
+#: bodies whose design the exit reduction shrinks: uniform starts, one
+#: Frank-Wolfe run, and polished random ones
+DESIGN_BODIES = {
+    "cube": CUBE_CORNERS,
+    "octahedron": np.vstack([2.0 * np.eye(3), -2.0 * np.eye(3)]),
+    "dodecahedron": np.vstack([DODECAHEDRON, DODECAHEDRON[:3]]),
+    "frank-wolfe": np.random.default_rng(1).normal(size=(30, 3)),
+    **{f"random-{s}": np.random.default_rng([s, 23]).normal(size=(6 + 9 * s, 3)) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", list(DESIGN_BODIES))
+def test_design_is_a_john_decomposition(monkeypatch, name):
+    # at exit the optimal design sits on at most six points whose outer
+    # products are independent, and 3 u_i on the contacts T s_i reproduce Id
+    if name == "frank-wolfe":
+        monkeypatch.setattr(mvee, "_polish", lambda Y, u, w, tol, budget: (0, None))
+    E = mvee_centered(DESIGN_BODIES[name])
+    assert (E.fw_steps > 0) == (name == "frank-wolfe")
+    u, C = E.weights[E.weights > 0.0], E.contacts
+    assert len(u) == len(C) <= 6
+    s = np.linalg.svd(svec(C), compute_uv=False)
+    assert s[-1] > 1e-12 * s[0]
+    assert np.allclose((C.T * (3.0 * u)) @ C, np.eye(3), rtol=0, atol=1e-9)
+
+
 def test_caratheodory_keeps_the_sum():
     # ten equally weighted pairs reproduce 10/3 Id; the elimination keeps
     # that sum on six pairs with independent outer products
@@ -177,7 +209,7 @@ def test_polish_reduces_a_support_of_seven(monkeypatch):
 def test_rank_check_runs_once_per_support(monkeypatch):
     # the Caratheodory rank check reads only the support's points, so it runs
     # when a polish starts and after each drop at the boundary, not on every
-    # Newton step.  On this body the four polishes drop two points in all
+    # Newton step, and once more on the design at exit.  On this body the four polishes drop two points in all
     # (counted with the check on every step, where each drop shows as a
     # support one point smaller), and the solve is the one it was then
     calls, polishes = [], []
@@ -196,7 +228,7 @@ def test_rank_check_runs_once_per_support(monkeypatch):
     D = float_difference_vertices(random_polytope_vertices(np.random.default_rng(9)))
     E = mvee_centered(D)
     assert len(polishes) == 4
-    assert len(calls) == len(polishes) + 2
+    assert len(calls) == len(polishes) + 2 + 1  # and once at exit
     assert E.iterations == 21 and E.fw_steps == 0
     T = [
         [0.5764600046837823, 0.052123359431506935, -0.15009202299649982],
@@ -270,6 +302,15 @@ def test_degenerate_inputs():
         mvee_centered(planar)
     with pytest.raises(DegenerateInput, match="points span fewer than 3 dimensions"):
         mvee_centered([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_refused(value):
+    # numpy's SVD would fail to converge on it with a LinAlgError
+    pts = CUBE_CORNERS.copy()
+    pts[3, 1] = value
+    with pytest.raises(PreconditionError, match="^non-finite coordinate$"):
+        mvee_centered(pts)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
