@@ -156,7 +156,17 @@ def test_json_dict_shape():
     assert d["witness"]["value"] >= 1.0 / SQRT2 - 1e-9
 
 
-def test_coplanar_decomposition_names_the_bound():
+def test_coplanar_contacts_rejected():
+    # five directions fanned out in the xy-plane, and a sixth repeated there:
+    # no weights on them reproduce the identity
+    ang = np.linspace(0.0, np.pi, 5, endpoint=False)
+    flat = np.stack([np.cos(ang), np.sin(ang), np.zeros(5)], axis=1)
+    u = np.vstack([flat[:1], flat])
+    with pytest.raises(InvariantError, match=r"^weights do not reproduce the identity"):
+        JohnDecomposition(lambdas=np.array([0.0] + [0.6] * 5), u=u)
+
+
+def test_no_decomposition_names_the_bound():
     # the cube's decomposition, its four diagonals pressed into the xy-plane:
     # sum lam_i u_i u_i^T = diag(3/2, 3/2, 0), residual sqrt(3/2)
     d = normalize(UNIT_CUBE).decomposition
