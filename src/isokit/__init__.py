@@ -31,6 +31,7 @@ from .john import (
 from .admissible import (
     CEILING,
     HEAVY_PAIRS,
+    LIGHT_PAIRS,
     NINE_SIXTEENTHS,
     PAIRS,
     AdmissibleSet,
@@ -49,7 +50,6 @@ from .admissible import (
     sample_lambda,
 )
 from .bounds import (
-    LIGHT_PAIRS,
     drop_patterns,
     grid_verify_all,
     pair_drop_sum,

@@ -16,7 +16,8 @@ sets (the subject of the certifier module) is 2.
 This module is the one home of that algebra: the pair index (``PAIRS``,
 ``pair_pos``), the relation table behind ``relation_residuals``, the
 weight sampler, the peculiar boundary family (its magnitude-one pairs
-``HEAVY_PAIRS`` and the forced magnitudes ``peculiar_forced``), the
+``HEAVY_PAIRS``, the other five ``LIGHT_PAIRS`` and the forced
+magnitudes ``peculiar_forced``), the
 planar region Omega with its self-map g, and
 ``peculiar_sweep``, which checks the ceiling over the family and the
 region bounds over Omega.
@@ -32,6 +33,7 @@ from .geom import det3
 __all__ = [
     "PAIRS",
     "HEAVY_PAIRS",
+    "LIGHT_PAIRS",
     "CEILING",
     "NINE_SIXTEENTHS",
     "AdmissibleSet",
@@ -203,6 +205,10 @@ def objective(values, L) -> float:
 #: the peculiar family's magnitude-one pairs; they form a 5-cycle on 1..5
 HEAVY_PAIRS = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
 
+#: the other five pairs, in ``PAIRS`` order: the family's free magnitudes,
+#: each squared by one of ``_five_squares``
+LIGHT_PAIRS = tuple(p for p in PAIRS if p not in HEAVY_PAIRS)
+
 
 def peculiar_forced(x: float, y: float) -> dict:
     """The magnitudes forced by |a14| = x and |a15| = y, keyed by pair.
@@ -316,7 +322,8 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
     pairing point k with weight vector k mod ``n_lambda``.  Every value
     above its bound by more than ``tol`` is listed as a violation.
     Counts above 10^6 samples or 10^4 weight vectors are refused, and so
-    is a tol that is not finite (a NaN one would pass every value).
+    are a tol that is not finite (a NaN one would pass every value) and a
+    seed that is not a nonnegative integer.
 
     The pairs are drawn and taken in blocks of at most ``_SCREEN_VALUES
     // n_lambda`` rows (and ``_BLOCK_ROWS``), the region points in blocks
@@ -335,6 +342,8 @@ def peculiar_sweep(n: int, n_lambda: int, seed: int, tol: float) -> dict:
         raise PreconditionError("need 1 to 10^6 samples and 1 to 10^4 weight vectors")
     if not np.isfinite(tol):
         raise PreconditionError("tol must be finite")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise PreconditionError("seed must be a nonnegative integer")
     violations = []
 
     lam = np.array([sample_lambda(np.random.default_rng([seed, 102, k])) for k in range(n_lambda)])
@@ -429,27 +438,23 @@ def five_square_max(x: float, y: float) -> float:
 
 
 def _five_squares(x, y) -> tuple:
-    """The five squares of ``five_square_max``, on floats or elementwise on arrays."""
+    """The five squares of ``five_square_max``, one per pair of ``LIGHT_PAIRS``
+    (a14, a15, a23, a25, a34): ((1-x)/d)^2, ((1-y)/d)^2, d^2, y^2 and x^2
+    with d = 1 - xy, on floats or elementwise on arrays."""
     d = 1.0 - x * y
-    return x * x, y * y, d * d, ((1.0 - x) / d) ** 2, ((1.0 - y) / d) ** 2
+    return ((1.0 - x) / d) ** 2, ((1.0 - y) / d) ** 2, d * d, y * y, x * x
 
 
 def _f_value(lam: np.ndarray, x, y):
-    """The two-variable envelope of the objective over the peculiar family.
-
-        f = l1 l5 ((y-1)/(xy-1))^2 + l1 l4 ((x-1)/(xy-1))^2
-          + l2 l3 (1-xy)^2 + l2 l5 y^2 + l3 l4 x^2
+    """The two-variable envelope of the objective over the peculiar family:
+    f = sum of l_i l_j times its square of ``_five_squares`` over ``LIGHT_PAIRS``.
 
     Defined for (x, y) in [0,1]^2 away from (1, 1); elementwise on arrays,
-    weights (..., 6).  Adding the five untouched products l1l2 + l1l3 +
-    l2l4 + l3l5 + l4l5 keeps the total at most 2 for any valid weight
-    vector.
+    weights (..., 6).  Adding the five products on ``HEAVY_PAIRS`` keeps
+    the total at most 2 for any valid weight vector.  The polynomial
+    squares multiply in one factor at a time, ((l_i l_j) d) d; l_i l_j (d d)
+    would round otherwise, and ``peculiar`` prints this sum.
     """
-    d = x * y - 1.0
-    return (
-        lam[..., 0] * lam[..., 4] * ((y - 1.0) / d) ** 2
-        + lam[..., 0] * lam[..., 3] * ((x - 1.0) / d) ** 2
-        + lam[..., 1] * lam[..., 2] * d * d
-        + lam[..., 1] * lam[..., 4] * y * y
-        + lam[..., 2] * lam[..., 3] * x * x
-    )
+    l14, l15, l23, l25, l34 = (lam[..., i - 1] * lam[..., j - 1] for i, j in LIGHT_PAIRS)
+    d = 1.0 - x * y
+    return l14 * ((1.0 - x) / d) ** 2 + l15 * ((1.0 - y) / d) ** 2 + l23 * d * d + l25 * y * y + l34 * x * x

@@ -30,11 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admissible import HEAVY_PAIRS, PAIRS, _PAIR_I, _PAIR_J, _as_lambda, lambda_pair_products, pair_pos
+from .admissible import HEAVY_PAIRS, LIGHT_PAIRS, _PAIR_I, _PAIR_J, _as_lambda, lambda_pair_products, pair_pos
 from .errors import PreconditionError
 
 __all__ = [
-    "LIGHT_PAIRS",
     "pair_drop_sum",
     "triple_drop_sum",
     "zero_lambda_drop",
@@ -42,11 +41,6 @@ __all__ = [
     "grid_verify_all",
     "drop_patterns",
 ]
-
-#: the 3/5-weighted pattern: full weight on the peculiar family's
-#: magnitude-one pairs ``HEAVY_PAIRS``, weight 3/5 on the other five
-LIGHT_PAIRS = tuple(p for p in PAIRS if p not in HEAVY_PAIRS)
-
 
 def pair_drop_sum(L, kl, mn) -> float:
     """sum lam_i lam_j over i<j<=5, minus lam_k lam_l and lam_m lam_n.
@@ -90,7 +84,7 @@ def zero_lambda_drop(L, kl) -> float:
 
 
 def weighted_sum(L) -> float:
-    """Heavy pairs at weight 1 plus light pairs at weight 3/5; at most 2."""
+    """``HEAVY_PAIRS`` at weight 1 plus ``LIGHT_PAIRS`` at weight 3/5; at most 2."""
     p = lambda_pair_products(L)
     heavy = sum(p[pair_pos(*pair)[0]] for pair in HEAVY_PAIRS)
     light = sum(p[pair_pos(*pair)[0]] for pair in LIGHT_PAIRS)

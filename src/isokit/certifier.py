@@ -237,7 +237,8 @@ def certify_random(
     from ``default_rng([seed, k, 1])``, whichever block it runs in.
     Counts outside [0, 10^5] are refused: 10^5 weight vectors take
     about ten minutes at 64 restarts.  So are restarts outside [1, 10^4],
-    and a tol that is not finite (a NaN one would pass every value).
+    a tol that is not finite (a NaN one would pass every value) and a
+    seed that is not a nonnegative integer.
     """
     if not 0 <= n_lambda <= 10**5:
         raise PreconditionError("samples must lie in [0, 10^5]")
@@ -245,6 +246,8 @@ def certify_random(
         raise PreconditionError("restarts must lie in [1, 10^4]")
     if not np.isfinite(tol):
         raise PreconditionError("tol must be finite")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise PreconditionError("seed must be a nonnegative integer")
     bound = ZERO_WEIGHT_CEILING if first_weight_zero else CEILING
     if first_weight_zero:
         witness, max_value, argmax_lam, argmax_set = None, -np.inf, None, None

@@ -211,40 +211,23 @@ def _canonical_normal(L):
     return (L[0] // g, L[1] // g, L[2] // g)
 
 
-def _rank3(rows):
-    """Exact rank (at most 3) of integer rows of length 3, by fraction-free
-    elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    for col in range(3):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col]
-            if f != 0:
-                m[r] = [x * top[col] - t * f for x, t in zip(m[r], top)]
-        rank += 1
-        if rank == 3:
-            break
-    return rank
-
-
 def _extreme_vertices(facets, planes):
     """Filter triangle corners down to true hull vertices, in index order.
 
     Insertion order can strand a point mid-edge or mid-face of the final
-    hull; such a corner is incident to at most two distinct facet planes,
-    while a genuine vertex is incident to planes of full rank 3.
+    hull.  Every triangle lies in a facet plane of the hull, and distinct
+    facets have distinct outward normals, so the canonical normals at a
+    corner count the facet planes through it.  A point inside a facet
+    lies on one of them and a point inside an edge on exactly two, while
+    a vertex of a 3-polytope lies on at least three: three distinct planes
+    keep a corner, and that rule is exact.
     """
     incident = {}
     for fid, corners in facets.items():
         normal = _canonical_normal(planes[fid])
         for idx in corners:
             incident.setdefault(idx, set()).add(normal)
-    return sorted(idx for idx, normals in incident.items() if len(normals) >= 3 and _rank3(normals) == 3)
+    return sorted(idx for idx, normals in incident.items() if len(normals) >= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +242,8 @@ class Polytope:
         deduplicated, reduced to the extreme points of the input.
 
     Coordinates may be ints, floats or Fractions; a float is read at its
-    exact binary value.  Construction runs the exact hull, so listed
+    exact binary value, and a coordinate with no exact value (NaN, ±inf,
+    a non-number) is refused.  Construction runs the exact hull, so listed
     vertices are guaranteed extreme and full-dimensionality is enforced.
     """
 
@@ -285,7 +269,12 @@ class Polytope:
 def _exact_point(p):
     if len(p) != 3:
         raise PreconditionError("points must be 3-dimensional")
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+    try:
+        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+    except (ValueError, OverflowError, TypeError) as exc:  # Fraction(nan), Fraction(inf), Fraction("a")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in p):
+            raise PreconditionError("non-finite coordinate") from exc
+        raise PreconditionError(f"bad coordinate in point {tuple(p)!r}") from exc
 
 
 def volume(P: Polytope) -> Fraction:
@@ -330,8 +319,8 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
 def float_hull(points) -> tuple:
     """(vertices, volume) of the convex hull of (n, 3) float points, by Qhull.
 
-    ``vertices`` is the read-only array of the distinct points that Qhull's
-    boundary triangles use, in lexicographic order.  Qhull's triangles
+    ``vertices`` is the read-only array of the hull's vertices, Qhull's own
+    list, which is in input order and so lexicographic.  Qhull's triangles
     carry no orientation, so ``volume`` fans them from the vertex centroid:
     the sum of |det(a - c, b - c, d - c)| / 6, added one triangle at a time.
     """
@@ -348,11 +337,10 @@ def float_hull(points) -> tuple:
         hull = ConvexHull(pts)
     except QhullError as exc:
         raise DegenerateInput(f"qhull rejected the input: {exc}") from exc
-    vidx, tris = np.unique(hull.simplices, return_inverse=True)
-    vertices = pts[vidx]
+    vertices = pts[hull.vertices]
     vertices.flags.writeable = False
     # corners of each triangle less the centroid, as [corner][coordinate][triangle]
-    X = (vertices[tris.reshape(-1, 3)] - vertices.mean(axis=0)).transpose(1, 2, 0)
+    X = (pts[hull.simplices] - vertices.mean(axis=0)).transpose(1, 2, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # a body past double range gets a NaN volume
         return vertices, float(np.cumsum(np.abs(det3(*X)))[-1] / 6.0)
 

@@ -50,7 +50,11 @@ def width_in_direction(P: Polytope, u) -> object:
     direction reports a doubled width.
     """
     d = tuple(u)
-    if len(d) != 3 or any(x != int(x) for x in d):
+    try:  # int() raises on NaN, ±inf and non-numbers
+        integral = len(d) == 3 and all(x == int(x) for x in d)
+    except (ValueError, OverflowError, TypeError):
+        integral = False
+    if not integral:
         raise PreconditionError("direction must be three integers")
     d = tuple(int(x) for x in d)
     if d == (0, 0, 0):

@@ -305,6 +305,13 @@ def test_peculiar_sweep_refuses_a_non_finite_tol(tol):
     assert len(peculiar_sweep(100, 5, 0, -0.5)["violations"]) == 1  # a negative finite tol still runs
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5])
+def test_peculiar_sweep_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # numpy raises its own ValueError or TypeError on these, which is no IsokitError
+    with pytest.raises(PreconditionError, match="^seed must be a nonnegative integer$"):
+        peculiar_sweep(1, 1, seed, 1e-9)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_peculiar_sweep_matches_the_per_pair_loop(seed):
     # the per-pair sweep as the reference: every pair scored alone by its

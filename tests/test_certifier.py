@@ -138,6 +138,13 @@ def test_certify_random_refuses_a_non_finite_tol(tol):
     assert len(certify_random(5, 8, 0, False, -1.0)["violations"]) == 3  # a negative finite tol still runs
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5])
+def test_certify_random_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # numpy raises its own ValueError or TypeError on these, which is no IsokitError
+    with pytest.raises(PreconditionError, match="^seed must be a nonnegative integer$"):
+        certify_random(1, 1, seed)
+
+
 def test_certify_random_summary():
     rep = certify_random(n_lambda=5, restarts=16, seed=0)
     assert rep["n_lambda"] == 5

@@ -100,6 +100,22 @@ def test_hull_collinear_and_midface_points_dropped():
     assert volume(P) == 27
 
 
+@pytest.mark.parametrize(
+    "coord, message",
+    [
+        (math.nan, "^non-finite coordinate$"),
+        (math.inf, "^non-finite coordinate$"),
+        (-math.inf, "^non-finite coordinate$"),
+        ("a", "^bad coordinate"),
+        (None, "^bad coordinate"),
+    ],
+)
+def test_polytope_refuses_a_coordinate_with_no_exact_value(coord, message):
+    # Fraction() raises ValueError, OverflowError or TypeError on these, which is no IsokitError
+    with pytest.raises(PreconditionError, match=message):
+        Polytope([(0, 0, 0), (1, 0, 0), (0, coord, 0), (0, 0, 1)])
+
+
 def test_hull_degenerate_inputs():
     with pytest.raises(DegenerateInput):
         Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
@@ -287,6 +303,13 @@ def small_grid_points(rng):
     return pts, Polytope(pts)
 
 
+def full_grid(rng):
+    # all 27 points of {0, 1, 2}^3: edge midpoints on two facet planes, face
+    # centres on one, the centre on none; only the 8 corners are vertices
+    pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    return pts, Polytope(pts)
+
+
 def rational_difference_body(rng):
     K = Polytope(_rational_body(rng, 5, np.arange(2, 30)))
     return [_sub3(a, b) for a in K.vertices for b in K.vertices], difference_hull(K)
@@ -300,6 +323,7 @@ def rational_difference_body(rng):
         cube_with_edge_and_face_points,
         lattice_basis_image,
         small_grid_points,
+        full_grid,
         rational_difference_body,
     ],
     ids=lambda f: f.__name__,

@@ -23,6 +23,13 @@ def test_width_in_direction_verbatim():
         width_in_direction(P, (0, 0, 0))
 
 
+@pytest.mark.parametrize("u", [(math.nan, 1, 1), (math.inf, 0, 0), (0, -math.inf, 0), ("a", 1, 1), (None, 1, 1)])
+def test_width_in_direction_refuses_a_direction_that_is_not_integral(u):
+    # int() raises ValueError, OverflowError or TypeError on these, which is no IsokitError
+    with pytest.raises(PreconditionError, match="^direction must be three integers$"):
+        width_in_direction(Polytope(EXTREMAL_SIMPLEX), u)
+
+
 def test_extremal_simplex_attains_equality():
     P = Polytope(EXTREMAL_SIMPLEX)
     res = lattice_width(P)
