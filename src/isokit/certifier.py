@@ -53,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .admissible import CEILING, _PAIR_I, _PAIR_J, _as_lambda, lambda_pair_products, objective, sample_lambda
+from .admissible import CEILING, _PAIR_I, _PAIR_J, lambda_pair_products, objective, sample_lambda
 from .bounds import drop_patterns
 from .errors import PreconditionError
 
@@ -181,7 +181,11 @@ def _pattern(a, live) -> str:
 
 
 def _maximize_block(lam, rngs, restarts):
-    """Certificates for checked weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``."""
+    """Certificates for weight vectors ``lam`` of shape (N, 6), vector i climbing from ``rngs[i]``.
+
+    ``lambda_pair_products`` checks the weights: nonnegative, summing to 3,
+    the sixth the largest.
+    """
     W = lambda_pair_products(lam)
     V, M = _starts(rngs, restarts)
     value = _weighted(M * M, W)
@@ -264,7 +268,7 @@ def certify_random(
         ks = range(start, min(start + block, n_lambda))
         lams = [sample_lambda(np.random.default_rng([seed, k]), first_weight_zero) for k in ks]
         rngs = [np.random.default_rng([seed, k, 1]) for k in ks]
-        certs = _maximize_block(_as_lambda(np.array(lams)), rngs, restarts)
+        certs = _maximize_block(np.array(lams), rngs, restarts)
         for lam, cert in zip(lams, certs):
             if cert.value > max_value:
                 max_value = cert.value

@@ -32,7 +32,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -44,28 +43,6 @@ from .errors import IsokitError, PreconditionError
 from .geom import Polytope, points_from_json
 from .john import IDQ_LOWER_BOUND, WITNESS_LOWER_BOUND, normalize
 from .lattice import verify_width_volume_corollary
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class Config:
-    """The shared flags --tol and --seed, validated; a subcommand without a flag keeps its default."""
-
-    tolerance: float = 1e-9
-    seed: int = 42
-
-    def __post_init__(self):
-        if not (isinstance(self.tolerance, float) and 0.0 < self.tolerance < math.inf):
-            raise PreconditionError("tolerance must be a positive finite real")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise PreconditionError("seed must be a 64-bit unsigned integer")
-
-
-def _config(args: argparse.Namespace) -> Config:
-    return Config(**{f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +118,11 @@ def _load_points(path: str, exact: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
     try:
         return points_from_json(text, exact)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
         raise PreconditionError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -161,27 +138,27 @@ def _alarm(quantity: str, value, bound, ceiling: bool = False, note: str = "") -
     return 3
 
 
-def cmd_normalize(args, cfg: Config):
-    res = normalize(_load_points(args.file, False), tol=cfg.tolerance)
+def cmd_normalize(args):
+    res = normalize(_load_points(args.file, False), tol=args.tol)
     payload = res.to_json_dict()
     for name, value, bound in (
         ("idq", res.idq, IDQ_LOWER_BOUND),
         ("witness value", res.witness_value, WITNESS_LOWER_BOUND),
     ):
-        threshold = bound - 10.0 * cfg.tolerance
+        threshold = bound - 10.0 * args.tol
         if not value >= threshold:  # NaN fails it too
             return payload, _alarm(name, value, threshold)
     return payload, 0
 
 
-def cmd_width(args, cfg: Config):
+def cmd_width(args):
     payload = verify_width_volume_corollary(Polytope(_load_points(args.file, True)))
     if not payload["holds"]:
         return payload, _alarm("volume", payload["volume"], payload["bound"], note=" (bound omega^3/12)")
     return payload, 0
 
 
-def cmd_verify_lemmas(args, cfg: Config):
+def cmd_verify_lemmas(args):
     rep = grid_verify_all(args.grid_step)
     if rep["violations"]:
         fam = rep["families"][rep["worst_family"]]
@@ -190,21 +167,21 @@ def cmd_verify_lemmas(args, cfg: Config):
     return rep, 0
 
 
-def cmd_certify(args, cfg: Config):
-    payload = certify_random(args.samples, args.restarts, cfg.seed, args.zero_first, cfg.tolerance)
+def cmd_certify(args):
+    payload = certify_random(args.samples, args.restarts, args.seed, args.zero_first, args.tol)
     if payload["violations"]:
         note = f" ({len(payload['violations'])} of {payload['n_lambda']} weight vectors)"
         return payload, _alarm("objective", payload["global_max"], payload["bound"] + payload["tol"], True, note)
     return payload, 0
 
 
-def cmd_peculiar(args, cfg: Config):
-    payload = peculiar_sweep(args.samples, args.lambdas, cfg.seed, cfg.tolerance)
+def cmd_peculiar(args):
+    payload = peculiar_sweep(args.samples, args.lambdas, args.seed, args.tol)
     if payload["violations"]:
         # the sweep lists violations in this order: objective, five_square, region_total
         kind = payload["violations"][0]["kind"]
         note = f" ({len(payload['violations'])} violations)"
-        return payload, _alarm(kind, payload[f"{kind}_max"], payload[f"{kind}_bound"] + cfg.tolerance, True, note)
+        return payload, _alarm(kind, payload[f"{kind}_max"], payload[f"{kind}_bound"] + args.tol, True, note)
     return payload, 0
 
 
@@ -217,9 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="isokit", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    # shared flags; their dest names are the Config fields they set
+    # shared flags, checked in main before any handler runs
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=1e-9, help="tolerance (default 1e-9)")
+    tol.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
@@ -256,8 +233,11 @@ def _first_line(exc: BaseException) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        payload, code = args.func(args, cfg)
+        if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+            raise PreconditionError("tolerance must be a positive finite real")
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise PreconditionError("seed must be a 64-bit unsigned integer")
+        payload, code = args.func(args)
     except PreconditionError as exc:
         print(f"error: {type(exc).__name__}: {_first_line(exc)}", file=sys.stderr)
         return 2

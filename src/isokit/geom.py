@@ -13,8 +13,11 @@ stores its integer plane when it is made, so an orientation test is the
 sign of a four-term integer dot product (the cached-plane test of
 Quickhull: Barber, Dobkin & Huhdanpaa 1996).  The seed simplex, the
 vertex filter and the exact volume run on the same integers, so the hull
-does no ``Fraction`` arithmetic.  Degenerate inputs (coplanar point sets)
-raise ``DegenerateInput`` in both.
+does no ``Fraction`` arithmetic.  A ``Polytope`` keeps its vertices'
+integer frame (integer triples over one common denominator) and the
+positions of its seed simplex among them: the lattice-width search reads
+both rather than rebuilding them.  Degenerate inputs (coplanar point
+sets) raise ``DegenerateInput`` in both.
 """
 
 from __future__ import annotations
@@ -145,18 +148,21 @@ def _initial_simplex(H):
 def _hull_exact(H):
     """Exact incremental hull of distinct, sorted homogeneous points.
 
-    Returns (vertex_index_list, triangle_list) where triangles are index
-    triples covering the boundary (coplanar facets may appear split),
-    each oriented so that the hull lies on its negative side.  Every
+    Returns (vertex_index_list, triangle_list, seed) where triangles are
+    index triples covering the boundary (coplanar facets may appear
+    split), each oriented so that the hull lies on its negative side, and
+    seed holds the four indices ``_initial_simplex`` picked, in its order.
+    Every seed point is a vertex: each is the lexicographically first
+    maximizer of a convex function, and a maximizer that is not a vertex
+    averages vertices that all maximize it, one of them smaller.  Every
     facet stores its integer plane once, when it is made, so a point is
     tested against a facet by the sign of one integer dot product; points
     on a facet plane are never treated as outside it.
     """
-    seed = list(_initial_simplex(H))
+    seed = _initial_simplex(H)
     a, b, c, d = seed
     if _side(_plane(H[a], H[b], H[c]), H[d]) > 0:
-        seed = [a, c, b, d]
-    a, b, c, d = seed
+        b, c = c, b
     # each facet oriented so the fourth seed point is on the negative side
     facets = {0: (a, b, c), 1: (a, c, d), 2: (a, d, b), 3: (b, d, c)}
     planes = {fid: _plane(H[x], H[y], H[z]) for fid, (x, y, z) in facets.items()}
@@ -198,8 +204,7 @@ def _hull_exact(H):
             edge_owner[(v, ip)] = fid
             edge_owner[(ip, u)] = fid
 
-    verts = _extreme_vertices(facets, planes)
-    return verts, list(facets.values())
+    return _extreme_vertices(facets, planes), list(facets.values()), seed
 
 
 def _canonical_normal(L):
@@ -240,6 +245,9 @@ class Polytope:
 
     vertices : list of ``Fraction`` coordinate triples, sorted,
         deduplicated, reduced to the extreme points of the input.
+    integer_vertices : the vertices times ``denominator``, as int triples.
+    denominator : the lcm of the vertices' denominators.
+    seed : positions in ``vertices`` of the hull's seed simplex.
 
     Coordinates may be ints, floats or Fractions; a float is read at its
     exact binary value, and a coordinate with no exact value (NaN, ±inf,
@@ -247,15 +255,19 @@ class Polytope:
     vertices are guaranteed extreme and full-dimensionality is enforced.
     """
 
-    __slots__ = ("vertices", "_tris")
+    __slots__ = ("vertices", "integer_vertices", "denominator", "seed", "_tris")
 
     def __init__(self, points):
         pts = sorted({_exact_point(p) for p in points})
         if len(pts) < 4:
             raise DegenerateInput("need at least 4 distinct points")
         corners = [_homogeneous(p) for p in pts]
-        vidx, tris = _hull_exact(corners)
+        vidx, tris, seed = _hull_exact(corners)
         self.vertices = [pts[i] for i in vidx]
+        H = [corners[i] for i in vidx]
+        self.denominator = d = math.lcm(*(w for *_, w in H))
+        self.integer_vertices = [(X * (d // w), Y * (d // w), Z * (d // w)) for X, Y, Z, w in H]
+        self.seed = tuple(vidx.index(i) for i in seed)
         # boundary triangles, their corners homogeneous integers, each oriented outward
         self._tris = [(corners[a], corners[b], corners[c]) for a, b, c in tris]
 

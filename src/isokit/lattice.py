@@ -8,7 +8,8 @@ edge d of S.  Three of those edges are independent, so the slabs bound
 a region holding finitely many lattice points; the search enumerates
 them in exact integer arithmetic, shrinking W as narrower directions
 appear.  No floating-point step decides which direction is pruned or
-returned.
+returned.  S is the hull's own seed simplex, and the search runs on the
+hull's own integer frame: it rebuilds neither.
 
 A ``Polytope`` is exact, so the lattice width, every width in a
 direction and the inequality vol(K) >= width^3 / 12 are decided with
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .geom import Polytope, _homogeneous, _initial_simplex, _sub, volume
+from .geom import Polytope, _sub, volume
 
 __all__ = [
     "WidthResult",
@@ -61,18 +62,6 @@ def width_in_direction(P: Polytope, u) -> object:
         raise PreconditionError("direction must be nonzero")
     dots = [vx * d[0] + vy * d[1] + vz * d[2] for (vx, vy, vz) in P.vertices]
     return max(dots) - min(dots)
-
-
-def _integer_vertices(P: Polytope) -> tuple:
-    """(V, scale): P's vertices times the lcm of their denominators, as integer triples.
-
-    Scaling by a positive constant scales every width by it, so the search
-    compares plain integers.  Float coordinates enter at their exact binary
-    value.
-    """
-    H = [_homogeneous(v) for v in P.vertices]
-    scale = math.lcm(*(w for *_, w in H))
-    return [(x * (scale // w), y * (scale // w), z * (scale // w)) for x, y, z, w in H], scale
 
 
 def _reduced(coef, g):
@@ -119,20 +108,20 @@ def _interval(planes, prefix, W) -> range:
 def lattice_width(P: Polytope) -> WidthResult:
     """Exact minimal lattice width by simplex-slab enumeration.
 
-    Four affinely independent vertices v0..v3 of K span a simplex S inside
-    K, so width_u(S) <= width_u(K): a direction u of width at most W obeys
-    |⟨vi − vj, u⟩| ≤ W on all six edges of S.  Those slabs cut a bounded
-    region; Fourier-Motzkin elimination gives its exact shadows on (a, b)
-    and on a, so the search walks a, then b, then c over exact integer
-    intervals.  W is the best width found so far, so the region shrinks as
-    the search proceeds.  Candidates are visited in increasing
-    lexicographic order and a tie replaces the best, which keeps the
-    lexicographically greatest canonical direction among the narrowest.
-    Every comparison is exact, and the width is returned as the exact
-    Fraction W / scale.
+    The hull's seed simplex S, four affinely independent vertices v0..v3
+    of K, lies inside K, so width_u(S) <= width_u(K): a direction u of
+    width at most W obeys |⟨vi − vj, u⟩| ≤ W on all six edges of S.
+    Those slabs cut a bounded region; Fourier-Motzkin elimination gives
+    its exact shadows on (a, b) and on a, so the search walks a, then b,
+    then c over exact integer intervals.  W is the best width found so
+    far, so the region shrinks as the search proceeds.  Candidates are
+    visited in increasing lexicographic order and a tie replaces the
+    best, which keeps the lexicographically greatest canonical direction
+    among the narrowest.  Every comparison is on P's integer vertices, and
+    the width is returned as the exact Fraction W / P.denominator.
     """
-    V, scale = _integer_vertices(P)
-    S = [V[i] for i in _initial_simplex([v + (1,) for v in V])]
+    V = P.integer_vertices
+    S = [V[i] for i in P.seed]
     edges = [_sub(S[i], S[j]) for i in range(4) for j in range(i)]
     planes_abc = {(d, 1) for d in edges} | {(tuple(-x for x in d), 1) for d in edges}
     planes_ab = _eliminate(planes_abc, 2)
@@ -159,7 +148,7 @@ def lattice_width(P: Polytope) -> WidthResult:
                 if w <= W:
                     W, best_u = w, (a, b, c)
         a += 1
-    return WidthResult(value=Fraction(W, scale), direction=best_u, checked=checked)
+    return WidthResult(value=Fraction(W, P.denominator), direction=best_u, checked=checked)
 
 
 def verify_width_volume_corollary(P: Polytope) -> dict:

@@ -263,7 +263,8 @@ def whiten(points):
     The rank test reads the singular values of the 3x3 R, which are X's,
     relative to the largest coordinate: scale-free.
 
-    Raises PreconditionError on a non-finite coordinate, and
+    Raises PreconditionError on a non-finite coordinate or a map L past
+    the double range (a body near the subnormal scale), and
     DegenerateInput if the points span fewer than 3 dimensions.
     """
     X = np.asarray(points, dtype=float)
@@ -275,7 +276,11 @@ def whiten(points):
     Q, R = np.linalg.qr(X)
     if m < 3 or np.linalg.svd(R, compute_uv=False)[-1] <= 1e-12 * float(np.abs(X).max()):
         raise DegenerateInput("points span fewer than 3 dimensions")
-    return Q * math.sqrt(m), np.linalg.inv(R) * math.sqrt(m)
+    with np.errstate(over="ignore"):
+        L = np.linalg.inv(R) * math.sqrt(m)
+    if not np.isfinite(L).all():
+        raise PreconditionError("whitening map is not finite: the body's scale is past the double range")
+    return Q * math.sqrt(m), L
 
 
 def mvee_centered(points, tol: float = 1e-9, max_iter: int | None = None, trace=None) -> Ellipsoid:

@@ -171,13 +171,24 @@ def test_normalize_refuses_more_than_3000_vertices(tmp_path):
     assert r.stdout == ""
 
 
-def test_parse_error_exits_2(files):
+def test_parse_error_exits_2(files, tmp_path, capsys):
     r = run_cli("normalize", files["garbage"])
     assert r.returncode == 2
     assert "cannot parse" in r.stderr
     r = run_cli("normalize", "/nonexistent/nope.json")
     assert r.returncode == 2
     assert "cannot read" in r.stderr
+    # bytes that are not UTF-8, and lists nested past the JSON parser's recursion limit
+    from isokit import cli
+
+    not_utf8, nested = tmp_path / "not_utf8.json", tmp_path / "nested.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    nested.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for command in ("normalize", "width"):
+        for path, refusal in ((not_utf8, "cannot read"), (nested, "cannot parse")):
+            assert cli.main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: PreconditionError: {refusal} {path}: ")
 
 
 def test_bad_config_exits_2(files):
@@ -189,6 +200,15 @@ def test_bad_config_exits_2(files):
     assert run_cli("normalize", files["tetra"], "--tol", "1e-13").returncode == 2
     assert run_cli("certify", "--samples", "3", "--tol", "inf").returncode == 2
     assert run_cli("peculiar", "--tol", "inf").returncode == 2
+    # the shared flags are checked in main, before any handler runs
+    for argv, first_line in (
+        (["certify", "--tol", "0"], "error: PreconditionError: tolerance must be a positive finite real"),
+        (["peculiar", "--tol", "-1"], "error: PreconditionError: tolerance must be a positive finite real"),
+        (["certify", "--seed", "-1"], "error: PreconditionError: seed must be a 64-bit unsigned integer"),
+        (["peculiar", "--seed", str(2**64)], "error: PreconditionError: seed must be a 64-bit unsigned integer"),
+    ):
+        r = run_cli(*argv)
+        assert (r.returncode, r.stderr.splitlines()[0]) == (2, first_line)
     assert run_cli("certify", "--samples", "-1").returncode == 2
     assert run_cli("certify", "--samples", "1", "--restarts", "10001").returncode == 2
     assert run_cli("certify", "--restarts", "0").returncode == 2
@@ -255,11 +275,20 @@ def test_normalize_accepts_small_bodies(tmp_path, capsys, scale):
     assert idq[1] == pytest.approx(idq[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-300])
-def test_normalize_refuses_tiny_bodies_without_warnings(tmp_path, scale):
-    # vol(K) underflows and det T overflows: the refusal names the
-    # non-finite idq, and no warning escapes it under -W error
-    pts = np.random.default_rng(0).normal(size=(40, 3)) * scale
+TINY_BODIES = [
+    # vol(K) underflows and det T overflows: the refusal names the non-finite idq
+    *[
+        (str(s), np.random.default_rng(0).normal(size=(40, 3)) * s, "error: PreconditionError: idq is not finite: vol(K) = 0, ")
+        for s in (1e-150, 1e-200, 1e-300)
+    ],
+    # subnormal coordinates: the whitening map overflows
+    *[(f"cube-{s}", np.array(UNIT_CUBE) * s, "error: PreconditionError: whitening map is not finite") for s in (1e-309, 1e-320)],
+]
+
+
+@pytest.mark.parametrize("pts, first_line", [c[1:] for c in TINY_BODIES], ids=[c[0] for c in TINY_BODIES])
+def test_normalize_refuses_tiny_bodies_without_warnings(tmp_path, pts, first_line):
+    # no warning escapes the refusal under -W error
     path = tmp_path / "body.json"
     path.write_text(json.dumps({"vertices": pts.tolist()}))
     r = subprocess.run(
@@ -270,7 +299,7 @@ def test_normalize_refuses_tiny_bodies_without_warnings(tmp_path, scale):
     )
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: PreconditionError: idq is not finite: vol(K) = 0, ")
+    assert r.stderr.startswith(first_line)
 
 
 @pytest.mark.parametrize("body", ["huge_int", "huge_str", "scaled"])

@@ -1,6 +1,7 @@
 """Contact decompositions, witness triples, and the normalization pipeline."""
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -371,3 +372,17 @@ def test_normalize_whitens_once(monkeypatch):
         rows.clear()
         normalize(pts)
         assert rows == [len(vertex_differences(pts))]
+
+
+def test_width_picks_its_seed_once(tmp_path, monkeypatch, capsys):
+    # lattice_width reads the seed simplex the exact hull picked: one pick per body
+    from isokit import cli, lattice
+
+    pick, calls = geom._initial_simplex, []
+    for module in (geom, lattice):
+        monkeypatch.setattr(module, "_initial_simplex", lambda H: calls.append(len(H)) or pick(H), raising=False)
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"vertices": UNIT_CUBE + [(0.5, 0.5, 0.5)]}))
+    assert cli.main(["width", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["omega"] == "1"
+    assert calls == [9]
