@@ -205,14 +205,16 @@ def test_grid_argmax_is_the_first_maximum_in_row_major_order():
 def test_grid_memory_follows_a_block_not_the_grid():
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        rep = grid_verify_all(0.03)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep["n_points"] == 189509 and rep["violations"] == []
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # one family row per block, not all 43: 2.35 and 7.79 MiB measured (5.94 and 19.6 with all rows)
+    for step, points, cap in [(0.03, 189509, 4), (0.02, 1229120, 10)]:
+        tracemalloc.start()
+        try:
+            rep = grid_verify_all(step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["n_points"] == points and rep["violations"] == []
+        assert peak < cap * 2**20, f"step {step}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_drop_patterns_are_the_drop_instances():
@@ -246,21 +248,80 @@ _EXACT_BOUNDS = {
 }
 
 
-def _exact_instances(lam):
-    """family -> [(indices, value)] at one weight vector of Fractions, every instance in order."""
-    prod = {(i, j): lam[i - 1] * lam[j - 1] for i, j in combinations(range(1, 6), 2)}
+def _instance_sums(prod):
+    """family -> [(indices, sum)] over the products prod[i, j] (i < j <= 5), every instance in order."""
     total = sum(prod.values())
     return {
         "pair_drop": [((kl, mn), total - prod[kl] - prod[mn]) for kl, mn in _DISJOINT],
         "triple_drop": [
             ((k, l, m), total - prod[k, l] - prod[l, m] - prod[k, m]) for k, l, m in combinations(range(1, 6), 3)
         ],
-        "zero_lambda": [(kl, total - prod[kl]) for kl in combinations(range(2, 6), 2)] if lam[0] == 0 else [],
+        "zero_lambda": [(kl, total - prod[kl]) for kl in combinations(range(2, 6), 2)],
         "weighted": [
             (f"pattern_{i}", sum(v if frozenset(pair) in heavy else Fraction(3, 5) * v for pair, v in prod.items()))
             for i, heavy in enumerate(_PATTERNS)
         ],
     }
+
+
+def _exact_instances(lam):
+    """family -> [(indices, value)] at one weight vector of Fractions, every instance in order."""
+    inst = _instance_sums({(i, j): lam[i - 1] * lam[j - 1] for i, j in combinations(range(1, 6), 2)})
+    if lam[0] != 0:
+        inst["zero_lambda"] = []
+    return inst
+
+
+def _instance_weights():
+    """family -> [(indices, C)]: C[i-1, j-1] is five times the weight of lam_i lam_j (i < j) in the instance's sum."""
+    pairs = list(combinations(range(1, 6), 2))
+    # the weight of one product is the sum with that product 1 and the others 0
+    units = {p: _instance_sums({q: Fraction(q == p) for q in pairs}) for p in pairs}
+    weights = {}
+    for name, inst in units[pairs[0]].items():
+        for r, (ix, _) in enumerate(inst):
+            C = np.zeros((5, 5), dtype=np.int64)
+            for (i, j), unit in units.items():
+                w = 5 * unit[name][r][1]
+                assert w.denominator == 1
+                C[i - 1, j - 1] = int(w)
+            weights.setdefault(name, []).append((ix, C))
+    return weights
+
+
+def test_grid_dominant_instance_dominates_its_family():
+    # on nondecreasing k = L t (t >= 0) twice a sum is t^T Q t, Q = L^T (C + C^T) L, so
+    # a Q at least every other entry by entry is the family's maximum at every grid point
+    from isokit.bounds import _DOMINANT, _FAMILIES
+
+    L = np.tril(np.ones((5, 5), dtype=np.int64))
+    weights = _instance_weights()
+    chosen = {}
+    for fam, d in zip(_FAMILIES, _DOMINANT):
+        Q = {ix: L.T @ (C + C.T) @ L for ix, C in weights[fam.name]}
+        assert list(Q) == fam.labels, fam.name
+        chosen[fam.name] = fam.labels[d]
+        assert all((Q[fam.labels[d]] >= q).all() for q in Q.values()), (fam.name, fam.labels[d])
+    assert chosen == {
+        "pair_drop": ((1, 4), (2, 3)),
+        "triple_drop": (1, 2, 3),
+        "zero_lambda": (2, 3),
+        "weighted": "pattern_0",
+    }
+
+
+def test_grid_dominant_row_is_the_family_maximum():
+    from isokit.bounds import _DOMINANT, _FAMILIES
+
+    n = 150
+    cuts = np.sort(np.random.default_rng(26).integers(0, n + 1, size=(10_000, 5)), axis=1)
+    k = np.sort(np.diff(cuts, prepend=0, append=n, axis=1), axis=1)  # sorted 6-tuples summing to n
+    assert (k.sum(axis=1) == n).all()
+    prod = np.stack([k[:, i - 1] * k[:, j - 1] for i, j in PAIRS], axis=1)
+    weights = _instance_weights()
+    for fam, d in zip(_FAMILIES, _DOMINANT):
+        every = np.einsum("rij,pi,pj->pr", np.array([C for _, C in weights[fam.name]]), k[:, :5], k[:, :5])
+        assert np.array_equal(prod @ fam.coeff[d], every.max(axis=1)), fam.name
 
 
 @pytest.mark.parametrize("n", [7, 15])  # steps 3/7 and 0.2: neither is dyadic, so no float sum is exact
