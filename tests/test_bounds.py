@@ -1,14 +1,15 @@
 """Weight-product inequalities: tight cases, random sweeps, grid harness."""
 
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
 
-from isokit.admissible import HEAVY_PAIRS, PAIRS, lambda_pair_products, sample_lambda
+from isokit.admissible import HEAVY_PAIRS, PAIRS, _f_value, lambda_pair_products, omega_contains, sample_lambda
 from isokit.bounds import (
     drop_patterns,
     grid_verify_all,
@@ -138,25 +139,67 @@ def _reference_blocks(n):
             yield k1, np.column_stack([np.full_like(k3, k1), np.full_like(k3, k2), k3, k4, k5, r - k3 - k4 - k5])
 
 
-@pytest.mark.parametrize("n", [6, 7, 12, 25])
-def test_grid_blocks_enumerate_the_sorted_grid_in_order(n):
-    from isokit.bounds import _grid_blocks
+def _expand_lines(K, n):
+    """Each line (k1, k2, k3, k4, hi) from its low end k5 = k4 to its high end, as rows x 6 ints."""
+    rows = [[*line[:4], k5] for line in K.T.astype(int).tolist() for k5 in range(line[3], line[4] + 1)]
+    k = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    return np.column_stack([k, n - k.sum(axis=1)])
 
-    blocks = list(_grid_blocks(n))
-    assert np.concatenate([K for _, K in blocks], axis=1).T.tolist() == _sorted_grid(n)
-    for k1, K in blocks:  # one block per (k1, k2) prefix, one grid point per column
-        assert K.shape[0] == 6 and (K[0] == k1).all() and (K[1] == K[1, 0]).all()
-    assert len({tuple(K[:2, 0]) for _, K in blocks}) == len(blocks)
+
+@pytest.mark.parametrize("n", [6, 7, 12, 25])
+def test_grid_lines_enumerate_the_sorted_grid_in_order(n):
+    from isokit.bounds import _grid_lines
+
+    blocks = list(_grid_lines(n))
+    assert [k1 for k1, _ in blocks] == list(range(n // 6 + 1))  # one block per k1
+    for k1, K in blocks:  # one line per (k2, k3, k4), none empty, k5 up to k6
+        assert K.shape[0] == 5 and (K[0] == k1).all() and (K[3] <= K[4]).all()
+        assert np.array_equal(K[4], (n - K[:4].sum(axis=0)) // 2)
+    assert np.concatenate([_expand_lines(K, n) for _, K in blocks]).tolist() == _sorted_grid(n)
 
 
 @pytest.mark.parametrize("n", [6, 7, 12, 25, 60, 150])
-def test_grid_blocks_match_the_masked_box(n):
-    from isokit.bounds import _grid_blocks
+def test_grid_lines_match_the_masked_box(n):
+    from isokit.bounds import _grid_lines, _line_points
 
-    got, want = list(_grid_blocks(n)), list(_reference_blocks(n))
-    assert len(got) == len(want)
-    for (k1, K), (ref_k1, ref) in zip(got, want):
-        assert k1 == ref_k1 and K.dtype == float and np.array_equal(K.T, ref)
+    want = {}
+    for k1, ref in _reference_blocks(n):
+        want.setdefault(k1, []).append(ref)
+    got = list(_grid_lines(n))
+    assert [k1 for k1, _ in got] == list(want)
+    for k1, K in got:
+        ref = np.concatenate(want[k1])
+        assert K.dtype == float and np.array_equal(_expand_lines(K, n), ref)
+        assert np.array_equal(_line_points(K, n).T, ref)
+
+
+def test_grid_report_matches_every_instance_at_every_point():
+    # n = 60 (step 0.05): lines of up to 31 points; at tol -0.32 each
+    # family's first 100 violations lie on 17 to 31 lines, and three of the
+    # lists end between two violating instances of one point
+    from isokit.bounds import _COEFF, _FAMILIES, _ROWS
+
+    n, tol = 60, -0.32
+    k = np.concatenate([ref for _, ref in _reference_blocks(n)])  # the grid in row-major order
+    V = np.stack([k[:, i - 1] * k[:, j - 1] for i, j in PAIRS], axis=1) @ _COEFF.T.astype(np.int64)
+    scale = 5 * n * n  # a value is 9 V / scale
+    rep = grid_verify_all(3 / n, tol=tol)
+    assert rep["n_points"] == len(k)
+    for fam, rows in zip(_FAMILIES, _ROWS):
+        pts = np.flatnonzero(k[:, 0] == 0) if fam.zero_first else np.arange(len(k))
+        Vf = V[pts, rows]
+        best = Vf.max(axis=1)
+        got = rep["families"][fam.name]
+        assert got["max_value"] == float(Fraction(9 * int(best.max()), scale)), fam.name
+        assert got["argmax_lambda"] == [3.0 * v / n for v in k[pts[best.argmax()]].tolist()], fam.name
+        limit = math.floor(scale * (fam.bound + Fraction(tol)) / 9)  # 9 V / scale > bound + tol <=> V > limit
+        where = np.argwhere(Vf > limit)
+        assert len(where) > 100 and len(np.unique(where[:100, 0])) > 1, fam.name
+        want = [
+            ([3.0 * v / n for v in k[pts[r]].tolist()], fam.labels[c], float(Fraction(9 * int(Vf[r, c]), scale)))
+            for r, c in where[:100]
+        ]
+        assert [(v["lambda"], v["indices"], v["value"]) for v in rep["violations"] if v["family"] == fam.name] == want
 
 
 def test_grid_violations_are_the_first_100_in_row_major_order():
@@ -177,9 +220,9 @@ def test_grid_violations_are_the_first_100_in_row_major_order():
 
 
 def test_grid_violations_where_some_blocks_have_none():
-    # at tol -0.32 only some prefix blocks hold a violation; a block is
-    # scanned only when its maximum excess passes tol, and none that holds
-    # one may be skipped (step 0.25 keeps every value exact)
+    # at tol -0.32 only some lines hold a violation; a line is listed
+    # point by point only when its maximum excess passes tol, and none that
+    # holds one may be skipped (step 0.25 keeps every value exact)
     grid = [[k / 4 for k in t] for t in _sorted_grid(12)]
     rep = grid_verify_all(0.25, tol=-0.32)
     for name, (bound, labels, value, covers) in _SCALAR_FAMILIES.items():
@@ -205,8 +248,10 @@ def test_grid_argmax_is_the_first_maximum_in_row_major_order():
 def test_grid_memory_follows_a_block_not_the_grid():
     import tracemalloc
 
-    # one family row per block, not all 43: 2.35 and 7.79 MiB measured (5.94 and 19.6 with all rows)
-    for step, points, cap in [(0.03, 189509, 4), (0.02, 1229120, 10)]:
+    # a block per k1 holds its lines, not their points, and only violating
+    # lines are expanded: 0.75, 2.00 and 15.7 MiB measured (2.35, 7.79 and
+    # 61.2 with a block per (k1, k2) of every point)
+    for step, points, cap in [(0.03, 189509, 1.2), (0.02, 1229120, 3), (0.01, 33377536, 24)]:
         tracemalloc.start()
         try:
             rep = grid_verify_all(step)
@@ -234,6 +279,40 @@ def test_drop_patterns_are_the_drop_instances():
             L, want = lam0, zero_lambda_drop(lam0, *dropped)
         p = lambda_pair_products(L)
         assert p.sum() - p[sorted(zero)].sum() == pytest.approx(want, abs=1e-15), (name, dropped)
+
+
+def test_drop_patterns_are_the_minimal_zero_sets_of_the_integer_sets():
+    # the {0, +-1} tuples that satisfy the five relations, in integers: the
+    # three-term Plucker relations a_ij a_kl - a_ik a_jl + a_il a_jk = 0
+    # over the four-subsets of 1..5; their inclusion-minimal zero sets are
+    # the pair and triple drops, derived here from the algebra alone
+    a = np.array(list(product((0, 1, -1), repeat=10)))
+    col = {pair: a[:, pos] for pos, pair in enumerate(PAIRS)}
+    holds = np.ones(len(a), dtype=bool)
+    for i, j, k, l in combinations(range(1, 6), 4):
+        holds &= col[i, j] * col[k, l] - col[i, k] * col[j, l] + col[i, l] * col[j, k] == 0
+    assert holds.sum() == 2021
+    zeros = {frozenset(np.flatnonzero(row == 0).tolist()) for row in a[holds]}
+    minimal = {z for z in zeros if not any(w < z for w in zeros)}
+    assert minimal == {z for z, name in drop_patterns().items() if name != "zero_lambda"}
+    assert Counter(drop_patterns()[z] for z in minimal) == {"pair_drop": 15, "triple_drop": 10}
+
+
+def test_region_total_is_at_most_the_weighted_sum():
+    # on Omega each of the five squares is at most 9/16 < 3/5, so
+    # f + heavy <= heavy + (3/5) light = weighted_sum: the region total
+    # is bounded by the 3/5-weighted family
+    rng = np.random.default_rng(16)
+    lam = np.array([sample_lambda(rng) for _ in range(20_000)])
+    xy = np.empty((0, 2))
+    while len(xy) < len(lam):
+        cand = rng.uniform(0.5, 1.0, size=(len(lam), 2))
+        xy = np.vstack([xy, cand[omega_contains(cand[:, 0], cand[:, 1])]])
+    x, y = xy[: len(lam)].T
+    heavy = lambda_pair_products(lam)[:, [PAIRS.index(pair) for pair in HEAVY_PAIRS]].sum(axis=1)
+    total = _f_value(lam, x, y) + heavy
+    margin = total - np.array([weighted_sum(v) for v in lam])
+    assert margin.max() < 0, margin.max()
 
 
 #: the twelve relabelings of the 3/5 pattern, as heavy pairs, in order of first appearance

@@ -142,6 +142,7 @@ LEMMAS_STDOUT_SHA256 = [
     ("0.25", "a33e278498be358aab71a5d155695880600b1c8a66e2f2eb553e414071040a24"),
     ("0.1", "87f9ee91f5bb8d9bddd080f095f61fb1dcdfca7db68e20fe5828d275c752861f"),
     ("0.05", "b598c2465aacc646c59eed2bfaa163d8fd9990020f916e47705907d3f43b921a"),
+    ("0.01", "23b1201dda07322747bd07b3580e85d828a0a78a6ed326ac721faa50743d4fa8"),
 ]
 
 
